@@ -13,6 +13,7 @@ from .decoders import (
     alpha_interpolation_decode,
     brute_force_decode,
     constrained_pmap_decode,
+    decode_many,
     hybrid_decode,
     hybrid_lattice,
     kblock_pvd_decode,
@@ -35,6 +36,7 @@ from .inference import (
     PosteriorSummary,
     block_posterior,
     forward_backward,
+    forward_backward_many,
     log_block_posterior,
     viterbi,
 )
@@ -46,6 +48,7 @@ from .model import (
     DirectLikelihood,
     HmmModel,
     prior_marginals,
+    sample_trajectories,
     sample_trajectory,
     validate_model,
 )

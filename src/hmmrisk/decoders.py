@@ -8,6 +8,7 @@ path.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +43,7 @@ class DecodedPath:
 
 
 def _finish(summary, idx, objective, tag) -> DecodedPath:
-    path = tuple(int(s) + 1 for s in idx)
+    path = tuple((np.asarray(idx) + 1).tolist())
     risks = evaluate_risks(summary, path)
     return DecodedPath(
         path=path,
@@ -53,26 +54,62 @@ def _finish(summary, idx, objective, tag) -> DecodedPath:
     )
 
 
+@dataclass(frozen=True)
+class _LatticeDecoder:
+    """A decoder solved by the max-sum kernel.
+
+    ``tables(summary, gains)`` fills the (T, K) ``gains`` in place and
+    returns the initial and transition scores; ``objective(summary, idx,
+    score)`` reads the reported objective off the optimal 0-based path.
+    """
+
+    tag: str
+    tables: Callable
+    objective: Callable
+
+
+def _decode_group(summaries, decoder: _LatticeDecoder) -> list[DecodedPath]:
+    """Decode equal-length summaries with one batched max-sum call."""
+    if not summaries:
+        return []
+    first = summaries[0]
+    gains = np.empty((len(summaries), first.horizon, first.num_states))
+    init_extra, trans = zip(*(decoder.tables(s, g) for s, g in zip(summaries, gains)))
+    idx, scores = best_path(gains, np.stack(init_extra), np.stack(trans))
+    del gains  # freed before the risk evaluations allocate theirs
+    return [_finish(s, i, decoder.objective(s, i, sc), decoder.tag) for s, i, sc in zip(summaries, idx, scores)]
+
+
+def _combined_tables(summary: PosteriorSummary, weights: RiskWeights, gains: np.ndarray):
+    gains[...] = 0.0
+    if weights.c1 > 0:
+        gains += weights.c1 * neg_power_log(summary.smoothed, weights.beta1)
+    if weights.c2 > 0:
+        gains += weights.c2 * summary.log_emission
+    if weights.c3 > 0:
+        gains += weights.c3 * neg_power_log(summary.prior, weights.beta3)
+    path_weight = weights.c2 + weights.c4
+    if path_weight > 0:
+        return path_weight * summary.log_initial, path_weight * summary.log_transition
+    num_states = summary.num_states
+    return np.zeros(num_states), np.zeros((num_states, num_states))
+
+
 def combined_score_tables(summary: PosteriorSummary, weights: RiskWeights):
     """Per-position gains, initial scores, and transition scores of the
     combined objective, such that the total path score is -T times the
     combined risk."""
-    horizon, num_states = summary.horizon, summary.num_states
-    gains = np.zeros((horizon, num_states))
-    if weights.c1 > 0:
-        gains = gains + weights.c1 * neg_power_log(summary.smoothed, weights.beta1)
-    if weights.c2 > 0:
-        gains = gains + weights.c2 * summary.log_emission
-    if weights.c3 > 0:
-        gains = gains + weights.c3 * neg_power_log(summary.prior, weights.beta3)
-    path_weight = weights.c2 + weights.c4
-    if path_weight > 0:
-        trans = path_weight * summary.log_transition
-        init_extra = path_weight * summary.log_initial
-    else:
-        trans = np.zeros((num_states, num_states))
-        init_extra = np.zeros(num_states)
+    gains = np.empty((summary.horizon, summary.num_states))
+    init_extra, trans = _combined_tables(summary, weights, gains)
     return gains, init_extra, trans
+
+
+def _combined(weights: RiskWeights, tag: str) -> _LatticeDecoder:
+    return _LatticeDecoder(
+        tag,
+        lambda summary, gains: _combined_tables(summary, weights, gains),
+        lambda summary, idx, score: -score / summary.horizon,
+    )
 
 
 def hybrid_decode(summary: PosteriorSummary, weights: RiskWeights, tag: str | None = None) -> DecodedPath:
@@ -83,9 +120,7 @@ def hybrid_decode(summary: PosteriorSummary, weights: RiskWeights, tag: str | No
     The objective reported is the minimized combined risk (joint form), i.e.
     -(best score)/T.
     """
-    gains, init_extra, trans = combined_score_tables(summary, weights)
-    idx, score = best_path(gains, init_extra, trans)
-    return _finish(summary, idx, -score / summary.horizon, tag or weights.tag())
+    return _decode_group([summary], _combined(weights, tag or weights.tag()))[0]
 
 
 def hybrid_lattice(summary: PosteriorSummary, weights: RiskWeights) -> Lattice:
@@ -93,16 +128,22 @@ def hybrid_lattice(summary: PosteriorSummary, weights: RiskWeights) -> Lattice:
     return forward_lattice(*combined_score_tables(summary, weights))
 
 
+_VITERBI = _combined(RiskWeights(0.0, 1.0, 0.0, 0.0), "viterbi")
+
+
 def viterbi_decode(summary: PosteriorSummary) -> DecodedPath:
     """Maximum a posteriori path as a DecodedPath (weights 0,1,0,0)."""
-    return hybrid_decode(summary, RiskWeights(0.0, 1.0, 0.0, 0.0), tag="viterbi")
+    return _decode_group([summary], _VITERBI)[0]
+
+
+def _pointwise_objective(summary, idx) -> float:
+    return 1.0 - summary.smoothed[np.arange(summary.horizon), idx].mean()
 
 
 def pmap_decode(summary: PosteriorSummary) -> DecodedPath:
     """Pointwise argmax of the smoothed marginals; may be inadmissible."""
     idx = np.argmax(summary.smoothed, axis=1)
-    objective = 1.0 - summary.smoothed[np.arange(summary.horizon), idx].mean()
-    return _finish(summary, idx, objective, "pmap")
+    return _finish(summary, idx, _pointwise_objective(summary, idx), "pmap")
 
 
 def _support_masks(summary: PosteriorSummary):
@@ -111,35 +152,57 @@ def _support_masks(summary: PosteriorSummary):
     return init, trans
 
 
+def _constrained_pmap_tables(summary: PosteriorSummary, gains: np.ndarray):
+    np.add(summary.smoothed, np.where(summary.emission_likelihood > 0, 0.0, -np.inf), out=gains)
+    return _support_masks(summary)
+
+
+def _pvd_tables(summary: PosteriorSummary, gains: np.ndarray):
+    gains[...] = summary.log_smoothed
+    return _support_masks(summary)
+
+
+_CONSTRAINED_PMAP = _LatticeDecoder(
+    "constrained-pmap", _constrained_pmap_tables, lambda summary, idx, score: _pointwise_objective(summary, idx)
+)
+_PVD = _LatticeDecoder(
+    "pvd",
+    _pvd_tables,
+    lambda summary, idx, score: -summary.log_smoothed[np.arange(summary.horizon), idx].mean(),
+)
+
+
 def constrained_pmap_decode(summary: PosteriorSummary) -> DecodedPath:
     """Maximize the summed smoothed marginals over admissible paths only.
 
     Feasibility masks cover initial/transition support and positive emission
     likelihood per position, which together are exactly admissibility.
     """
-    init_mask, trans_mask = _support_masks(summary)
-    emit_mask = np.where(summary.emission_likelihood > 0, 0.0, -np.inf)
-    idx, _ = best_path(summary.smoothed + emit_mask, init_mask, trans_mask)
-    objective = 1.0 - summary.smoothed[np.arange(summary.horizon), idx].mean()
-    return _finish(summary, idx, objective, "constrained-pmap")
+    return _decode_group([summary], _CONSTRAINED_PMAP)[0]
 
 
 def pvd_decode(summary: PosteriorSummary) -> DecodedPath:
     """Maximize the product of smoothed marginals over admissible paths."""
-    init_mask, trans_mask = _support_masks(summary)
-    idx, _ = best_path(summary.log_smoothed, init_mask, trans_mask)
-    objective = -summary.log_smoothed[np.arange(summary.horizon), idx].mean()
-    return _finish(summary, idx, objective, "pvd")
+    return _decode_group([summary], _PVD)[0]
+
+
+def _kblock(k: int) -> _LatticeDecoder:
+    if k < 1:
+        raise KOutOfRangeError(f"k must be at least 1, got {k}")
+    return _combined(RiskWeights(1.0, float(k - 1), 0.0, 0.0, beta1=0.0), f"kblock k={k}")
 
 
 def kblock_pvd_decode(summary: PosteriorSummary, k: int) -> DecodedPath:
     """k-block posterior-Viterbi decoding: weights (1, k-1, 0, 0) with a
     logarithmic pointwise term.  k=1 is unconstrained PMAP; growing k bridges
     towards Viterbi, and any k >= 2 yields an admissible path."""
-    if k < 1:
-        raise KOutOfRangeError(f"k must be at least 1, got {k}")
-    weights = RiskWeights(1.0, float(k - 1), 0.0, 0.0, beta1=0.0)
-    return hybrid_decode(summary, weights, tag=f"kblock k={k}")
+    return _decode_group([summary], _kblock(k))[0]
+
+
+def _alpha(alpha: float) -> _LatticeDecoder:
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    return _combined(RiskWeights(alpha, 1.0 - alpha, 0.0, 0.0, beta1=0.0), f"alpha={alpha:g}")
 
 
 def alpha_interpolation_decode(summary: PosteriorSummary, alpha: float) -> DecodedPath:
@@ -148,10 +211,7 @@ def alpha_interpolation_decode(summary: PosteriorSummary, alpha: float) -> Decod
     alpha=0 is the Viterbi objective, alpha=1 the PMAP objective, and
     alpha=1/k matches kblock_pvd_decode(k) up to a factor k.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    weights = RiskWeights(alpha, 1.0 - alpha, 0.0, 0.0, beta1=0.0)
-    return hybrid_decode(summary, weights, tag=f"alpha={alpha:g}")
+    return _decode_group([summary], _alpha(alpha))[0]
 
 
 def _digits_range(base: int, width: int, start: int, stop: int) -> np.ndarray:
@@ -288,6 +348,28 @@ _FIXED_DECODERS = {
 }
 
 
+def _lattice_decoder(tag: str) -> _LatticeDecoder | None:
+    """The max-sum form of a lattice decoder tag; None for pmap and rabiner."""
+    if tag == "viterbi":
+        return _VITERBI
+    if tag == "pvd":
+        return _PVD
+    if tag == "constrained-pmap":
+        return _CONSTRAINED_PMAP
+    head, _, arg = tag.partition(":")
+    if head == "kblock" and arg:
+        return _kblock(int(arg))
+    if head == "alpha" and arg:
+        return _alpha(float(arg))
+    if head == "weights" and arg:
+        parts = [float(x) for x in arg.replace("/", ",").split(",")]
+        if len(parts) not in (4, 6):
+            raise ValueError(f"weights tag needs 4 or 6 numbers, got {len(parts)}")
+        weights = RiskWeights(*parts)
+        return _combined(weights, weights.tag())
+    return None
+
+
 def resolve_decoder(tag: str):
     """Map a decoder tag like "viterbi", "kblock:3", "alpha:0.5", "rabiner:2",
     or "weights:c1/c2/c3/c4[/beta1/beta3]" to a callable over summaries.
@@ -298,19 +380,29 @@ def resolve_decoder(tag: str):
     if tag in _FIXED_DECODERS:
         return _FIXED_DECODERS[tag]
     head, _, arg = tag.partition(":")
-    if head == "kblock" and arg:
-        k = int(arg)
-        return lambda summary: kblock_pvd_decode(summary, k)
-    if head == "alpha" and arg:
-        a = float(arg)
-        return lambda summary: alpha_interpolation_decode(summary, a)
     if head == "rabiner" and arg:
         k = int(arg)
         return lambda summary: rabiner_block_decode(summary, k)
-    if head == "weights" and arg:
-        parts = [float(x) for x in arg.replace("/", ",").split(",")]
-        if len(parts) not in (4, 6):
-            raise ValueError(f"weights tag needs 4 or 6 numbers, got {len(parts)}")
-        weights = RiskWeights(*parts)
-        return lambda summary: hybrid_decode(summary, weights)
-    raise ValueError(f"unknown decoder tag: {tag!r}")
+    decoder = _lattice_decoder(tag)
+    if decoder is None:
+        raise ValueError(f"unknown decoder tag: {tag!r}")
+    return lambda summary: _decode_group([summary], decoder)[0]
+
+
+def decode_many(summaries, tags):
+    """Decode every summary with every tag understood by resolve_decoder.
+
+    Yields one list of DecodedPath per tag, in summary order, decoding each
+    tag only when its list is asked for.  The summaries must share one
+    horizon; each lattice decoder solves all of them in one batched max-sum
+    call, and the result for every summary is the one its single-summary
+    decoder returns.
+    """
+    summaries = list(summaries)
+    for tag in tags:
+        decoder = _lattice_decoder(tag)
+        if decoder is None:
+            fn = resolve_decoder(tag)
+            yield [fn(summary) for summary in summaries]
+        else:
+            yield _decode_group(summaries, decoder)

@@ -6,7 +6,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import model as model_mod
 from .errors import KOutOfRangeError, NoFinitePathError, ZeroEvidenceError
 from .lattice import best_path
 from .model import HmmModel, check_state_path, prior_marginals
@@ -20,15 +19,37 @@ def _log(a: np.ndarray) -> np.ndarray:
 
 
 def emission_likelihood(model: HmmModel, obs) -> np.ndarray:
-    """Linear-domain likelihood table f[t, j] = f_j(x_t), shape (T, K)."""
-    emission = model.emission
-    if isinstance(emission, model_mod.Categorical):
-        symbols = np.asarray(obs).astype(int)
-        return emission.table[:, symbols].T.copy()
-    if isinstance(emission, model_mod.DirectLikelihood):
-        positions = np.asarray(obs).astype(int)
-        return emission.table[positions].copy()
-    return np.exp(emission.log_likelihood(obs))
+    """Linear-domain likelihood table f[t, j] = f_j(x_t), shape (T, K).
+
+    Categorical symbols and direct-likelihood row positions must be 1-d
+    sequences of in-range integers; anything else raises ValueError.
+    """
+    return model.emission.likelihood(obs)
+
+
+class _ChainTables:
+    """Tables that depend only on (model, horizon), computed once on first
+    use and shared by every summary of a group."""
+
+    def __init__(self, model: HmmModel, horizon: int):
+        self.model = model
+        self.horizon = horizon
+
+    @cached_property
+    def prior(self) -> np.ndarray:
+        return prior_marginals(self.model, self.horizon)
+
+    @cached_property
+    def log_prior(self) -> np.ndarray:
+        return _log(self.prior)
+
+    @cached_property
+    def log_transition(self) -> np.ndarray:
+        return _log(self.model.transition)
+
+    @cached_property
+    def log_initial(self) -> np.ndarray:
+        return _log(self.model.initial)
 
 
 class PosteriorSummary:
@@ -38,11 +59,17 @@ class PosteriorSummary:
     (rows sum to 1); ``scaling[t]`` is the per-step normalizer, so the data
     log-likelihood is the sum of log scaling factors.  ``smoothed[t, j]`` is
     the posterior marginal of state j+1 at position t+1 given the whole
-    sequence.  The summary keeps references to the model and observations it
-    was computed from, so downstream decoders only need the summary.
+    sequence.  ``emission_likelihood`` is the table the recursions ran on.
+    The summary keeps references to the model and observations it was
+    computed from, so downstream decoders only need the summary.  Tables
+    that depend only on the model and the horizon (prior marginals, log
+    transition and initial scores) are shared by the summaries of one
+    ``forward_backward_many`` call.
     """
 
-    def __init__(self, model, obs, scaled_forward, scaled_backward, scaling, smoothed, log_evidence):
+    def __init__(
+        self, model, obs, scaled_forward, scaled_backward, scaling, smoothed, log_evidence, emission_likelihood, chain
+    ):
         self.model = model
         self.obs = obs
         self.scaled_forward = scaled_forward
@@ -50,6 +77,8 @@ class PosteriorSummary:
         self.scaling = scaling
         self.smoothed = smoothed
         self.log_evidence = log_evidence
+        self.emission_likelihood = emission_likelihood
+        self._chain = chain
 
     @property
     def horizon(self) -> int:
@@ -58,10 +87,6 @@ class PosteriorSummary:
     @property
     def num_states(self) -> int:
         return self.smoothed.shape[1]
-
-    @cached_property
-    def emission_likelihood(self) -> np.ndarray:
-        return emission_likelihood(self.model, self.obs)
 
     @cached_property
     def log_emission(self) -> np.ndarray:
@@ -83,60 +108,97 @@ class PosteriorSummary:
     def log_scaling(self) -> np.ndarray:
         return np.log(self.scaling)
 
-    @cached_property
+    @property
     def log_transition(self) -> np.ndarray:
-        return _log(self.model.transition)
+        return self._chain.log_transition
 
-    @cached_property
+    @property
     def log_initial(self) -> np.ndarray:
-        return _log(self.model.initial)
+        return self._chain.log_initial
 
-    @cached_property
+    @property
     def prior(self) -> np.ndarray:
-        return prior_marginals(self.model, self.horizon)
+        return self._chain.prior
 
-    @cached_property
+    @property
     def log_prior(self) -> np.ndarray:
-        return _log(self.prior)
+        return self._chain.log_prior
+
+
+def forward_backward_many(model: HmmModel, observations) -> list[PosteriorSummary]:
+    """Run the scaled forward-backward recursions on N equal-length
+    observation sequences at once; returns one summary per sequence.
+
+    Each step does the same arithmetic per sequence as a single-sequence run,
+    so every summary is bit-identical to ``forward_backward`` on its sequence.
+    Raises ZeroEvidenceError when some sequence has probability zero under
+    the model (some scaling factor vanishes).
+    """
+    observations = list(observations)
+    if not observations:
+        raise ValueError("at least one observation sequence is needed")
+    horizon = len(observations[0])
+    if horizon < 1:
+        raise ValueError("observation sequence must be non-empty")
+    if any(len(obs) != horizon for obs in observations):
+        raise ValueError("observation sequences of one batch must have equal length")
+    num, num_states = len(observations), model.num_states
+    likes = np.empty((num, horizon, num_states))
+    for row, obs in zip(likes, observations):
+        row[...] = emission_likelihood(model, obs)
+    alpha = np.empty((num, horizon, num_states))
+    scaling = np.empty((num, horizon))
+    # time-major views: rows[t] is the (N, ...) slice of every sequence at position t
+    alpha_rows, like_rows, scale_rows = alpha.transpose(1, 0, 2), likes.transpose(1, 0, 2), scaling.T[:, :, None]
+    a = np.empty((num, 1, num_states))
+    np.multiply(model.initial, like_rows[0], out=a[:, 0])
+    with np.errstate(divide="ignore", invalid="ignore"):  # a vanishing factor is reported below
+        for t, (alpha_t, likes_t, scale_t) in enumerate(zip(alpha_rows, like_rows, scale_rows)):
+            if t:
+                # (N, 1, K) @ (K, K) multiplies row by row, exactly as a single sequence does
+                np.matmul(alpha_rows[t - 1, :, None, :], model.transition, out=a)
+                a[:, 0] *= likes_t
+            np.add.reduce(a, axis=2, out=scale_t)
+            np.divide(a[:, 0], scale_t, out=alpha_t)
+    impossible = np.flatnonzero((scaling <= 0).any(axis=0))
+    if len(impossible):
+        raise ZeroEvidenceError(f"observation sequence impossible under the model at t={impossible[0] + 1}")
+    beta = np.empty((num, horizon, num_states))
+    beta[:, -1] = 1.0
+    beta_rows = beta.transpose(1, 0, 2)
+    weighted = np.empty((num, num_states, num_states))
+    b = np.empty((num, num_states, 1))
+    backward = zip(beta_rows[-2::-1], beta_rows[:0:-1, :, :, None], like_rows[:0:-1, :, None, :], scale_rows[:0:-1])
+    for beta_t, beta_next, likes_next, scale_next in backward:
+        np.multiply(model.transition, likes_next, out=weighted)
+        np.matmul(weighted, beta_next, out=b)
+        np.divide(b[..., 0], scale_next, out=beta_t)
+    smoothed = alpha * beta
+    log_evidence = np.log(scaling).sum(axis=1)
+    chain = _ChainTables(model, horizon)
+    return [
+        PosteriorSummary(
+            model=model,
+            obs=observations[n],
+            scaled_forward=alpha[n],
+            scaled_backward=beta[n],
+            scaling=scaling[n],
+            smoothed=smoothed[n],
+            log_evidence=float(log_evidence[n]),
+            emission_likelihood=likes[n],
+            chain=chain,
+        )
+        for n in range(num)
+    ]
 
 
 def forward_backward(model: HmmModel, obs) -> PosteriorSummary:
-    """Run the scaled forward-backward recursions.
+    """Run the scaled forward-backward recursions on one sequence.
 
     Raises ZeroEvidenceError when the observation sequence has probability
     zero under the model (some scaling factor vanishes).
     """
-    likes = emission_likelihood(model, obs)
-    horizon, num_states = likes.shape
-    if horizon < 1:
-        raise ValueError("observation sequence must be non-empty")
-    alpha = np.empty((horizon, num_states))
-    scaling = np.empty(horizon)
-    a = model.initial * likes[0]
-    scaling[0] = a.sum()
-    if scaling[0] <= 0:
-        raise ZeroEvidenceError("observation sequence impossible under the model at t=1")
-    alpha[0] = a / scaling[0]
-    for t in range(1, horizon):
-        a = (alpha[t - 1] @ model.transition) * likes[t]
-        scaling[t] = a.sum()
-        if scaling[t] <= 0:
-            raise ZeroEvidenceError(f"observation sequence impossible under the model at t={t + 1}")
-        alpha[t] = a / scaling[t]
-    beta = np.empty((horizon, num_states))
-    beta[-1] = 1.0
-    for t in range(horizon - 2, -1, -1):
-        beta[t] = (model.transition * likes[t + 1][None, :]) @ beta[t + 1] / scaling[t + 1]
-    smoothed = alpha * beta
-    return PosteriorSummary(
-        model=model,
-        obs=obs,
-        scaled_forward=alpha,
-        scaled_backward=beta,
-        scaling=scaling,
-        smoothed=smoothed,
-        log_evidence=float(np.log(scaling).sum()),
-    )
+    return forward_backward_many(model, [obs])[0]
 
 
 def log_block_posterior(summary: PosteriorSummary, t: int, block) -> float:
@@ -172,4 +234,4 @@ def viterbi(model: HmmModel, obs) -> tuple[int, ...]:
         path, _ = best_path(log_likes, _log(model.initial), _log(model.transition))
     except NoFinitePathError as exc:  # all paths impossible <=> zero evidence
         raise ZeroEvidenceError("observation sequence impossible under the model") from exc
-    return tuple(int(s) + 1 for s in path)
+    return tuple((path + 1).tolist())

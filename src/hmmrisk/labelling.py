@@ -10,7 +10,6 @@ import numpy as np
 from .decoders import DecodedPath, _finish
 from .inference import PosteriorSummary
 from .lattice import best_path
-from .model import prior_marginals
 from .risk import RiskWeights
 
 
@@ -115,7 +114,7 @@ def label_decode(
     if weights.c2 > 0:
         gains = gains + weights.c2 * summary.log_emission
     if weights.c3 > 0:
-        avg = _averaged_table(prior_marginals(summary.model, horizon), labels, weights.beta3)
+        avg = _averaged_table(summary.prior, labels, weights.beta3)
         if weights.beta3 == 0.0:
             gains = gains + weights.c3 * _log(avg)
         else:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DirectLikelihoodNotGenerativeError
+from .lattice import follow
 
 PROB_SUM_TOL = 1e-12
 
@@ -20,6 +21,19 @@ def _readonly(a) -> np.ndarray:
     out = np.array(a, dtype=float)
     out.setflags(write=False)
     return out
+
+
+def _checked_indices(obs, size: int, kind: str, what: str, range_error: str) -> np.ndarray:
+    """``obs`` as an int array, after checking it is a 1-d sequence of integers in 0..size-1."""
+    obs = np.asarray(obs)
+    if obs.ndim != 1:
+        raise ValueError(f"{kind} observations must be a 1-d sequence of {what}")
+    indices = obs.astype(int)
+    if np.any(indices != obs):
+        raise ValueError(f"{kind} observations must be integer {what}")
+    if np.any(indices < 0) or np.any(indices >= size):
+        raise ValueError(range_error)
+    return indices
 
 
 @dataclass
@@ -48,18 +62,19 @@ class Categorical:
             out.append(f"emission row {i + 1} sums to {sums[i]:.12g}")
         return out
 
-    def log_likelihood(self, obs) -> np.ndarray:
-        obs = np.asarray(obs)
-        if obs.ndim != 1:
-            raise ValueError("categorical observations must be a 1-d sequence of symbol indices")
-        symbols = obs.astype(int)
-        if np.any(symbols != obs):
-            raise ValueError("categorical observations must be integer symbol indices")
+    def likelihood(self, obs) -> np.ndarray:
+        """Likelihood table f[t, s] of the symbol sequence ``obs``, shape (T, K).
+
+        Raises ValueError unless ``obs`` is a 1-d sequence of integer symbols
+        in the alphabet.
+        """
         m = self.table.shape[1]
-        if np.any(symbols < 0) or np.any(symbols >= m):
-            raise ValueError(f"symbol index outside alphabet of size {m}")
+        symbols = _checked_indices(obs, m, "categorical", "symbol indices", f"symbol index outside alphabet of size {m}")
+        return self.table[:, symbols].T.copy()
+
+    def log_likelihood(self, obs) -> np.ndarray:
         with np.errstate(divide="ignore"):
-            return np.log(self.table[:, symbols].T)
+            return np.log(self.likelihood(obs))
 
     def sample(self, state_indices, rng) -> np.ndarray:
         cdf = np.cumsum(self.table, axis=1)
@@ -108,6 +123,10 @@ class DiagonalGaussian:
         ll = -0.5 * (np.log(2.0 * np.pi * self.variances)[None] + diff**2 / self.variances[None])
         return ll.sum(axis=2)
 
+    def likelihood(self, obs) -> np.ndarray:
+        """Density table f[t, s] of the observations ``obs``, shape (T, K)."""
+        return np.exp(self.log_likelihood(obs))
+
     def sample(self, state_indices, rng) -> np.ndarray:
         mu = self.means[state_indices]
         sd = np.sqrt(self.variances[state_indices])
@@ -141,15 +160,21 @@ class DirectLikelihood:
             return [f"likelihood table row {rows[0]} has a negative entry"]
         return []
 
-    def log_likelihood(self, obs) -> np.ndarray:
-        positions = np.asarray(obs).astype(int)
-        if positions.ndim != 1:
-            raise ValueError("direct-likelihood observations must be 1-d row positions")
+    def likelihood(self, obs) -> np.ndarray:
+        """Table rows at the row positions ``obs``, shape (T, K).
+
+        Raises ValueError unless ``obs`` is a 1-d sequence of integer row
+        positions inside the table.
+        """
         n = self.table.shape[0]
-        if np.any(positions < 0) or np.any(positions >= n):
-            raise ValueError(f"position index outside likelihood table of length {n}")
+        positions = _checked_indices(
+            obs, n, "direct-likelihood", "row positions", f"position index outside likelihood table of length {n}"
+        )
+        return self.table[positions]
+
+    def log_likelihood(self, obs) -> np.ndarray:
         with np.errstate(divide="ignore"):
-            return np.log(self.table[positions])
+            return np.log(self.likelihood(obs))
 
     def sample(self, state_indices, rng):
         raise DirectLikelihoodNotGenerativeError(
@@ -241,12 +266,15 @@ def check_state_path(path, num_states: int) -> np.ndarray:
     return arr
 
 
-def sample_trajectory(model: HmmModel, horizon: int, seed: int):
-    """Draw one (hidden path, observation sequence) pair of the given length.
+def sample_trajectories(model: HmmModel, horizon: int, seeds):
+    """Draw one (hidden path, observation sequence) pair of the given length per seed.
 
-    Deterministic for a fixed seed.  The hidden path is returned with 1-based
-    state labels.  Raises for direct-likelihood emissions, which are tied to a
-    fixed observation sequence.
+    Row n is drawn from its own ``numpy.random.default_rng(seeds[n])`` stream,
+    in the same order as a single draw: ``horizon`` uniforms for the hidden
+    chain, then the emissions.  Returns the hidden paths with 1-based state
+    labels as an int array (N, horizon) and the observations stacked along a
+    leading axis.  Raises for direct-likelihood emissions, which are tied to
+    a fixed observation sequence.
     """
     if isinstance(model.emission, DirectLikelihood):
         raise DirectLikelihoodNotGenerativeError(
@@ -254,14 +282,27 @@ def sample_trajectory(model: HmmModel, horizon: int, seed: int):
         )
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    rng = np.random.default_rng(seed)
-    states = np.empty(horizon, dtype=int)
-    cdf0 = np.cumsum(model.initial)
-    cdf = np.cumsum(model.transition, axis=1)
-    u = rng.random(horizon)
-    states[0] = np.searchsorted(cdf0, u[0], side="right")
-    for t in range(1, horizon):
-        states[t] = np.searchsorted(cdf[states[t - 1]], u[t], side="right")
-    states = np.minimum(states, model.num_states - 1)
-    obs = model.emission.sample(states, rng)
-    return tuple(int(s) + 1 for s in states), obs
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    u = np.empty((len(rngs), horizon))
+    for row, rng in zip(u, rngs):
+        rng.random(out=row)
+    last = model.num_states - 1
+    # moves[t - 1, n, i]: the state after i at position t, given row n's uniform u[n, t]
+    moves = np.empty((horizon - 1, len(rngs), model.num_states), dtype=np.min_scalar_type(last))
+    for i, row in enumerate(np.cumsum(model.transition, axis=1)):
+        moves[:, :, i] = np.minimum(np.searchsorted(row, u[:, 1:].T, side="right"), last)
+    first = np.minimum(np.searchsorted(np.cumsum(model.initial), u[:, 0], side="right"), last)
+    states = follow(first, moves)
+    obs = np.stack([model.emission.sample(path, rng) for path, rng in zip(states, rngs)])
+    return states + 1, obs
+
+
+def sample_trajectory(model: HmmModel, horizon: int, seed: int):
+    """Draw one (hidden path, observation sequence) pair of the given length.
+
+    Deterministic for a fixed seed.  The hidden path is returned with 1-based
+    state labels.  Raises for direct-likelihood emissions, which are tied to a
+    fixed observation sequence.
+    """
+    states, obs = sample_trajectories(model, horizon, [seed])
+    return tuple(states[0].tolist()), obs[0]

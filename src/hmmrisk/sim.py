@@ -4,6 +4,11 @@ No limiting constants are asserted anywhere; the module produces trajectories
 and checks inequalities that must hold sample by sample.  Replicate r always
 uses seed ``seed + r``, so runs are reproducible and horizons share common
 random numbers.
+
+Replicates of one horizon are sampled, smoothed and decoded in groups, each
+as one batch.  A group holds at most ``_GROUP_CELLS // (T * K)`` replicates
+(and at least one), which bounds the memory its (replicate, position, state)
+tables take; the results do not depend on the group size.
 """
 
 from __future__ import annotations
@@ -12,12 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoders import kblock_pvd_decode, resolve_decoder, viterbi_decode
-from .inference import forward_backward
-from .model import HmmModel, sample_trajectory
+from .decoders import decode_many
+from .inference import forward_backward_many
+from .model import HmmModel, sample_trajectories
 from .risk import RiskReport
 
 METRICS = ("empirical_error",) + RiskReport.FIELDS
+_GROUP_CELLS = 1 << 13
 
 
 def _mean_sd(values: np.ndarray) -> tuple[float, float]:
@@ -46,6 +52,32 @@ class RiskTrajectory:
         raise KeyError((horizon, decoder, metric))
 
 
+def _groups(model: HmmModel, horizon: int, replicates: int, seed: int):
+    """Yield the first replicate and the seeds of each group of replicates.
+
+    Callers build a group's tables inside one function call per group, so
+    they are freed before the next group is built.
+    """
+    size = max(1, _GROUP_CELLS // (horizon * model.num_states))
+    for lo in range(0, replicates, size):
+        yield lo, range(seed + lo, seed + min(lo + size, replicates))
+
+
+def _sample_group(model: HmmModel, horizon: int, seeds):
+    """True paths and posterior summaries of one group of replicates."""
+    truths, observations = sample_trajectories(model, horizon, seeds)
+    return truths, forward_backward_many(model, observations)
+
+
+def _record_group(values, model, tags, horizon, seeds, lo) -> None:
+    truths, summaries = _sample_group(model, horizon, seeds)
+    for tag, decoded in zip(tags, decode_many(summaries, tags)):
+        for r, (path, truth) in enumerate(zip(decoded, truths), start=lo):
+            values[tag]["empirical_error"][r] = np.mean(np.asarray(path.path) != truth)
+            for name, value in path.risks.as_dict().items():
+                values[tag][name][r] = value
+
+
 def estimate_risk_trajectories(
     model: HmmModel, decoders, horizons, replicates: int, seed: int
 ) -> RiskTrajectory:
@@ -61,19 +93,11 @@ def estimate_risk_trajectories(
         raise ValueError("at least 2 replicates are needed for standard deviations")
     horizons = tuple(int(t) for t in horizons)
     tags = tuple(decoders)
-    fns = {tag: resolve_decoder(tag) for tag in tags}
     records = []
     for horizon in horizons:
         values = {tag: {metric: np.empty(replicates) for metric in METRICS} for tag in tags}
-        for r in range(replicates):
-            truth, obs = sample_trajectory(model, horizon, seed + r)
-            summary = forward_backward(model, obs)
-            truth_arr = np.asarray(truth)
-            for tag in tags:
-                decoded = fns[tag](summary)
-                values[tag]["empirical_error"][r] = np.mean(np.asarray(decoded.path) != truth_arr)
-                for name, value in decoded.risks.as_dict().items():
-                    values[tag][name][r] = value
+        for lo, seeds in _groups(model, horizon, replicates, seed):
+            _record_group(values, model, tags, horizon, seeds, lo)
         for tag in tags:
             for metric in METRICS:
                 mean, sd = _mean_sd(values[tag][metric])
@@ -92,6 +116,21 @@ def estimate_risk_trajectories(
     )
 
 
+def _gap_rows(model, horizon, ks, seeds, lo) -> list[dict]:
+    _, summaries = _sample_group(model, horizon, seeds)
+    decoded = decode_many(summaries, ["viterbi"] + [f"kblock:{k}" for k in ks])
+    base = [d.risks for d in next(decoded)]
+    gaps = [[d.risks.rbarinf_posterior - b.rbarinf_posterior for d, b in zip(paths, base)] for paths in decoded]
+    rows = []
+    for r, (vit, row) in enumerate(zip(base, zip(*gaps)), start=lo):
+        for k, gap in zip(ks, row):
+            bound = vit.rbar1_posterior / (k - 1)
+            if not (0.0 <= gap <= bound + 1e-9):
+                raise AssertionError(f"gap {gap} outside [0, {bound}] at horizon={horizon} k={k} replicate={r}")
+            rows.append({"horizon": horizon, "k": k, "replicate": r, "gap": gap, "bound": bound})
+    return rows
+
+
 def sandwich_constant_sweep(model: HmmModel, horizons, ks, replicates: int, seed: int) -> list[dict]:
     """Realized interpolation gaps against their theoretical envelope.
 
@@ -100,30 +139,12 @@ def sandwich_constant_sweep(model: HmmModel, horizons, ks, replicates: int, seed
     [0, rbar1(viterbi)/(k-1) + 1e-9]; a violation raises AssertionError.
     Returns one row per (horizon, k, replicate).
     """
+    ks = [int(k) for k in ks]
+    if any(k < 2 for k in ks):
+        raise ValueError("the gap bound needs k >= 2")
     rows = []
     for horizon in horizons:
-        for r in range(replicates):
-            _, obs = sample_trajectory(model, int(horizon), seed + r)
-            summary = forward_backward(model, obs)
-            base = viterbi_decode(summary).risks
-            for k in ks:
-                k = int(k)
-                if k < 2:
-                    raise ValueError("the gap bound needs k >= 2")
-                decoded = kblock_pvd_decode(summary, k)
-                gap = decoded.risks.rbarinf_posterior - base.rbarinf_posterior
-                bound = base.rbar1_posterior / (k - 1)
-                if not (0.0 <= gap <= bound + 1e-9):
-                    raise AssertionError(
-                        f"gap {gap} outside [0, {bound}] at horizon={horizon} k={k} replicate={r}"
-                    )
-                rows.append(
-                    {
-                        "horizon": int(horizon),
-                        "k": k,
-                        "replicate": r,
-                        "gap": gap,
-                        "bound": bound,
-                    }
-                )
+        horizon = int(horizon)
+        for lo, seeds in _groups(model, horizon, replicates, seed):
+            rows += _gap_rows(model, horizon, ks, seeds, lo)
     return rows

@@ -122,7 +122,7 @@ def symbol_by_symbol_decode(tables: TransformedTables) -> tuple[int, ...]:
     Viterbi path at q=inf; in between there is no admissibility guarantee.
     """
     scores = tables.alpha_q + tables.beta_q if tables.log_domain else tables.alpha_q * tables.beta_q
-    return tuple(int(j) + 1 for j in np.argmax(scores, axis=1))
+    return tuple((np.argmax(scores, axis=1) + 1).tolist())
 
 
 def rescaling_distortion_probe(model: HmmModel, obs, q_grid) -> list[dict]:
