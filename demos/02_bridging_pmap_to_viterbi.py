@@ -40,7 +40,7 @@ for k in [1, 2, 4, 10]:
 
 print("\nwindowed log-risk identities along one fixed path:")
 path = hr.pmap_decode(summary).path
-chain = hr.posterior_chain(summary)
+chain = hr.PosteriorChain(summary)
 report = hr.evaluate_risks(summary, path)
 for k in [2, 3, 5]:
     lhs = hr.kblock_logrisk(chain, path, k)

@@ -15,12 +15,12 @@ from .decoders import (
     constrained_pmap_decode,
     decode_many,
     hybrid_decode,
-    hybrid_lattice,
     kblock_pvd_decode,
     pmap_decode,
     pvd_decode,
     rabiner_block_decode,
     resolve_decoder,
+    viterbi,
     viterbi_decode,
 )
 from .errors import (
@@ -34,14 +34,13 @@ from .errors import (
 )
 from .inference import (
     PosteriorSummary,
+    PriorChain,
     block_posterior,
     forward_backward,
     forward_backward_many,
     log_block_posterior,
-    viterbi,
 )
 from .labelling import LabelMap, averaged_label_posterior, identity_label_map, label_decode
-from .lattice import Lattice
 from .model import (
     Categorical,
     DiagonalGaussian,
@@ -54,17 +53,14 @@ from .model import (
 )
 from .risk import (
     PosteriorChain,
-    PriorChain,
     RiskReport,
     RiskWeights,
     combined_risk,
     evaluate_risks,
     joint_log_likelihood,
     kblock_logrisk,
-    posterior_chain,
     posterior_log_probability,
     power_risk,
-    prior_chain,
     prior_log_likelihood,
     rabiner_block_gain,
 )

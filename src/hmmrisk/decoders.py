@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InstanceTooLargeError, KOutOfRangeError
-from .inference import PosteriorSummary
-from .lattice import TIE_TOL, Lattice, best_path, forward_lattice
+from .inference import BLOCK_STATE_CAP, PosteriorSummary, forward_backward, log_window_posterior
+from .lattice import TIE_TOL, best_path
+from .model import HmmModel
 from .risk import (
     RiskReport,
     RiskWeights,
@@ -27,8 +28,7 @@ from .risk import (
 )
 
 BRUTE_FORCE_CAP = 10**7
-BLOCK_STATE_CAP = 10**6
-_CHUNK = 1 << 16
+_CHUNK = 1 << 16  # paths enumerated, or Rabiner window probabilities tabulated, at once
 
 
 @dataclass
@@ -80,14 +80,21 @@ def _decode_group(summaries, decoder: _LatticeDecoder) -> list[DecodedPath]:
     return [_finish(s, i, decoder.objective(s, i, sc), decoder.tag) for s, i, sc in zip(summaries, idx, scores)]
 
 
-def _combined_tables(summary: PosteriorSummary, weights: RiskWeights, gains: np.ndarray):
+def _same_table(marginals: np.ndarray, beta: float) -> np.ndarray:
+    return marginals
+
+
+def _combined_tables(summary: PosteriorSummary, weights: RiskWeights, gains: np.ndarray, pointwise=_same_table):
+    """Fill ``gains`` and return the initial and transition scores of the
+    combined objective.  ``pointwise(marginals, beta)`` maps the smoothed and
+    the prior marginals to the tables the two pointwise terms score."""
     gains[...] = 0.0
     if weights.c1 > 0:
-        gains += weights.c1 * neg_power_log(summary.smoothed, weights.beta1)
+        gains += weights.c1 * neg_power_log(pointwise(summary.smoothed, weights.beta1), weights.beta1)
     if weights.c2 > 0:
         gains += weights.c2 * summary.log_emission
     if weights.c3 > 0:
-        gains += weights.c3 * neg_power_log(summary.prior, weights.beta3)
+        gains += weights.c3 * neg_power_log(pointwise(summary.prior, weights.beta3), weights.beta3)
     path_weight = weights.c2 + weights.c4
     if path_weight > 0:
         return path_weight * summary.log_initial, path_weight * summary.log_transition
@@ -104,10 +111,10 @@ def combined_score_tables(summary: PosteriorSummary, weights: RiskWeights):
     return gains, init_extra, trans
 
 
-def _combined(weights: RiskWeights, tag: str) -> _LatticeDecoder:
+def _combined(weights: RiskWeights, tag: str, pointwise=_same_table) -> _LatticeDecoder:
     return _LatticeDecoder(
         tag,
-        lambda summary, gains: _combined_tables(summary, weights, gains),
+        lambda summary, gains: _combined_tables(summary, weights, gains, pointwise),
         lambda summary, idx, score: -score / summary.horizon,
     )
 
@@ -123,17 +130,20 @@ def hybrid_decode(summary: PosteriorSummary, weights: RiskWeights, tag: str | No
     return _decode_group([summary], _combined(weights, tag or weights.tag()))[0]
 
 
-def hybrid_lattice(summary: PosteriorSummary, weights: RiskWeights) -> Lattice:
-    """Forward score lattice of the combined objective, for inspection."""
-    return forward_lattice(*combined_score_tables(summary, weights))
-
-
 _VITERBI = _combined(RiskWeights(0.0, 1.0, 0.0, 0.0), "viterbi")
 
 
 def viterbi_decode(summary: PosteriorSummary) -> DecodedPath:
     """Maximum a posteriori path as a DecodedPath (weights 0,1,0,0)."""
     return _decode_group([summary], _VITERBI)[0]
+
+
+def viterbi(model: HmmModel, obs) -> tuple[int, ...]:
+    """Maximum a posteriori state path, lexicographically smallest on ties.
+
+    Raises ZeroEvidenceError when the observations are impossible under the model.
+    """
+    return viterbi_decode(forward_backward(model, obs)).path
 
 
 def _pointwise_objective(summary, idx) -> float:
@@ -224,6 +234,18 @@ def _digits_range(base: int, width: int, start: int, stop: int) -> np.ndarray:
     return digits
 
 
+def _window_table(summary: PosteriorSummary, k: int) -> np.ndarray:
+    """Linear-domain block posteriors of every k-tuple (column, in base-K digit
+    order) at every window start (row), tabulated a bounded block of starts at a time."""
+    digits = _digits_range(summary.num_states, k, 0, summary.num_states**k)
+    table = np.empty((summary.horizon - k + 1, len(digits)))
+    step = max(1, _CHUNK // len(digits))
+    for lo in range(0, len(table), step):
+        starts = np.arange(lo, min(lo + step, len(table)))[:, None]
+        np.exp(log_window_posterior(summary, starts, digits), out=table[lo : lo + step])
+    return table
+
+
 def rabiner_block_decode(summary: PosteriorSummary, k: int) -> DecodedPath:
     """Maximize the expected number of correctly decoded overlapping k-blocks.
 
@@ -241,24 +263,9 @@ def rabiner_block_decode(summary: PosteriorSummary, k: int) -> DecodedPath:
         gain = float(summary.smoothed.max(axis=1).sum())
         return DecodedPath(out.path, gain, out.risks, out.admissible, "rabiner k=1")
 
-    s = summary
     n_tuples = num_states ** (k - 1)
-    digits = _digits_range(num_states, k, 0, n_tuples * num_states)
     n_positions = horizon - k + 2  # tuple positions; windows start at 1..T-k+1
-
-    # Linear-domain block posteriors for every k-tuple at every window start.
-    window_gain = np.empty((horizon - k + 1, n_tuples * num_states))
-    for t in range(horizon - k + 1):
-        logw = s.log_forward[t, digits[:, 0]].copy()
-        for u in range(k - 1):
-            logw += (
-                s.log_transition[digits[:, u], digits[:, u + 1]]
-                + s.log_emission[t + u + 1, digits[:, u + 1]]
-                - s.log_scaling[t + u + 1]
-            )
-        logw += s.log_backward[t + k - 1, digits[:, k - 1]]
-        window_gain[t] = np.exp(logw)
-
+    window_gain = _window_table(summary, k)
     successor = (np.arange(n_tuples) % (num_states ** (k - 2)))[:, None] * num_states + np.arange(
         num_states
     )[None, :]
@@ -285,29 +292,25 @@ def _objective_values(summary, objective, k):
     if isinstance(objective, RiskWeights):
         return (lambda paths: combined_risk(summary, paths, objective)), True, objective.tag()
     if objective == "viterbi":
-        w = RiskWeights(0.0, 1.0, 0.0, 0.0)
-        return (lambda paths: combined_risk(summary, paths, w)), True, "viterbi"
-    rng_t = np.arange(summary.horizon)
-    if objective == "pmap":
-        return (lambda paths: 1.0 - summary.smoothed[rng_t, np.asarray(paths) - 1].mean(axis=1)), True, "pmap"
-    if objective == "constrained-pmap":
-
-        def values(paths):
-            r1 = 1.0 - summary.smoothed[rng_t, np.asarray(paths) - 1].mean(axis=1)
-            return np.where(np.isfinite(joint_log_likelihood(summary, paths)), r1, np.inf)
-
-        return values, True, "constrained-pmap"
-    if objective == "pvd":
-
-        def values(paths):
-            rbar1 = -summary.log_smoothed[rng_t, np.asarray(paths) - 1].mean(axis=1)
-            return np.where(np.isfinite(joint_log_likelihood(summary, paths)), rbar1, np.inf)
-
-        return values, True, "pvd"
+        return _objective_values(summary, RiskWeights(0.0, 1.0, 0.0, 0.0), k)[:2] + ("viterbi",)
     if objective == "rabiner":
         if k is None:
             raise ValueError("the rabiner objective needs k")
         return (lambda paths: rabiner_gain_batch(summary, paths, k)), False, f"rabiner k={k}"
+    rng_t = np.arange(summary.horizon)
+
+    def pointwise(paths):
+        if objective == "pvd":
+            return -summary.log_smoothed[rng_t, paths - 1].mean(axis=1)
+        return 1.0 - summary.smoothed[rng_t, paths - 1].mean(axis=1)
+
+    def admissible_only(paths):
+        return np.where(np.isfinite(joint_log_likelihood(summary, paths)), pointwise(paths), np.inf)
+
+    if objective == "pmap":
+        return pointwise, True, objective
+    if objective in ("constrained-pmap", "pvd"):
+        return admissible_only, True, objective
     raise ValueError(f"unknown brute-force objective: {objective!r}")
 
 

@@ -1,4 +1,4 @@
-"""Scaled forward-backward smoothing, block posteriors, and Viterbi decoding."""
+"""Scaled forward-backward smoothing, the prior chain, and window (block) posteriors."""
 
 from __future__ import annotations
 
@@ -6,14 +6,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import KOutOfRangeError, NoFinitePathError, ZeroEvidenceError
-from .lattice import best_path
+from .errors import KOutOfRangeError, ZeroEvidenceError
 from .model import HmmModel, check_state_path, prior_marginals
 
 BLOCK_STATE_CAP = 10**6
 
 
 def _log(a: np.ndarray) -> np.ndarray:
+    """Natural log with log 0 = -inf and no divide-by-zero warning."""
     with np.errstate(divide="ignore"):
         return np.log(a)
 
@@ -27,13 +27,19 @@ def emission_likelihood(model: HmmModel, obs) -> np.ndarray:
     return model.emission.likelihood(obs)
 
 
-class _ChainTables:
-    """Tables that depend only on (model, horizon), computed once on first
-    use and shared by every summary of a group."""
+class PriorChain:
+    """The hidden chain before any data is seen, over a fixed horizon.
+
+    Holds the prior marginals (row t-1 is the distribution of the state at
+    time t) and the log initial, transition and marginal tables, each
+    computed on first use; one instance is shared by every summary of a
+    ``forward_backward_many`` call.
+    """
 
     def __init__(self, model: HmmModel, horizon: int):
         self.model = model
         self.horizon = horizon
+        self.num_states = model.num_states
 
     @cached_property
     def prior(self) -> np.ndarray:
@@ -50,6 +56,13 @@ class _ChainTables:
     @cached_property
     def log_initial(self) -> np.ndarray:
         return _log(self.model.initial)
+
+    def log_window(self, start: int, states0: np.ndarray) -> float:
+        """log P(Y_start..Y_{start+k-1} = states0 + 1) for a 1-based start and 0-based states."""
+        v = self.log_prior[start - 1, states0[0]]
+        if len(states0) > 1:
+            v = v + self.log_transition[states0[:-1], states0[1:]].sum()
+        return float(v)
 
 
 class PosteriorSummary:
@@ -175,7 +188,7 @@ def forward_backward_many(model: HmmModel, observations) -> list[PosteriorSummar
         np.divide(b[..., 0], scale_next, out=beta_t)
     smoothed = alpha * beta
     log_evidence = np.log(scaling).sum(axis=1)
-    chain = _ChainTables(model, horizon)
+    chain = PriorChain(model, horizon)
     return [
         PosteriorSummary(
             model=model,
@@ -201,37 +214,40 @@ def forward_backward(model: HmmModel, obs) -> PosteriorSummary:
     return forward_backward_many(model, [obs])[0]
 
 
+def log_window_posterior(summary: PosteriorSummary, starts, states0) -> np.ndarray:
+    """log P(Y_a..Y_{a+k-1} = s + 1 | x^T) for 0-based window starts a and
+    0-based state tuples s, which run along the last axis of ``states0``.
+
+    ``starts`` broadcasts against ``states0[..., 0]``, so one call covers any
+    grid of windows and tuples; the loop runs only over the k - 1 steps inside
+    a window.
+    """
+    k = states0.shape[-1]
+    logw = summary.log_forward[starts, states0[..., 0]]
+    for u in range(k - 1):
+        logw += (
+            summary.log_transition[states0[..., u], states0[..., u + 1]]
+            + summary.log_emission[starts + u + 1, states0[..., u + 1]]
+            - summary.log_scaling[starts + u + 1]
+        )
+    logw += summary.log_backward[starts + k - 1, states0[..., -1]]
+    return logw
+
+
 def log_block_posterior(summary: PosteriorSummary, t: int, block) -> float:
     """log P(Y_t..Y_{t+k-1} = block | x^T) for a 1-based position t and 1-based block."""
     block = check_state_path(block, summary.num_states)
+    if block.ndim != 1:
+        raise ValueError("a block must be a 1-d sequence of states")
     k = len(block)
     horizon = summary.horizon
     if t < 1 or t + k - 1 > horizon:
         raise IndexError(f"block [{t}, {t + k - 1}] outside positions 1..{horizon}")
     if summary.num_states ** (k - 1) > BLOCK_STATE_CAP:
         raise KOutOfRangeError(f"block length {k} exceeds the tabulation cap for K={summary.num_states}")
-    idx = block - 1
-    total = summary.log_forward[t - 1, idx[0]]
-    for u in range(k - 1):
-        total += (
-            summary.log_transition[idx[u], idx[u + 1]]
-            + summary.log_emission[t + u, idx[u + 1]]
-            - summary.log_scaling[t + u]
-        )
-    total += summary.log_backward[t + k - 2, idx[-1]]
-    return float(total)
+    return float(log_window_posterior(summary, t - 1, block - 1))
 
 
 def block_posterior(summary: PosteriorSummary, t: int, block) -> float:
     """P(Y_t..Y_{t+k-1} = block | x^T); reduces to the smoothed marginal for k=1."""
     return float(np.exp(log_block_posterior(summary, t, block)))
-
-
-def viterbi(model: HmmModel, obs) -> tuple[int, ...]:
-    """Maximum a posteriori state path, lexicographically smallest on ties."""
-    log_likes = _log(emission_likelihood(model, obs))
-    try:
-        path, _ = best_path(log_likes, _log(model.initial), _log(model.transition))
-    except NoFinitePathError as exc:  # all paths impossible <=> zero evidence
-        raise ZeroEvidenceError("observation sequence impossible under the model") from exc
-    return tuple((path + 1).tolist())

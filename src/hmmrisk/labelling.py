@@ -7,15 +7,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decoders import DecodedPath, _finish
-from .inference import PosteriorSummary
-from .lattice import best_path
+from .decoders import DecodedPath, _combined, _decode_group
+from .inference import PosteriorSummary, _log
 from .risk import RiskWeights
-
-
-def _log(a) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return np.log(a)
 
 
 @dataclass
@@ -65,15 +59,17 @@ def identity_label_map(num_states: int, averaging_beta: float = 1.0) -> LabelMap
     return LabelMap({s: f"s{s}" for s in range(1, num_states + 1)}, averaging_beta)
 
 
-def _averaged_table(marginals: np.ndarray, labels: LabelMap, beta: float) -> np.ndarray:
-    """Class-averaged marginal table, constant across states sharing a label."""
+def _class_means(marginals: np.ndarray, labels: LabelMap, beta: float) -> np.ndarray:
+    """Marginal table averaged within label classes, constant across states
+    sharing a label: the arithmetic class mean, or the geometric one when
+    beta == 0."""
     out = np.empty_like(marginals)
     for states in labels.classes():
         block = marginals[:, states]
         if beta == 0.0:
             avg = np.exp(_log(block).mean(axis=1))
         else:
-            avg = block.mean(axis=1) ** beta
+            avg = block.mean(axis=1)
         out[:, states] = avg[:, None]
     return out
 
@@ -88,8 +84,9 @@ def averaged_label_posterior(summary: PosteriorSummary, labels: LabelMap, t: int
         raise IndexError(f"position {t} outside 1..{summary.horizon}")
     if not 1 <= s <= summary.num_states:
         raise IndexError(f"state {s} outside 1..{summary.num_states}")
-    table = _averaged_table(summary.smoothed, labels, labels.averaging_beta)
-    return float(table[t - 1, s - 1])
+    beta = labels.averaging_beta
+    table = _class_means(summary.smoothed, labels, beta)
+    return float((table if beta == 0.0 else table**beta)[t - 1, s - 1])
 
 
 def label_decode(
@@ -103,29 +100,8 @@ def label_decode(
     with its induced label sequence.  With c2 > 0 the state path is
     admissible.
     """
-    horizon, num_states = summary.horizon, summary.num_states
-    gains = np.zeros((horizon, num_states))
-    if weights.c1 > 0:
-        avg = _averaged_table(summary.smoothed, labels, weights.beta1)
-        if weights.beta1 == 0.0:
-            gains = gains + weights.c1 * _log(avg)
-        else:
-            gains = gains + weights.c1 * (avg - 1.0) / weights.beta1
-    if weights.c2 > 0:
-        gains = gains + weights.c2 * summary.log_emission
-    if weights.c3 > 0:
-        avg = _averaged_table(summary.prior, labels, weights.beta3)
-        if weights.beta3 == 0.0:
-            gains = gains + weights.c3 * _log(avg)
-        else:
-            gains = gains + weights.c3 * (avg - 1.0) / weights.beta3
-    path_weight = weights.c2 + weights.c4
-    if path_weight > 0:
-        trans = path_weight * summary.log_transition
-        init_extra = path_weight * summary.log_initial
-    else:
-        trans = np.zeros((num_states, num_states))
-        init_extra = np.zeros(num_states)
-    idx, score = best_path(gains, init_extra, trans)
-    decoded = _finish(summary, idx, -score / horizon, f"label {weights.tag()}")
+    decoder = _combined(
+        weights, f"label {weights.tag()}", lambda marginals, beta: _class_means(marginals, labels, beta)
+    )
+    decoded = _decode_group([summary], decoder)[0]
     return decoded, labels.labels_for(decoded.path)

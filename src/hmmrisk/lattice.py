@@ -25,8 +25,6 @@ a few ulps when the same score is accumulated along different orders.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NoFinitePathError
@@ -102,34 +100,3 @@ def best_path(gains: np.ndarray, init_extra: np.ndarray, trans: np.ndarray):
     first = np.argmax(start >= best[:, None] - TIE_TOL, axis=1)
     path = follow(first, successors)
     return (path[0], float(best[0])) if single else (path, best)
-
-
-@dataclass
-class Lattice:
-    """Forward score table of a decoding problem, for inspection and testing.
-
-    ``delta[t, j]`` is the best score over prefixes ending in state j at
-    position t; ``backpointers[t, j]`` is the smallest-index optimal
-    predecessor (row 0 is -1); ``terminal`` is the smallest index maximizing
-    the final row.
-    """
-
-    delta: np.ndarray
-    backpointers: np.ndarray
-    terminal: int
-    score: float
-
-
-def forward_lattice(gains: np.ndarray, init_extra: np.ndarray, trans: np.ndarray) -> Lattice:
-    """Run the forward recursion and return the full score lattice."""
-    gains = np.asarray(gains, dtype=float)
-    horizon, num_states = gains.shape
-    delta = np.empty_like(gains)
-    back = np.full((horizon, num_states), -1, dtype=int)
-    delta[0] = init_extra + gains[0]
-    for t in range(1, horizon):
-        cand = delta[t - 1][:, None] + trans
-        back[t] = np.argmax(cand, axis=0)
-        delta[t] = cand[back[t], np.arange(num_states)] + gains[t]
-    terminal = int(np.argmax(delta[-1]))
-    return Lattice(delta=delta, backpointers=back, terminal=terminal, score=float(delta[-1, terminal]))

@@ -257,13 +257,20 @@ def prior_marginals(model: HmmModel, horizon: int) -> np.ndarray:
 
 
 def check_state_path(path, num_states: int) -> np.ndarray:
-    """Validate a 1-based state path and return it as an int array."""
-    arr = np.asarray(path).astype(int)
-    if arr.ndim != 1 or len(arr) == 0:
-        raise ValueError("a state path must be a non-empty 1-d sequence")
-    if np.any(arr < 1) or np.any(arr > num_states):
+    """Validate a 1-based state path, or an (N, T) matrix of N paths, and
+    return it as an int array of the same shape.
+
+    Labels must be integers in 1..num_states; anything else raises ValueError.
+    """
+    arr = np.asarray(path)
+    if arr.ndim not in (1, 2) or arr.size == 0:
+        raise ValueError("a state path must be a non-empty 1-d sequence (or an (N, T) matrix of paths)")
+    labels = arr.astype(int)
+    if np.any(labels != arr):
+        raise ValueError("state labels must be integers")
+    if np.any(labels < 1) or np.any(labels > num_states):
         raise ValueError(f"state labels must lie in 1..{num_states}")
-    return arr
+    return labels
 
 
 def sample_trajectories(model: HmmModel, horizon: int, seeds):

@@ -14,13 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import KOutOfRangeError
-from .inference import PosteriorSummary
-from .model import HmmModel, check_state_path, prior_marginals
-
-
-def _log(a) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return np.log(a)
+from .inference import PosteriorSummary, _log, log_window_posterior
+from .model import check_state_path
 
 
 def power_risk(p, beta: float):
@@ -104,17 +99,13 @@ class RiskReport:
         return {name: getattr(self, name) for name in _REPORT_FIELDS}
 
 
-def _as_paths0(num_states: int, paths) -> tuple[np.ndarray, bool]:
-    """Normalize 1-based path input to a 0-based (N, T) index matrix."""
-    arr = np.asarray(paths)
-    single = arr.ndim == 1
-    if single:
-        arr = check_state_path(arr, num_states)[None, :]
-    else:
-        arr = arr.astype(int)
-        if np.any(arr < 1) or np.any(arr > num_states):
-            raise ValueError(f"state labels must lie in 1..{num_states}")
-    return arr - 1, single
+def _as_paths0(summary: PosteriorSummary, paths) -> tuple[np.ndarray, bool]:
+    """Validate 1-based path input of the summary's horizon and return it as a
+    0-based (N, T) index matrix, with a flag for single-path input."""
+    arr = check_state_path(paths, summary.num_states)
+    if arr.shape[-1] != summary.horizon:
+        raise ValueError(f"path length {arr.shape[-1]} does not match horizon {summary.horizon}")
+    return np.atleast_2d(arr) - 1, arr.ndim == 1
 
 
 def _gather(table: np.ndarray, paths0: np.ndarray) -> np.ndarray:
@@ -123,7 +114,7 @@ def _gather(table: np.ndarray, paths0: np.ndarray) -> np.ndarray:
 
 def joint_log_likelihood(summary: PosteriorSummary, paths):
     """log p(x^T, s^T) for one path or a batch of paths."""
-    paths0, single = _as_paths0(summary.num_states, paths)
+    paths0, single = _as_paths0(summary, paths)
     out = (
         summary.log_initial[paths0[:, 0]]
         + summary.log_transition[paths0[:, :-1], paths0[:, 1:]].sum(axis=1)
@@ -134,7 +125,7 @@ def joint_log_likelihood(summary: PosteriorSummary, paths):
 
 def prior_log_likelihood(summary: PosteriorSummary, paths):
     """log p(s^T) under the hidden chain alone."""
-    paths0, single = _as_paths0(summary.num_states, paths)
+    paths0, single = _as_paths0(summary, paths)
     out = summary.log_initial[paths0[:, 0]] + summary.log_transition[
         paths0[:, :-1], paths0[:, 1:]
     ].sum(axis=1)
@@ -153,10 +144,8 @@ def combined_risk(summary: PosteriorSummary, paths, weights: RiskWeights):
     + c3 * mean power_risk(prior, beta3) + c4 * prior log-risk.
     Terms with zero weight are skipped so that 0 * inf never occurs.
     """
-    paths0, single = _as_paths0(summary.num_states, paths)
-    horizon = paths0.shape[1]
-    if horizon != summary.horizon:
-        raise ValueError(f"path length {horizon} does not match horizon {summary.horizon}")
+    paths0, single = _as_paths0(summary, paths)
+    horizon = summary.horizon
     total = np.zeros(len(paths0))
     if weights.c1 > 0:
         total += weights.c1 * power_risk(_gather(summary.smoothed, paths0), weights.beta1).mean(axis=1)
@@ -171,10 +160,8 @@ def combined_risk(summary: PosteriorSummary, paths, weights: RiskWeights):
 
 def evaluate_risks(summary: PosteriorSummary, path) -> RiskReport:
     """Evaluate every catalogued risk of one path against (model, obs, posterior)."""
-    paths0, _ = _as_paths0(summary.num_states, path)
+    paths0, _ = _as_paths0(summary, path)
     horizon = summary.horizon
-    if paths0.shape[1] != horizon:
-        raise ValueError(f"path length {paths0.shape[1]} does not match horizon {horizon}")
     sm = _gather(summary.smoothed, paths0)[0]
     lsm = _gather(summary.log_smoothed, paths0)[0]
     pm = _gather(summary.prior, paths0)[0]
@@ -194,22 +181,6 @@ def evaluate_risks(summary: PosteriorSummary, path) -> RiskReport:
     )
 
 
-class PriorChain:
-    """Window probabilities of the hidden chain prior to seeing any data."""
-
-    def __init__(self, model: HmmModel, horizon: int):
-        self.horizon = horizon
-        self.num_states = model.num_states
-        self.log_marginals = _log(prior_marginals(model, horizon))
-        self.log_transition = _log(model.transition)
-
-    def log_window(self, start: int, states0: np.ndarray) -> float:
-        v = self.log_marginals[start - 1, states0[0]]
-        if len(states0) > 1:
-            v = v + self.log_transition[states0[:-1], states0[1:]].sum()
-        return float(v)
-
-
 class PosteriorChain:
     """Window probabilities of the hidden chain conditioned on the observations."""
 
@@ -219,24 +190,8 @@ class PosteriorChain:
         self.num_states = summary.num_states
 
     def log_window(self, start: int, states0: np.ndarray) -> float:
-        s = self.summary
-        v = s.log_forward[start - 1, states0[0]]
-        for u in range(len(states0) - 1):
-            v = v + (
-                s.log_transition[states0[u], states0[u + 1]]
-                + s.log_emission[start + u, states0[u + 1]]
-                - s.log_scaling[start + u]
-            )
-        v = v + s.log_backward[start + len(states0) - 2, states0[-1]]
-        return float(v)
-
-
-def prior_chain(model: HmmModel, horizon: int) -> PriorChain:
-    return PriorChain(model, horizon)
-
-
-def posterior_chain(summary: PosteriorSummary) -> PosteriorChain:
-    return PosteriorChain(summary)
+        """log P(Y_start..Y_{start+k-1} = states0 + 1 | x^T) for a 1-based start and 0-based states."""
+        return float(log_window_posterior(self.summary, start - 1, states0))
 
 
 def kblock_logrisk(chain, path, k: int) -> float:
@@ -250,8 +205,8 @@ def kblock_logrisk(chain, path, k: int) -> float:
     if not 1 <= k <= horizon:
         raise KOutOfRangeError(f"k must lie in 1..{horizon}, got {k}")
     idx = check_state_path(path, chain.num_states) - 1
-    if len(idx) != horizon:
-        raise ValueError(f"path length {len(idx)} does not match horizon {horizon}")
+    if idx.shape != (horizon,):
+        raise ValueError(f"a path of length {horizon} is needed, got shape {idx.shape}")
     total = 0.0
     for j in range(1 - k, horizon):
         a = max(j + 1, 1)
@@ -266,32 +221,16 @@ def rabiner_block_gain(summary: PosteriorSummary, path, k: int) -> float:
     The sum over t of P(Y_t..Y_{t+k-1} = path window | x^T); equivalently
     T - k + 1 minus the expected block loss.
     """
-    horizon = summary.horizon
-    if not 1 <= k <= horizon:
-        raise KOutOfRangeError(f"k must lie in 1..{horizon}, got {k}")
-    idx = check_state_path(path, summary.num_states) - 1
-    chain = PosteriorChain(summary)
-    return float(
-        sum(np.exp(chain.log_window(t, idx[t - 1 : t + k - 1])) for t in range(1, horizon - k + 2))
-    )
+    return float(rabiner_gain_batch(summary, [path], k)[0])
 
 
 def rabiner_gain_batch(summary: PosteriorSummary, paths, k: int) -> np.ndarray:
-    """Vectorized rabiner_block_gain over a batch of paths (N, T)."""
-    paths0, _ = _as_paths0(summary.num_states, paths)
-    horizon = paths0.shape[1]
+    """rabiner_block_gain of every row of an (N, T) batch of paths."""
+    paths0, _ = _as_paths0(summary, paths)
+    horizon = summary.horizon
     if not 1 <= k <= horizon:
         raise KOutOfRangeError(f"k must lie in 1..{horizon}, got {k}")
-    s = summary
-    gains = np.zeros(len(paths0))
-    for t in range(horizon - k + 1):
-        logw = s.log_forward[t, paths0[:, t]].copy()
-        for u in range(k - 1):
-            logw += (
-                s.log_transition[paths0[:, t + u], paths0[:, t + u + 1]]
-                + s.log_emission[t + u + 1, paths0[:, t + u + 1]]
-                - s.log_scaling[t + u + 1]
-            )
-        logw += s.log_backward[t + k - 1, paths0[:, t + k - 1]]
-        gains += np.exp(logw)
-    return gains
+    windows = np.lib.stride_tricks.sliding_window_view(paths0, k, axis=1)  # (N, T - k + 1, k)
+    probs = np.exp(log_window_posterior(summary, np.arange(horizon - k + 1), windows))
+    # cumsum adds the windows left to right, so the total does not depend on how numpy pairs terms
+    return np.cumsum(probs, axis=1)[:, -1]

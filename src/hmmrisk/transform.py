@@ -15,13 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ZeroEvidenceError
-from .inference import emission_likelihood
+from .inference import _log, emission_likelihood
 from .model import HmmModel
-
-
-def _log(a) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return np.log(a)
 
 
 @dataclass

@@ -4,7 +4,7 @@ import pytest
 import hmmrisk as hr
 from hmmrisk.decoders import combined_score_tables
 from hmmrisk.errors import InstanceTooLargeError, KOutOfRangeError, NoFinitePathError
-from hmmrisk.lattice import best_path, forward_lattice
+from hmmrisk.lattice import best_path
 
 from conftest import all_paths, random_instance
 
@@ -303,20 +303,6 @@ class TestBridgeInequalities:
 
 
 class TestLatticeKernel:
-    def test_forward_lattice_satisfies_recursion(self):
-        rng = np.random.default_rng(191)
-        _, _, summary = random_instance(rng, zero_frac=0.2)
-        weights = hr.RiskWeights(1.0, 2.0, 0.5, 0.25, beta1=0.0, beta3=1.0)
-        gains, init_extra, trans = combined_score_tables(summary, weights)
-        lattice = forward_lattice(gains, init_extra, trans)
-        np.testing.assert_allclose(lattice.delta[0], init_extra + gains[0], atol=1e-12)
-        for t in range(1, summary.horizon):
-            expect = (lattice.delta[t - 1][:, None] + trans).max(axis=0) + gains[t]
-            np.testing.assert_allclose(lattice.delta[t], expect, atol=1e-12)
-        # forward terminal score equals the backward-sweep optimum
-        _, score = best_path(gains, init_extra, trans)
-        assert lattice.score == pytest.approx(score, abs=1e-9)
-
     def test_per_position_constant_shift_leaves_path_unchanged(self):
         rng = np.random.default_rng(193)
         _, _, summary = random_instance(rng)

@@ -94,8 +94,8 @@ class TestKBlockLogRisk:
             horizon = summary.horizon
             path = random_path(rng, summary.num_states, horizon)
             report = hr.evaluate_risks(summary, path)
-            post = hr.kblock_logrisk(hr.posterior_chain(summary), path, 1)
-            prior = hr.kblock_logrisk(hr.prior_chain(model, horizon), path, 1)
+            post = hr.kblock_logrisk(hr.PosteriorChain(summary), path, 1)
+            prior = hr.kblock_logrisk(hr.PriorChain(model, horizon), path, 1)
             assert post == pytest.approx(report.rbar1_posterior, abs=1e-9)
             assert prior == pytest.approx(report.rbar1_prior, abs=1e-9)
 
@@ -108,8 +108,8 @@ class TestKBlockLogRisk:
             k = int(rng.integers(2, horizon + 1))
             report = hr.evaluate_risks(summary, path)
             for chain, rinf in (
-                (hr.posterior_chain(summary), report.rbarinf_posterior),
-                (hr.prior_chain(model, horizon), report.rbarinf_prior),
+                (hr.PosteriorChain(summary), report.rbarinf_posterior),
+                (hr.PriorChain(model, horizon), report.rbarinf_prior),
             ):
                 lhs = hr.kblock_logrisk(chain, path, k)
                 rhs = rinf + hr.kblock_logrisk(chain, path, k - 1)
@@ -125,7 +125,7 @@ class TestKBlockLogRisk:
             horizon = summary.horizon
             path = random_path(rng, summary.num_states, horizon)
             report = hr.evaluate_risks(summary, path)
-            chain = hr.posterior_chain(summary)
+            chain = hr.PosteriorChain(summary)
             for k in range(1, horizon + 1):
                 expect = (k - 1) * report.rbarinf_posterior + report.rbar1_posterior
                 got = hr.kblock_logrisk(chain, path, k)
@@ -139,14 +139,14 @@ class TestKBlockLogRisk:
         model, obs, summary = random_instance(rng, num_states=3, horizon=5)
         path = (1, 2, 3, 2, 1)
         report = hr.evaluate_risks(summary, path)
-        got = hr.kblock_logrisk(hr.posterior_chain(summary), path, 5)
+        got = hr.kblock_logrisk(hr.PosteriorChain(summary), path, 5)
         expect = 4 * report.rbarinf_posterior + report.rbar1_posterior
         if np.isfinite(expect):
             assert got == pytest.approx(expect, abs=1e-9)
 
     def test_k_out_of_range(self, four_state):
         _, _, summary = four_state
-        chain = hr.posterior_chain(summary)
+        chain = hr.PosteriorChain(summary)
         with pytest.raises(KOutOfRangeError):
             hr.kblock_logrisk(chain, (2, 1, 2, 2), 0)
         with pytest.raises(KOutOfRangeError):
@@ -228,3 +228,43 @@ class TestRiskWeights:
             hr.RiskWeights(0.0, 0.0, 0.0, 0.0)
         with pytest.raises(ValueError):
             hr.RiskWeights(1.0, 0.0, 0.0, 0.0, beta1=-0.5)
+
+
+class TestStatePathValidation:
+    """Every entry point that takes 1-based state labels validates them with
+    one checker, which rejects fractional labels instead of truncating them."""
+
+    def test_fractional_labels_are_rejected(self, four_state):
+        model, _, summary = four_state
+        fractional = (2, 1.7, 1, 2)
+        calls = (
+            lambda: hr.evaluate_risks(summary, fractional),
+            lambda: hr.joint_log_likelihood(summary, fractional),
+            lambda: hr.combined_risk(summary, [(2, 1, 1, 2), fractional], hr.RiskWeights(1, 1, 0, 0)),
+            lambda: hr.risk.rabiner_gain_batch(summary, [fractional], 2),
+            lambda: hr.rabiner_block_gain(summary, fractional, 2),
+            lambda: hr.kblock_logrisk(hr.PosteriorChain(summary), fractional, 2),
+            lambda: hr.kblock_logrisk(hr.PriorChain(model, 4), fractional, 2),
+            lambda: hr.block_posterior(summary, 1, [2, 1.5]),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="integers"):
+                call()
+
+    def test_integral_floats_are_accepted(self, four_state):
+        _, _, summary = four_state
+        assert hr.evaluate_risks(summary, (2.0, 1.0, 1.0, 2.0)) == hr.evaluate_risks(summary, (2, 1, 1, 2))
+        assert hr.block_posterior(summary, 1, [2.0, 1.0]) == hr.block_posterior(summary, 1, [2, 1])
+
+    def test_range_length_and_shape(self, four_state):
+        _, _, summary = four_state
+        with pytest.raises(ValueError, match=r"1\.\.4"):
+            hr.risk.rabiner_gain_batch(summary, [(2, 1, 1, 2), (2, 0, 1, 2)], 2)
+        with pytest.raises(ValueError, match=r"1\.\.4"):
+            hr.evaluate_risks(summary, (2, 5, 1, 2))
+        with pytest.raises(ValueError, match="horizon"):
+            hr.rabiner_block_gain(summary, (2, 1, 1), 2)
+        with pytest.raises(ValueError, match="1-d"):
+            hr.block_posterior(summary, 1, [[2, 1]])
+        with pytest.raises(ValueError, match="non-empty"):
+            hr.evaluate_risks(summary, ())
