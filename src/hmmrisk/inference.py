@@ -57,12 +57,14 @@ class PriorChain:
     def log_initial(self) -> np.ndarray:
         return _log(self.model.initial)
 
-    def log_window(self, start: int, states0: np.ndarray) -> float:
-        """log P(Y_start..Y_{start+k-1} = states0 + 1) for a 1-based start and 0-based states."""
-        v = self.log_prior[start - 1, states0[0]]
-        if len(states0) > 1:
-            v = v + self.log_transition[states0[:-1], states0[1:]].sum()
-        return float(v)
+    def log_window(self, start, states0: np.ndarray):
+        """log P(Y_start..Y_{start+k-1} = states0 + 1) for 1-based starts and
+        0-based state tuples along the last axis of ``states0``; ``start``
+        broadcasts against ``states0[..., 0]``."""
+        v = self.log_prior[np.asarray(start) - 1, states0[..., 0]]
+        if states0.shape[-1] > 1:
+            v = v + self.log_transition[states0[..., :-1], states0[..., 1:]].sum(axis=-1)
+        return v
 
 
 class PosteriorSummary:

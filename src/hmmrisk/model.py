@@ -15,6 +15,7 @@ from .errors import DirectLikelihoodNotGenerativeError
 from .lattice import follow
 
 PROB_SUM_TOL = 1e-12
+_SETTLE_CHECK = 64  # prior_marginals compares a row with its predecessor every this many steps
 
 
 def _readonly(a) -> np.ndarray:
@@ -245,14 +246,21 @@ def prior_marginals(model: HmmModel, horizon: int) -> np.ndarray:
     """Marginal state distributions of the hidden chain: row t is pi @ P^t.
 
     Returns an array of shape (horizon, K) whose row t-1 is the distribution
-    of the hidden state at time t.
+    of the hidden state at time t.  Each row is a fixed function of the row
+    before it, so once a row repeats its predecessor bit for bit every later
+    row equals it; the loop looks for that every ``_SETTLE_CHECK`` steps and
+    fills the rest.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     out = np.empty((horizon, model.num_states))
     out[0] = model.initial
+    bits = out.view(np.uint64)
     for t in range(1, horizon):
         out[t] = out[t - 1] @ model.transition
+        if t % _SETTLE_CHECK == 0 and np.array_equal(bits[t], bits[t - 1]):
+            out[t + 1 :] = out[t]
+            break
     return out
 
 

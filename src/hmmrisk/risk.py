@@ -189,9 +189,11 @@ class PosteriorChain:
         self.horizon = summary.horizon
         self.num_states = summary.num_states
 
-    def log_window(self, start: int, states0: np.ndarray) -> float:
-        """log P(Y_start..Y_{start+k-1} = states0 + 1 | x^T) for a 1-based start and 0-based states."""
-        return float(log_window_posterior(self.summary, start - 1, states0))
+    def log_window(self, start, states0: np.ndarray):
+        """log P(Y_start..Y_{start+k-1} = states0 + 1 | x^T) for 1-based starts
+        and 0-based state tuples along the last axis of ``states0``; ``start``
+        broadcasts against ``states0[..., 0]``."""
+        return log_window_posterior(self.summary, np.asarray(start) - 1, states0)
 
 
 def kblock_logrisk(chain, path, k: int) -> float:
@@ -207,12 +209,12 @@ def kblock_logrisk(chain, path, k: int) -> float:
     idx = check_state_path(path, chain.num_states) - 1
     if idx.shape != (horizon,):
         raise ValueError(f"a path of length {horizon} is needed, got shape {idx.shape}")
-    total = 0.0
-    for j in range(1 - k, horizon):
-        a = max(j + 1, 1)
-        b = min(j + k, horizon)
-        total += chain.log_window(a, idx[a - 1 : b])
-    return -total / horizon
+    full = chain.log_window(np.arange(1, horizon - k + 2), np.lib.stride_tricks.sliding_window_view(idx, k))
+    head = [chain.log_window(1, idx[:b]) for b in range(1, k)]
+    tail = [chain.log_window(a, idx[a - 1 :]) for a in range(horizon - k + 2, horizon + 1)]
+    # cumsum adds the windows left to right, from 0.0, in the order they lie along the path
+    total = np.cumsum(np.concatenate(([0.0], head, full, tail)))[-1]
+    return float(-total / horizon)
 
 
 def rabiner_block_gain(summary: PosteriorSummary, path, k: int) -> float:

@@ -5,10 +5,21 @@ averaging interpolates between sum-product (q=1) and max-product (q=inf)
 message passing.  Two variants are provided: the plain recursions, computed
 in the log domain so that no rescaling is ever needed, and the per-step
 renormalized recursions computed in the linear domain.
+
+Both variants run through one kernel, ``_recursions``, which steps a leading
+row axis of exponents through preallocated buffers: a
+``transformed_forward_backward`` call is its one-row case, and
+``rescaling_distortion_probe`` steps every q of its grid in one time loop per
+variant.  Rows with q = inf take the maximum only.  Each row does the same
+arithmetic as when it runs alone, so its tables are bit-identical.  Vanishing
+evidence is absorbing (an all ``-inf`` log row, or a zero normalizer, stays
+so), so it is looked for once, after the recursions, and reported at the
+position where a check after every step would find it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -17,6 +28,12 @@ import numpy as np
 from .errors import ZeroEvidenceError
 from .inference import _log, emission_likelihood
 from .model import HmmModel
+
+# Floors for a row maximum m before it is factored out (the initial value of
+# the max): they leave every attainable m unchanged, and keep an empty row
+# from giving inf - inf or 0 / 0.
+_LOWEST = -np.finfo(float).max
+_SMALLEST = np.finfo(float).smallest_subnormal
 
 
 @dataclass
@@ -36,27 +53,101 @@ class TransformedTables:
     log_domain: bool
 
 
-def _log_power_sum(scores: np.ndarray, q: float, axis: int) -> np.ndarray:
-    """(1/q) * log sum exp(q * scores) along ``axis``, stable under a max shift."""
-    if math.isinf(q):
-        return scores.max(axis=axis)
-    m = scores.max(axis=axis, keepdims=True)
-    safe = np.where(np.isfinite(m), m, 0.0)
-    with np.errstate(divide="ignore"):
-        out = np.log(np.exp(q * (scores - safe)).sum(axis=axis)) / q
-    return np.squeeze(safe, axis=axis) + np.where(
-        np.isfinite(np.squeeze(m, axis=axis)), out, -np.inf
-    )
+def _check_q(q) -> None:
+    if not (q >= 1.0):
+        raise ValueError(f"q must be at least 1 (or inf), got {q}")
 
 
-def _power_sum(values: np.ndarray, q: float, axis: int) -> np.ndarray:
-    """(sum values**q)**(1/q) along ``axis``, factoring out the maximum."""
-    if math.isinf(q):
-        return values.max(axis=axis)
-    m = values.max(axis=axis, keepdims=True)
-    safe = np.where(m > 0, m, 1.0)
-    out = (np.power(values / safe, q).sum(axis=axis)) ** (1.0 / q)
-    return np.squeeze(m, axis=axis) * out
+def _recursions(model: HmmModel, obs, qs: np.ndarray, rescaled: bool):
+    """Power-transformed forward and backward tables for every exponent in ``qs``.
+
+    ``qs`` is a 1-d float array of exponents >= 1 with the finite ones first.
+    Returns alpha and beta, each of shape (len(qs), T, K), and per row the
+    ZeroEvidenceError that row raises (None when its evidence is positive).
+    """
+    if rescaled:
+        emission = emission_likelihood(model, obs)
+        trans, first = model.transition, model.initial * emission[0]
+        times, over, floor = np.multiply, np.divide, _SMALLEST
+    else:
+        emission = model.emission.log_likelihood(obs)
+        trans, first = _log(model.transition), _log(model.initial) + emission[0]
+        times, over, floor = np.add, np.subtract, _LOWEST
+    horizon, num_states = emission.shape
+    rows, finite = len(qs), int(np.isfinite(qs).sum())
+    scores = np.empty((rows, num_states, num_states))
+    fin_scores, inf_scores, q_list = scores[:finite], scores[finite:], qs[:finite].tolist()
+    fin_peak, sums = np.empty((finite, num_states)), np.empty((finite, num_states))
+    # one call per row with a scalar exponent, spelled as the per-step code spelled it (np.power, then **):
+    # numpy's exact shortcuts for the exponents 0.5, 1 and 2 (sqrt, copy, square) apply only to a scalar
+    # exponent, and pow can differ from them in the last bit
+    raise_rows = list(zip(fin_scores, q_list))
+    lower_rows = list(zip(sums, [1.0 / q for q in q_list] if rescaled else q_list))
+
+    def power_mean(axis, factor, out):
+        """out[r] = (sum over ``axis`` of scores[r]**q_r)**(1/q_r) in the variant's domain, the max where
+        q_r = inf; ``factor`` is the view of the finite rows' maxima that broadcasts against their scores."""
+        if finite < rows:
+            np.maximum.reduce(inf_scores, axis=axis, out=out[finite:])
+        if not finite:
+            return
+        np.maximum.reduce(fin_scores, axis=axis, out=fin_peak, initial=floor)
+        over(fin_scores, factor, out=fin_scores)
+        if rescaled:
+            for row, q_r in raise_rows:
+                np.power(row, q_r, out=row)
+            np.add.reduce(fin_scores, axis=axis, out=sums)
+            for row, inv_q in lower_rows:
+                row **= inv_q
+        else:
+            for row, q_r in raise_rows:
+                np.multiply(row, q_r, out=row)
+            np.exp(fin_scores, out=fin_scores)
+            np.add.reduce(fin_scores, axis=axis, out=sums)
+            np.log(sums, out=sums)
+            for row, q_r in lower_rows:
+                np.divide(row, q_r, out=row)
+        times(fin_peak, sums, out=out[:finite])
+
+    alpha = np.empty((rows, horizon, num_states))
+    beta = np.empty((rows, horizon, num_states))
+    norms = np.empty((horizon, rows, 1))  # rescaled: norms[t] normalizes step t
+    # time-major views: alpha_rows[t] is the (rows, K) slice of every row at position t
+    alpha_rows, beta_rows = alpha.transpose(1, 0, 2), beta.transpose(1, 0, 2)
+    later = np.empty((rows, 1, num_states))  # later[r, 0, j]: f_{t+1}(j) * beta_{t+1}(j) in the variant's domain
+    # the forward step sums over axis 1 (the previous state), the backward step over axis 2 (the next one)
+    forward_factor, backward_factor, later_rows = fin_peak[:, None, :], fin_peak[:, :, None], later[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):  # vanishing evidence is reported below
+        alpha_rows[0] = first
+        if rescaled:
+            norms[0] = first.sum()
+            np.divide(alpha_rows[0], norms[0], out=alpha_rows[0])
+        for prev, cur, f, norm in zip(alpha_rows[:-1, :, :, None], alpha_rows[1:], emission[1:], norms[1:]):
+            times(prev, trans, out=scores)
+            power_mean(1, forward_factor, cur)
+            times(cur, f, out=cur)
+            if rescaled:
+                np.add.reduce(cur, axis=1, keepdims=True, out=norm)
+                np.divide(cur, norm, out=cur)
+        beta_rows[-1] = 1.0 if rescaled else 0.0
+        for cur, nxt, f, norm in zip(beta_rows[-2::-1], beta_rows[:0:-1], emission[:0:-1], norms[:0:-1]):
+            times(f, nxt, out=later_rows)
+            times(trans, later, out=scores)
+            power_mean(2, backward_factor, cur)
+            if rescaled:
+                np.divide(cur, norm, out=cur)
+    if rescaled:
+        failed = norms[:, :, 0].T <= 0
+    else:
+        failed = np.isneginf(alpha).all(axis=2)
+        failed[:, 0] &= horizon == 1  # a dead first row shows at t=2 once there is a second
+    errors = [
+        ZeroEvidenceError("observation sequence impossible under the model" + (f" at t={t + 1}" if rescaled or t else ""))
+        if dead
+        else None
+        for dead, t in zip(failed.any(axis=1), failed.argmax(axis=1))
+    ]
+    return alpha, beta, errors
 
 
 def transformed_forward_backward(
@@ -64,50 +155,20 @@ def transformed_forward_backward(
 ) -> TransformedTables:
     """Run the power-transformed recursions for exponent q >= 1 (or inf).
 
+    The plain variant runs on the emission's log-likelihoods; the rescaled
+    variant runs on its linear likelihoods, so a Gaussian density that
+    underflows to 0 (far-out points) makes the rescaled variant raise where
+    the plain one does not.
+
     Raises ZeroEvidenceError when the observations are impossible under the
     model (all entries of some forward column vanish).
     """
-    if not (q >= 1.0):
-        raise ValueError(f"q must be at least 1 (or inf), got {q}")
-    likes = emission_likelihood(model, obs)
-    horizon, num_states = likes.shape
-
-    if not rescaled:
-        log_likes = _log(likes)
-        log_p = _log(model.transition)
-        la = np.empty((horizon, num_states))
-        la[0] = _log(model.initial) + log_likes[0]
-        for t in range(1, horizon):
-            la[t] = _log_power_sum(la[t - 1][:, None] + log_p, q, axis=0) + log_likes[t]
-            if np.all(np.isneginf(la[t])):
-                raise ZeroEvidenceError(f"observation sequence impossible under the model at t={t + 1}")
-        if np.all(np.isneginf(la[-1])):
-            raise ZeroEvidenceError("observation sequence impossible under the model")
-        lb = np.empty((horizon, num_states))
-        lb[-1] = 0.0
-        for t in range(horizon - 2, -1, -1):
-            lb[t] = _log_power_sum(log_p + (log_likes[t + 1] + lb[t + 1])[None, :], q, axis=1)
-        return TransformedTables(q=q, alpha_q=la, beta_q=lb, rescaled=False, log_domain=True)
-
-    a = model.initial * likes[0]
-    norm = a.sum()
-    if norm <= 0:
-        raise ZeroEvidenceError("observation sequence impossible under the model at t=1")
-    alpha = np.empty((horizon, num_states))
-    alpha[0] = a / norm
-    denominators = np.empty(horizon)  # denominators[t] normalizes step t (t >= 1)
-    for t in range(1, horizon):
-        numer = _power_sum(alpha[t - 1][:, None] * model.transition, q, axis=0) * likes[t]
-        denominators[t] = numer.sum()
-        if denominators[t] <= 0:
-            raise ZeroEvidenceError(f"observation sequence impossible under the model at t={t + 1}")
-        alpha[t] = numer / denominators[t]
-    beta = np.empty((horizon, num_states))
-    beta[-1] = 1.0
-    for t in range(horizon - 2, -1, -1):
-        numer = _power_sum(model.transition * (likes[t + 1] * beta[t + 1])[None, :], q, axis=1)
-        beta[t] = numer / denominators[t + 1]
-    return TransformedTables(q=q, alpha_q=alpha, beta_q=beta, rescaled=True, log_domain=False)
+    _check_q(q)
+    alpha, beta, (error,) = _recursions(model, obs, np.array([q], dtype=float), rescaled)
+    if error is not None:
+        raise error
+    rescaled = bool(rescaled)
+    return TransformedTables(q=q, alpha_q=alpha[0], beta_q=beta[0], rescaled=rescaled, log_domain=not rescaled)
 
 
 def symbol_by_symbol_decode(tables: TransformedTables) -> tuple[int, ...]:
@@ -120,14 +181,38 @@ def symbol_by_symbol_decode(tables: TransformedTables) -> tuple[int, ...]:
     return tuple((np.argmax(scores, axis=1) + 1).tolist())
 
 
+def _decode_rows(model: HmmModel, obs, qs: list, rescaled: bool) -> list:
+    """Symbol-by-symbol path of every exponent in ``qs`` (finite ones first), or
+    the ZeroEvidenceError its recursion raises."""
+    alpha, beta, errors = _recursions(model, obs, np.array(qs, dtype=float), rescaled)
+    return [
+        error or symbol_by_symbol_decode(TransformedTables(q, a, b, rescaled, not rescaled))
+        for q, a, b, error in zip(qs, alpha, beta, errors)
+    ]
+
+
 def rescaling_distortion_probe(model: HmmModel, obs, q_grid) -> list[dict]:
     """Compare plain and rescaled symbol-by-symbol paths over a grid of q.
 
-    Returns one row per q with both paths and an agreement flag.
+    Returns one row per q with both paths and an agreement flag.  The whole
+    grid runs in one recursion per variant; an invalid q or vanishing
+    evidence raises the error a q-by-q run (plain, then rescaled, per q)
+    would meet first.
     """
+    q_grid = list(q_grid)
+    valid = list(itertools.takewhile(lambda q: q >= 1.0, q_grid))
+    order = sorted(range(len(valid)), key=lambda i: math.isinf(valid[i]))  # finite exponents first
+    outcomes = {}  # (grid index, rescaled) -> path or ZeroEvidenceError
+    if valid:
+        for rescaled in (False, True):
+            decoded = _decode_rows(model, obs, [valid[i] for i in order], rescaled)
+            outcomes.update(((i, rescaled), path) for i, path in zip(order, decoded))
     rows = []
-    for q in q_grid:
-        plain = symbol_by_symbol_decode(transformed_forward_backward(model, obs, q, rescaled=False))
-        resc = symbol_by_symbol_decode(transformed_forward_backward(model, obs, q, rescaled=True))
+    for i, q in enumerate(q_grid):
+        _check_q(q)
+        plain, resc = outcomes[i, False], outcomes[i, True]
+        for outcome in (plain, resc):
+            if isinstance(outcome, ZeroEvidenceError):
+                raise outcome
         rows.append({"q": float(q), "plain_path": plain, "rescaled_path": resc, "agree": plain == resc})
     return rows

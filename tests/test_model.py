@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hmmrisk as hr
 from hmmrisk.errors import DirectLikelihoodNotGenerativeError
@@ -72,6 +74,49 @@ class TestPriorMarginals:
             model = hr.HmmModel(initial, transition, hr.Categorical(np.full((4, 2), 0.5)))
             marg = hr.prior_marginals(model, 1001)
             assert np.abs(marg[1000] - marg[999]).max() < 1e-8
+
+
+def loop_prior_marginals(model, horizon):
+    """Reference: every row from its predecessor, with no stop at a fixed point."""
+    out = np.empty((horizon, model.num_states))
+    out[0] = model.initial
+    for t in range(1, horizon):
+        out[t] = out[t - 1] @ model.transition
+    return out
+
+
+def assert_same_bits(got, expect):
+    assert got.shape == expect.shape
+    np.testing.assert_array_equal(got.view(np.uint64), expect.view(np.uint64))
+
+
+class TestPriorMarginalsFixedPoint:
+    """prior_marginals stops once a row repeats its predecessor and fills the rest;
+    the rows must equal the full loop's bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 6),
+        st.integers(1, 3000),
+        st.sampled_from([0.0, 0.3, 0.6]),
+        st.sampled_from([0.0, 0.9, 0.999]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_full_loop(self, num_states, horizon, zero_frac, stay, seed):
+        rng = np.random.default_rng(seed)
+        base = random_categorical_model(rng, num_states, zero_frac=zero_frac)
+        transition = (1 - stay) * base.transition + stay * np.eye(num_states)  # slow chains settle late or not at all
+        model = hr.HmmModel(base.initial, transition, base.emission)
+        assert_same_bits(hr.prior_marginals(model, horizon), loop_prior_marginals(model, horizon))
+
+    @pytest.mark.parametrize("initial", [[0.5, 0.5], [0.3, 0.7]])
+    @pytest.mark.parametrize("horizon", [1, 2, 64, 65, 129, 3000])
+    def test_periodic_chain(self, initial, horizon):
+        """The flip chain is fixed from a uniform start and alternates forever from any other."""
+        model = hr.HmmModel(initial, [[0.0, 1.0], [1.0, 0.0]], hr.Categorical(np.full((2, 2), 0.5)))
+        marg = hr.prior_marginals(model, horizon)
+        assert_same_bits(marg, loop_prior_marginals(model, horizon))
+        np.testing.assert_array_equal(marg[1::2], np.tile(initial[::-1], (len(marg[1::2]), 1)))
 
 
 class TestSampleTrajectory:

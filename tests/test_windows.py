@@ -2,10 +2,11 @@
 
 The Rabiner window table (``decoders._window_table``) and
 ``risk.rabiner_gain_batch`` get every window probability from
-``inference.log_window_posterior``, called once per block of window starts.
-The loops below compute one window start at a time, as the code did before;
-they are kept as references.  The table must match them bit for bit and the
-gains within 1e-12 relative.
+``inference.log_window_posterior``, called once per block of window starts;
+``risk.kblock_logrisk`` scores all full windows of a path in one
+``log_window`` call.  The loops below compute one window start at a time, as
+the code did before; they are kept as references.  The table and the k-block
+risks must match them bit for bit and the gains within 1e-12 relative.
 """
 
 import itertools
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 import hmmrisk as hr
 from hmmrisk import decoders
+from hmmrisk.inference import log_window_posterior
 from hmmrisk.risk import rabiner_gain_batch
 
 from conftest import random_categorical_model
@@ -62,6 +64,25 @@ def loop_gain_batch(summary, paths, k):
     return gains
 
 
+def loop_kblock_logrisk(chain, path, k):
+    """Reference: one window at a time, truncated boundary windows included,
+    added left to right."""
+    horizon = chain.horizon
+    idx = np.asarray(path) - 1
+    total = 0.0
+    for j in range(1 - k, horizon):
+        a, b = max(j + 1, 1), min(j + k, horizon)
+        states0 = idx[a - 1 : b]
+        if isinstance(chain, hr.PriorChain):
+            v = chain.log_prior[a - 1, states0[0]]
+            if len(states0) > 1:
+                v = v + chain.log_transition[states0[:-1], states0[1:]].sum()
+        else:
+            v = log_window_posterior(chain.summary, a - 1, states0)
+        total += float(v)
+    return -total / horizon
+
+
 @st.composite
 def window_cases(draw):
     """A summary with structural zeros (K 1-4), a block length k 1-4 and a batch of paths."""
@@ -92,3 +113,15 @@ def test_gain_batch_matches_per_start_loop(case):
     np.testing.assert_allclose(gains, loop_gain_batch(summary, paths, k), rtol=1e-12, atol=0)
     assert hr.rabiner_block_gain(summary, paths[-1], k) == gains[-1]
 
+
+
+@FAST
+@given(window_cases(), st.data())
+def test_kblock_logrisk_matches_per_window_loop(case, data):
+    summary, _, paths = case
+    k = data.draw(st.integers(1, summary.horizon))  # every k up to T: no full window is left out
+    for chain in (hr.PosteriorChain(summary), hr.PriorChain(summary.model, summary.horizon)):
+        for path in paths:
+            got = hr.kblock_logrisk(chain, path, k)
+            assert type(got) is float
+            assert got == loop_kblock_logrisk(chain, path, k)
