@@ -40,9 +40,8 @@ for k in [1, 2, 4, 10]:
 
 print("\nwindowed log-risk identities along one fixed path:")
 path = hr.pmap_decode(summary).path
-chain = hr.PosteriorChain(summary)
 report = hr.evaluate_risks(summary, path)
 for k in [2, 3, 5]:
-    lhs = hr.kblock_logrisk(chain, path, k)
+    lhs = hr.kblock_logrisk(summary, path, k)
     rhs = (k - 1) * report.rbarinf_posterior + report.rbar1_posterior
     print(f"  k={k}:  window risk = {lhs:.9f}   (k-1)*rbarinf + rbar1 = {rhs:.9f}")

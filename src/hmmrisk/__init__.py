@@ -52,7 +52,6 @@ from .model import (
     validate_model,
 )
 from .risk import (
-    PosteriorChain,
     RiskReport,
     RiskWeights,
     combined_risk,

@@ -16,16 +16,7 @@ import math
 import sys
 
 from . import io as hio
-from .decoders import (
-    alpha_interpolation_decode,
-    hybrid_decode,
-    kblock_pvd_decode,
-    pmap_decode,
-    pvd_decode,
-    constrained_pmap_decode,
-    rabiner_block_decode,
-    viterbi_decode,
-)
+from .decoders import alpha_interpolation_decode, decode_many, hybrid_decode, kblock_pvd_decode, viterbi_decode
 from .errors import (
     DirectLikelihoodNotGenerativeError,
     InstanceTooLargeError,
@@ -139,10 +130,12 @@ def _cmd_decode(args) -> int:
     if len(selectors) != 1:
         raise ValueError("exactly one of --weights, --k, --alpha, --q must be given")
     labels = hio.load_label_map(args.labels, model.num_states) if args.labels else None
+    if labels is not None and args.q is not None:
+        raise ValueError("--labels cannot be combined with --q")
+    if labels is not None and args.weights is None:
+        raise ValueError("--labels needs --weights (label-averaged objective)")
 
     if args.q is not None:
-        if labels is not None:
-            raise ValueError("--labels cannot be combined with --q")
         q = math.inf if args.q.lower() == "inf" else float(args.q)
         tables = transformed_forward_backward(model, obs, q, rescaled=args.rescaled)
         path = symbol_by_symbol_decode(tables)
@@ -162,11 +155,7 @@ def _cmd_decode(args) -> int:
                 decoded = viterbi_decode(summary)
             else:
                 decoded = kblock_pvd_decode(summary, int(args.k))
-            if labels is not None:
-                raise ValueError("--labels needs --weights (label-averaged objective)")
         else:
-            if labels is not None:
-                raise ValueError("--labels needs --weights (label-averaged objective)")
             decoded = alpha_interpolation_decode(summary, args.alpha)
         path = decoded.path
         report = decoded.risks
@@ -259,20 +248,13 @@ def _cmd_paper_example(args) -> int:
     model = four_state_model(args.A)
     obs = four_state_observations()
     summary = forward_backward(model, obs)
-    rows = [
-        ("viterbi", viterbi_decode(summary)),
-        ("pmap", pmap_decode(summary)),
-        ("constrained-pmap", constrained_pmap_decode(summary)),
-        ("pvd", pvd_decode(summary)),
-        ("kblock k=2", kblock_pvd_decode(summary, 2)),
-        ("rabiner k=2", rabiner_block_decode(summary, 2)),
-    ]
+    tags = ["viterbi", "pmap", "constrained-pmap", "pvd", "kblock:2", "rabiner:2"]
     out = [f"four-state worked example, A = {hio.fmt(args.A)}"]
     out.append(f"{'decoder':<18} {'path':<12} {'p(path|x)':<16} admissible")
-    for name, decoded in rows:
+    for (decoded,) in decode_many([summary], tags):
         posterior = math.exp(posterior_log_probability(summary, decoded.path))
         path_text = "(" + ",".join(str(s) for s in decoded.path) + ")"
-        out.append(f"{name:<18} {path_text:<12} {hio.fmt(posterior):<16} {'yes' if decoded.admissible else 'no'}")
+        out.append(f"{decoded.decoder_tag:<18} {path_text:<12} {hio.fmt(posterior):<16} {'yes' if decoded.admissible else 'no'}")
     sys.stdout.write("\n".join(out) + "\n")
     return 0
 

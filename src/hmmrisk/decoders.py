@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InstanceTooLargeError, KOutOfRangeError
 from .inference import BLOCK_STATE_CAP, PosteriorSummary, forward_backward, log_window_posterior
-from .lattice import TIE_TOL, best_path
+from .lattice import TIE_TOL, best_path, follow
 from .model import HmmModel
 from .risk import (
     RiskReport,
@@ -119,7 +119,7 @@ def _combined(weights: RiskWeights, tag: str, pointwise=_same_table) -> _Lattice
     )
 
 
-def hybrid_decode(summary: PosteriorSummary, weights: RiskWeights, tag: str | None = None) -> DecodedPath:
+def hybrid_decode(summary: PosteriorSummary, weights: RiskWeights) -> DecodedPath:
     """Minimize the combined risk
     c1*pointwise-posterior + c2*joint + c3*pointwise-prior + c4*prior-path
     by one forward-backward score recursion.
@@ -127,7 +127,7 @@ def hybrid_decode(summary: PosteriorSummary, weights: RiskWeights, tag: str | No
     The objective reported is the minimized combined risk (joint form), i.e.
     -(best score)/T.
     """
-    return _decode_group([summary], _combined(weights, tag or weights.tag()))[0]
+    return _decode_group([summary], _combined(weights, weights.tag()))[0]
 
 
 _VITERBI = _combined(RiskWeights(0.0, 1.0, 0.0, 0.0), "viterbi")
@@ -246,6 +246,31 @@ def _window_table(summary: PosteriorSummary, k: int) -> np.ndarray:
     return table
 
 
+def _rabiner_walk(window_gain: np.ndarray, num_states: int, k: int) -> np.ndarray:
+    """0-based path maximizing the summed window gains, lexicographically
+    smallest within TIE_TOL; ``window_gain[a, c]`` scores the k-tuple with
+    base-K digits c at window start a.
+
+    The backward sweep over (k-1)-tuples keeps one row of cost-to-go and
+    records, per window start and tuple, the smallest successor tuple within
+    TIE_TOL of that row's best; ``follow`` reads the path off those records.
+    """
+    n_tuples, lead = num_states ** (k - 1), num_states ** (k - 2)
+    # gains[a, d, rest, j]: window a holds tuple (d, rest), then state j; the next tuple is (rest, j)
+    gains = window_gain.reshape(len(window_gain), num_states, lead, num_states)
+    nodes = np.empty((len(window_gain), num_states, lead), dtype=np.min_scalar_type(n_tuples - 1))
+    phi = np.zeros((num_states, lead))
+    for gain, node in zip(gains[::-1], nodes[::-1]):
+        vals = gain + phi.reshape(lead, num_states)  # phi indexed by the next tuple (rest, j)
+        phi = vals.max(axis=2)
+        node[...] = np.argmax(vals >= phi[..., None] - TIE_TOL, axis=2)  # the smallest near-optimal j
+    nodes = nodes.reshape(len(window_gain), 1, n_tuples)
+    nodes += (np.arange(n_tuples) % lead * num_states).astype(nodes.dtype)  # j -> tuple index rest * K + j
+    start = int(np.argmax(phi >= phi.max() - TIE_TOL))
+    tuples = follow(np.array([start]), nodes)[0]
+    return np.concatenate((np.unravel_index(start, (num_states,) * (k - 1)), tuples[1:] % num_states))
+
+
 def rabiner_block_decode(summary: PosteriorSummary, k: int) -> DecodedPath:
     """Maximize the expected number of correctly decoded overlapping k-blocks.
 
@@ -262,27 +287,7 @@ def rabiner_block_decode(summary: PosteriorSummary, k: int) -> DecodedPath:
         out = pmap_decode(summary)
         gain = float(summary.smoothed.max(axis=1).sum())
         return DecodedPath(out.path, gain, out.risks, out.admissible, "rabiner k=1")
-
-    n_tuples = num_states ** (k - 1)
-    n_positions = horizon - k + 2  # tuple positions; windows start at 1..T-k+1
-    window_gain = _window_table(summary, k)
-    successor = (np.arange(n_tuples) % (num_states ** (k - 2)))[:, None] * num_states + np.arange(
-        num_states
-    )[None, :]
-    phi = np.zeros((n_positions, n_tuples))
-    for tau in range(n_positions - 2, -1, -1):
-        vals = window_gain[tau].reshape(n_tuples, num_states) + phi[tau + 1][successor]
-        phi[tau] = vals.max(axis=1)
-
-    start = int(np.flatnonzero(phi[0] >= phi[0].max() - TIE_TOL)[0])
-    idx = [int(d) for d in np.unravel_index(start, (num_states,) * (k - 1))]
-    node = start
-    for tau in range(n_positions - 1):
-        vals = window_gain[tau].reshape(n_tuples, num_states)[node] + phi[tau + 1][successor[node]]
-        nxt = int(np.flatnonzero(vals >= vals.max() - TIE_TOL)[0])
-        idx.append(nxt)
-        node = successor[node, nxt]
-    idx = np.asarray(idx)
+    idx = _rabiner_walk(_window_table(summary, k), num_states, k)
     gain = rabiner_gain_batch(summary, idx[None, :] + 1, k)[0]
     return _finish(summary, idx, gain, f"rabiner k={k}")
 
@@ -351,26 +356,30 @@ _FIXED_DECODERS = {
 }
 
 
-def _lattice_decoder(tag: str) -> _LatticeDecoder | None:
-    """The max-sum form of a lattice decoder tag; None for pmap and rabiner."""
-    if tag == "viterbi":
-        return _VITERBI
-    if tag == "pvd":
-        return _PVD
-    if tag == "constrained-pmap":
-        return _CONSTRAINED_PMAP
+def _group_decoder(tag: str):
+    """Parse a decoder tag into a function from equal-length summaries to
+    their DecodedPaths.  Lattice tags solve the whole group in one batched
+    max-sum call; pmap and rabiner:k decode summary by summary."""
     head, _, arg = tag.partition(":")
+    if tag == "pmap":
+        return lambda summaries: [pmap_decode(s) for s in summaries]
+    if head == "rabiner" and arg:
+        k = int(arg)
+        return lambda summaries: [rabiner_block_decode(s, k) for s in summaries]
+    decoder = {"viterbi": _VITERBI, "pvd": _PVD, "constrained-pmap": _CONSTRAINED_PMAP}.get(tag)
     if head == "kblock" and arg:
-        return _kblock(int(arg))
-    if head == "alpha" and arg:
-        return _alpha(float(arg))
-    if head == "weights" and arg:
+        decoder = _kblock(int(arg))
+    elif head == "alpha" and arg:
+        decoder = _alpha(float(arg))
+    elif head == "weights" and arg:
         parts = [float(x) for x in arg.replace("/", ",").split(",")]
         if len(parts) not in (4, 6):
             raise ValueError(f"weights tag needs 4 or 6 numbers, got {len(parts)}")
         weights = RiskWeights(*parts)
-        return _combined(weights, weights.tag())
-    return None
+        decoder = _combined(weights, weights.tag())
+    if decoder is None:
+        raise ValueError(f"unknown decoder tag: {tag!r}")
+    return lambda summaries: _decode_group(summaries, decoder)
 
 
 def resolve_decoder(tag: str):
@@ -380,16 +389,11 @@ def resolve_decoder(tag: str):
     Weight components may be separated by "/" or ","; the slash form survives
     comma-separated tag lists.
     """
+    # the registry is looked up first only because perfbench/tests pins it (ROADMAP item 6)
     if tag in _FIXED_DECODERS:
         return _FIXED_DECODERS[tag]
-    head, _, arg = tag.partition(":")
-    if head == "rabiner" and arg:
-        k = int(arg)
-        return lambda summary: rabiner_block_decode(summary, k)
-    decoder = _lattice_decoder(tag)
-    if decoder is None:
-        raise ValueError(f"unknown decoder tag: {tag!r}")
-    return lambda summary: _decode_group([summary], decoder)[0]
+    decode = _group_decoder(tag)
+    return lambda summary: decode([summary])[0]
 
 
 def decode_many(summaries, tags):
@@ -403,9 +407,4 @@ def decode_many(summaries, tags):
     """
     summaries = list(summaries)
     for tag in tags:
-        decoder = _lattice_decoder(tag)
-        if decoder is None:
-            fn = resolve_decoder(tag)
-            yield [fn(summary) for summary in summaries]
-        else:
-            yield _decode_group(summaries, decoder)
+        yield _group_decoder(tag)(summaries)

@@ -139,6 +139,11 @@ class PosteriorSummary:
     def log_prior(self) -> np.ndarray:
         return self._chain.log_prior
 
+    def log_window(self, start, states0: np.ndarray):
+        """log P(Y_start..Y_{start+k-1} = states0 + 1 | x^T), as
+        ``PriorChain.log_window`` but conditioned on the observations."""
+        return log_window_posterior(self, np.asarray(start) - 1, states0)
+
 
 def forward_backward_many(model: HmmModel, observations) -> list[PosteriorSummary]:
     """Run the scaled forward-backward recursions on N equal-length

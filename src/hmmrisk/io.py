@@ -9,7 +9,9 @@ Observation file: one observation per line; a symbol index for categorical
 emissions, whitespace-separated reals for Gaussian emissions, a row position
 for direct-likelihood emissions.
 
-Label file (JSON): ``{"labels": {"1": "A", ...}, "beta": 1.0}``.
+Label file (JSON): ``{"labels": {"1": "A", ...}, "beta": 1.0}``.  ``beta``
+sets ``LabelMap.averaging_beta``, which only ``averaged_label_posterior``
+reads; CLI label decoding averages the classes at ``--beta1``/``--beta3``.
 
 All numbers are printed with 12 significant digits; +inf serializes as "inf".
 """

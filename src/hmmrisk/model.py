@@ -37,6 +37,23 @@ def _checked_indices(obs, size: int, kind: str, what: str, range_error: str) -> 
     return indices
 
 
+def _table_violations(table: np.ndarray, row: str, distributions: bool = True) -> list[str]:
+    """Violations of a table whose rows are probability distributions (or, with
+    ``distributions=False``, only nonnegative): the first row with a non-finite
+    entry, the first with a negative entry, and every row whose sum is off 1.
+    ``row`` names a row; it is formatted with the 1-based row index."""
+    rows = np.atleast_2d(table)
+    out = []
+    for problem, bad in (("a non-finite", ~np.isfinite(rows)), ("a negative", rows < 0)):
+        if np.any(bad):
+            out.append(f"{row.format(np.nonzero(bad)[0][0] + 1)} has {problem} entry")
+    if distributions:
+        sums = rows.sum(axis=1)
+        for i in np.nonzero(np.abs(sums - 1.0) > PROB_SUM_TOL)[0]:
+            out.append(f"{row.format(i + 1)} sums to {sums[i]:.12g}")
+    return out
+
+
 @dataclass
 class Categorical:
     """Finite-alphabet emissions: ``table[s, m]`` is the probability of symbol m in state s."""
@@ -51,17 +68,9 @@ class Categorical:
         return self.table.shape[0]
 
     def violations(self) -> list[str]:
-        out = []
         if self.table.ndim != 2:
             return [f"emission table must be 2-dimensional, got shape {self.table.shape}"]
-        if np.any(self.table < 0):
-            rows = np.unique(np.nonzero(self.table < 0)[0]) + 1
-            out.append(f"emission row {rows[0]} has a negative entry")
-        sums = self.table.sum(axis=1)
-        bad = np.nonzero(np.abs(sums - 1.0) > PROB_SUM_TOL)[0]
-        for i in bad:
-            out.append(f"emission row {i + 1} sums to {sums[i]:.12g}")
-        return out
+        return _table_violations(self.table, "emission row {}")
 
     def likelihood(self, obs) -> np.ndarray:
         """Likelihood table f[t, s] of the symbol sequence ``obs``, shape (T, K).
@@ -106,8 +115,10 @@ class DiagonalGaussian:
         if self.means.shape != self.variances.shape:
             out.append("emission means and variances must have matching shapes")
             return out
-        bad = np.nonzero(~(self.variances > 0).all(axis=1))[0]
-        for i in bad:
+        for name, table in (("mean", self.means), ("variance", self.variances)):
+            for i in np.nonzero(~np.isfinite(table).all(axis=1))[0]:
+                out.append(f"emission state {i + 1} has a non-finite {name}")
+        for i in np.nonzero(~(self.variances > 0).all(axis=1))[0]:
             out.append(f"emission state {i + 1} has a non-positive variance")
         return out
 
@@ -156,10 +167,7 @@ class DirectLikelihood:
     def violations(self) -> list[str]:
         if self.table.ndim != 2:
             return [f"likelihood table must be 2-dimensional, got shape {self.table.shape}"]
-        if np.any(self.table < 0):
-            rows = np.unique(np.nonzero(self.table < 0)[0]) + 1
-            return [f"likelihood table row {rows[0]} has a negative entry"]
-        return []
+        return _table_violations(self.table, "likelihood table row {}", distributions=False)
 
     def likelihood(self, obs) -> np.ndarray:
         """Table rows at the row positions ``obs``, shape (T, K).
@@ -223,17 +231,8 @@ def validate_model(model: HmmModel) -> list[str]:
             f"transition matrix shape {model.transition.shape} does not match {k} states"
         )
         return out
-    if np.any(model.initial < 0):
-        out.append("initial distribution has a negative entry")
-    s = model.initial.sum()
-    if abs(s - 1.0) > PROB_SUM_TOL:
-        out.append(f"initial distribution sums to {s:.12g}")
-    if np.any(model.transition < 0):
-        rows = np.unique(np.nonzero(model.transition < 0)[0]) + 1
-        out.append(f"transition row {rows[0]} has a negative entry")
-    sums = model.transition.sum(axis=1)
-    for i in np.nonzero(np.abs(sums - 1.0) > PROB_SUM_TOL)[0]:
-        out.append(f"transition row {i + 1} sums to {sums[i]:.12g}")
+    out.extend(_table_violations(model.initial, "initial distribution"))
+    out.extend(_table_violations(model.transition, "transition row {}"))
     if model.emission.num_states != k:
         out.append(
             f"emission is specified for {model.emission.num_states} states, model has {k}"

@@ -9,7 +9,7 @@ which is a first-class value throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -68,18 +68,6 @@ class RiskWeights:
         return out
 
 
-_REPORT_FIELDS = (
-    "r1_posterior",
-    "rbar1_posterior",
-    "rinf_posterior",
-    "rbarinf_posterior",
-    "rbarinf_joint",
-    "r1_prior",
-    "rbar1_prior",
-    "rbarinf_prior",
-)
-
-
 @dataclass
 class RiskReport:
     """Every risk functional of one path, evaluated exactly."""
@@ -93,10 +81,11 @@ class RiskReport:
     rbar1_prior: float
     rbarinf_prior: float
 
-    FIELDS = _REPORT_FIELDS
-
     def as_dict(self) -> dict[str, float]:
-        return {name: getattr(self, name) for name in _REPORT_FIELDS}
+        return {name: getattr(self, name) for name in self.FIELDS}
+
+
+RiskReport.FIELDS = tuple(f.name for f in fields(RiskReport))
 
 
 def _as_paths0(summary: PosteriorSummary, paths) -> tuple[np.ndarray, bool]:
@@ -181,26 +170,12 @@ def evaluate_risks(summary: PosteriorSummary, path) -> RiskReport:
     )
 
 
-class PosteriorChain:
-    """Window probabilities of the hidden chain conditioned on the observations."""
-
-    def __init__(self, summary: PosteriorSummary):
-        self.summary = summary
-        self.horizon = summary.horizon
-        self.num_states = summary.num_states
-
-    def log_window(self, start, states0: np.ndarray):
-        """log P(Y_start..Y_{start+k-1} = states0 + 1 | x^T) for 1-based starts
-        and 0-based state tuples along the last axis of ``states0``; ``start``
-        broadcasts against ``states0[..., 0]``."""
-        return log_window_posterior(self.summary, np.asarray(start) - 1, states0)
-
-
 def kblock_logrisk(chain, path, k: int) -> float:
     """Windowed log-risk: -(1/T) log of the product of all length-k window
     probabilities along the path, including the truncated boundary windows.
 
-    ``chain`` is a PriorChain or PosteriorChain.  k=1 collapses to the
+    ``chain`` is a PosteriorSummary (windows given the observations) or a
+    PriorChain (windows of the hidden chain alone).  k=1 collapses to the
     pointwise log risk of the same chain.
     """
     horizon = chain.horizon

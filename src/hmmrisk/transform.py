@@ -50,7 +50,10 @@ class TransformedTables:
     alpha_q: np.ndarray
     beta_q: np.ndarray
     rescaled: bool
-    log_domain: bool
+
+    @property
+    def log_domain(self) -> bool:
+        return not self.rescaled
 
 
 def _check_q(q) -> None:
@@ -167,8 +170,7 @@ def transformed_forward_backward(
     alpha, beta, (error,) = _recursions(model, obs, np.array([q], dtype=float), rescaled)
     if error is not None:
         raise error
-    rescaled = bool(rescaled)
-    return TransformedTables(q=q, alpha_q=alpha[0], beta_q=beta[0], rescaled=rescaled, log_domain=not rescaled)
+    return TransformedTables(q=q, alpha_q=alpha[0], beta_q=beta[0], rescaled=bool(rescaled))
 
 
 def symbol_by_symbol_decode(tables: TransformedTables) -> tuple[int, ...]:
@@ -186,7 +188,7 @@ def _decode_rows(model: HmmModel, obs, qs: list, rescaled: bool) -> list:
     the ZeroEvidenceError its recursion raises."""
     alpha, beta, errors = _recursions(model, obs, np.array(qs, dtype=float), rescaled)
     return [
-        error or symbol_by_symbol_decode(TransformedTables(q, a, b, rescaled, not rescaled))
+        error or symbol_by_symbol_decode(TransformedTables(q, a, b, rescaled))
         for q, a, b, error in zip(qs, alpha, beta, errors)
     ]
 

@@ -50,8 +50,7 @@ def test_acceptance_1_four_state_golden():
     viterbi_set = {tuple(p) for p in paths[joint >= joint.max() - 1e-12]}
     ok &= viterbi_set == {(2, 1, 2, 2), (2, 2, 1, 2), (2, 1, 4, 2), (2, 4, 1, 2)}
 
-    chain = hr.PosteriorChain(summary)
-    k2 = np.array([hr.kblock_logrisk(chain, p, 2) for p in paths])
+    k2 = np.array([hr.kblock_logrisk(summary, p, 2) for p in paths])
     k2_set = {tuple(p) for p in paths[k2 <= k2.min() + 1e-12]}
     ok &= k2_set == {(2, 1, 4, 2), (2, 4, 1, 2)}
 
@@ -124,7 +123,7 @@ def test_acceptance_3_kblock_identities():
         k = int(rng.integers(2, horizon + 1))
         report = hr.evaluate_risks(summary, path)
         for chain, rinf, r1 in (
-            (hr.PosteriorChain(summary), report.rbarinf_posterior, report.rbar1_posterior),
+            (summary, report.rbarinf_posterior, report.rbar1_posterior),
             (hr.PriorChain(model, horizon), report.rbarinf_prior, report.rbar1_prior),
         ):
             rk = hr.kblock_logrisk(chain, path, k)

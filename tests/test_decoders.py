@@ -354,3 +354,21 @@ class TestResolveDecoder:
     def test_unknown_tag(self):
         with pytest.raises(ValueError):
             hr.resolve_decoder("bogus")
+
+    @pytest.mark.parametrize(
+        "tag", ["viterbi", "pmap", "constrained-pmap", "pvd", "kblock:2", "alpha:0.5", "rabiner:2", "weights:1/0.5/0/0.2"]
+    )
+    def test_decode_many_agrees_with_resolve_decoder(self, four_state, tag):
+        _, _, summary = four_state
+        (decoded,) = next(hr.decode_many([summary], [tag]))
+        assert decoded == hr.resolve_decoder(tag)(summary)
+
+    @pytest.mark.parametrize("tag", ["kblock:0", "rabiner:x", "weights:1/2", "kblock:", "bogus"])
+    def test_bad_tags_raise_the_same_error_on_both_paths(self, four_state, tag):
+        _, _, summary = four_state
+        errors = []
+        for decode in (lambda: hr.resolve_decoder(tag)(summary), lambda: list(hr.decode_many([summary], [tag]))):
+            with pytest.raises(ValueError) as info:
+                decode()
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1]

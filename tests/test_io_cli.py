@@ -75,6 +75,18 @@ class TestModelFiles:
         with pytest.raises(ParseError, match="transition row 1"):
             hio.load_model(bad)
 
+    def test_non_finite_parameters_raise_parse_error(self, tmp_path):
+        path = tmp_path / "nan.json"
+        models = [
+            hr.HmmModel([np.nan, 0.5], np.eye(2), hr.Categorical([[0.5, 0.5], [0.2, 0.8]])),
+            hr.HmmModel([0.5, 0.5], np.eye(2), hr.DirectLikelihood([[0.1, np.inf]])),
+            hr.HmmModel([0.5, 0.5], np.eye(2), hr.DiagonalGaussian([[np.nan], [1.0]], [[1.0], [1.0]])),
+        ]
+        for model in models:
+            hio.save_model(model, path)  # json writes NaN and Infinity literals, which it reads back
+            with pytest.raises(ParseError, match="non-finite"):
+                hio.load_model(path)
+
     def test_observation_parsing(self, tmp_path, workdir):
         _, model, obs, _, obs_path = workdir
         loaded = hio.load_observations(obs_path, model)
@@ -159,6 +171,37 @@ class TestDecodeAndRisk:
         assert code == 0
         got = tuple(int(line) for line in open(out_path).read().split())
         assert got == hr.pmap_decode(hr.forward_backward(model, obs)).path
+
+    @pytest.mark.parametrize("selector", [["--k", "3"], ["--alpha", "0.5"]])
+    def test_labels_without_weights_are_rejected_before_smoothing(
+        self, capsys, workdir, tmp_path, monkeypatch, selector
+    ):
+        _, _, _, model_path, obs_path = workdir
+        labels_path = tmp_path / "labels.json"
+        labels_path.write_text(json.dumps({"labels": {"1": "hot", "2": "cold"}}))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("forward_backward ran before the arguments were checked")
+
+        monkeypatch.setattr("hmmrisk.cli.forward_backward", refuse)
+        code, _, err = run_cli(
+            capsys, "decode", "--model", model_path, "--obs", obs_path,
+            "--labels", str(labels_path), *selector, "--out", str(tmp_path / "x.txt"),
+        )
+        assert code == 10
+        assert "--labels needs --weights" in err
+
+    def test_non_finite_model_exit_code(self, capsys, tmp_path):
+        model_path, obs_path = tmp_path / "nan.json", tmp_path / "obs.txt"
+        model = hr.HmmModel([0.5, 0.5], np.eye(2), hr.DiagonalGaussian([[0.0], [np.nan]], [[1.0], [1.0]]))
+        hio.save_model(model, model_path)
+        obs_path.write_text("0.1\n0.2\n")
+        code, _, err = run_cli(
+            capsys, "decode", "--model", str(model_path), "--obs", str(obs_path),
+            "--k", "2", "--out", str(tmp_path / "x.txt"),
+        )
+        assert code == 3
+        assert "emission state 2 has a non-finite mean" in err
 
     def test_missing_file_exit_code(self, capsys, workdir, tmp_path):
         _, _, _, model_path, _ = workdir

@@ -40,6 +40,28 @@ class TestValidateModel:
         bad_direct = hr.HmmModel([1.0], [[1.0]], hr.DirectLikelihood([[-1.0]]))
         assert any("negative" in v for v in hr.validate_model(bad_direct))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_parameters_are_reported_with_field_and_row(self, bad):
+        cat = hr.Categorical([[0.5, 0.5], [0.2, 0.8]])
+        cases = {
+            "initial distribution has a non-finite entry": hr.HmmModel([bad, 0.5], np.eye(2), cat),
+            "transition row 2 has a non-finite entry": hr.HmmModel([0.5, 0.5], [[1, 0], [bad, 0.5]], cat),
+            "emission row 1 has a non-finite entry": hr.HmmModel(
+                [0.5, 0.5], np.eye(2), hr.Categorical([[bad, 0.2], [0.5, 0.5]])
+            ),
+            "likelihood table row 2 has a non-finite entry": hr.HmmModel(
+                [0.5, 0.5], np.eye(2), hr.DirectLikelihood([[0.1, 0.2], [0.3, bad]])
+            ),
+            "emission state 2 has a non-finite mean": hr.HmmModel(
+                [0.5, 0.5], np.eye(2), hr.DiagonalGaussian([[0.0], [bad]], [[1.0], [1.0]])
+            ),
+            "emission state 1 has a non-finite variance": hr.HmmModel(
+                [0.5, 0.5], np.eye(2), hr.DiagonalGaussian([[0.0], [1.0]], [[bad], [1.0]])
+            ),
+        }
+        for message, model in cases.items():
+            assert message in hr.validate_model(model)
+
     def test_arrays_are_frozen(self):
         model = hr.four_state_model(2.0)
         with pytest.raises(ValueError):

@@ -94,7 +94,7 @@ class TestKBlockLogRisk:
             horizon = summary.horizon
             path = random_path(rng, summary.num_states, horizon)
             report = hr.evaluate_risks(summary, path)
-            post = hr.kblock_logrisk(hr.PosteriorChain(summary), path, 1)
+            post = hr.kblock_logrisk(summary, path, 1)
             prior = hr.kblock_logrisk(hr.PriorChain(model, horizon), path, 1)
             assert post == pytest.approx(report.rbar1_posterior, abs=1e-9)
             assert prior == pytest.approx(report.rbar1_prior, abs=1e-9)
@@ -108,7 +108,7 @@ class TestKBlockLogRisk:
             k = int(rng.integers(2, horizon + 1))
             report = hr.evaluate_risks(summary, path)
             for chain, rinf in (
-                (hr.PosteriorChain(summary), report.rbarinf_posterior),
+                (summary, report.rbarinf_posterior),
                 (hr.PriorChain(model, horizon), report.rbarinf_prior),
             ):
                 lhs = hr.kblock_logrisk(chain, path, k)
@@ -125,10 +125,9 @@ class TestKBlockLogRisk:
             horizon = summary.horizon
             path = random_path(rng, summary.num_states, horizon)
             report = hr.evaluate_risks(summary, path)
-            chain = hr.PosteriorChain(summary)
             for k in range(1, horizon + 1):
                 expect = (k - 1) * report.rbarinf_posterior + report.rbar1_posterior
-                got = hr.kblock_logrisk(chain, path, k)
+                got = hr.kblock_logrisk(summary, path, k)
                 if np.isfinite(expect):
                     assert got == pytest.approx(expect, abs=1e-9)
                 else:
@@ -139,18 +138,17 @@ class TestKBlockLogRisk:
         model, obs, summary = random_instance(rng, num_states=3, horizon=5)
         path = (1, 2, 3, 2, 1)
         report = hr.evaluate_risks(summary, path)
-        got = hr.kblock_logrisk(hr.PosteriorChain(summary), path, 5)
+        got = hr.kblock_logrisk(summary, path, 5)
         expect = 4 * report.rbarinf_posterior + report.rbar1_posterior
         if np.isfinite(expect):
             assert got == pytest.approx(expect, abs=1e-9)
 
     def test_k_out_of_range(self, four_state):
         _, _, summary = four_state
-        chain = hr.PosteriorChain(summary)
         with pytest.raises(KOutOfRangeError):
-            hr.kblock_logrisk(chain, (2, 1, 2, 2), 0)
+            hr.kblock_logrisk(summary, (2, 1, 2, 2), 0)
         with pytest.raises(KOutOfRangeError):
-            hr.kblock_logrisk(chain, (2, 1, 2, 2), 5)
+            hr.kblock_logrisk(summary, (2, 1, 2, 2), 5)
 
 
 class TestRabinerBlockGain:
@@ -243,7 +241,7 @@ class TestStatePathValidation:
             lambda: hr.combined_risk(summary, [(2, 1, 1, 2), fractional], hr.RiskWeights(1, 1, 0, 0)),
             lambda: hr.risk.rabiner_gain_batch(summary, [fractional], 2),
             lambda: hr.rabiner_block_gain(summary, fractional, 2),
-            lambda: hr.kblock_logrisk(hr.PosteriorChain(summary), fractional, 2),
+            lambda: hr.kblock_logrisk(summary, fractional, 2),
             lambda: hr.kblock_logrisk(hr.PriorChain(model, 4), fractional, 2),
             lambda: hr.block_posterior(summary, 1, [2, 1.5]),
         )

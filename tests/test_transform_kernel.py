@@ -96,8 +96,8 @@ def reference_probe(model, obs, q_grid):
     """Reference: the probe run q by q, plain before rescaled."""
     rows = []
     for q in q_grid:
-        plain = hr.symbol_by_symbol_decode(hr.TransformedTables(q, *reference_tables(model, obs, q), False, True))
-        resc = hr.symbol_by_symbol_decode(hr.TransformedTables(q, *reference_tables(model, obs, q, True), True, False))
+        plain = hr.symbol_by_symbol_decode(hr.TransformedTables(q, *reference_tables(model, obs, q), False))
+        resc = hr.symbol_by_symbol_decode(hr.TransformedTables(q, *reference_tables(model, obs, q, True), True))
         rows.append({"q": float(q), "plain_path": plain, "rescaled_path": resc, "agree": plain == resc})
     return rows
 

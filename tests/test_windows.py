@@ -6,7 +6,10 @@ The Rabiner window table (``decoders._window_table``) and
 ``risk.kblock_logrisk`` scores all full windows of a path in one
 ``log_window`` call.  The loops below compute one window start at a time, as
 the code did before; they are kept as references.  The table and the k-block
-risks must match them bit for bit and the gains within 1e-12 relative.
+risks must match them bit for bit and the gains within 1e-12 relative.  The
+Rabiner walk (``decoders._rabiner_walk``), which records its successors in
+the backward sweep and follows them, must return the path of the greedy
+forward walk it replaced bit for bit, ties included.
 """
 
 import itertools
@@ -19,6 +22,7 @@ from hypothesis import strategies as st
 import hmmrisk as hr
 from hmmrisk import decoders
 from hmmrisk.inference import log_window_posterior
+from hmmrisk.lattice import TIE_TOL
 from hmmrisk.risk import rabiner_gain_batch
 
 from conftest import random_categorical_model
@@ -78,9 +82,52 @@ def loop_kblock_logrisk(chain, path, k):
             if len(states0) > 1:
                 v = v + chain.log_transition[states0[:-1], states0[1:]].sum()
         else:
-            v = log_window_posterior(chain.summary, a - 1, states0)
+            v = log_window_posterior(chain, a - 1, states0)
         total += float(v)
     return -total / horizon
+
+
+def greedy_rabiner_walk(window_gain, num_states, k):
+    """Reference: the full (positions, tuples) cost-to-go table, then a greedy
+    forward walk taking the smallest successor within TIE_TOL at every step."""
+    n_tuples = num_states ** (k - 1)
+    n_positions = len(window_gain) + 1
+    successor = (np.arange(n_tuples) % (num_states ** (k - 2)))[:, None] * num_states + np.arange(num_states)[None, :]
+    phi = np.zeros((n_positions, n_tuples))
+    for tau in range(n_positions - 2, -1, -1):
+        vals = window_gain[tau].reshape(n_tuples, num_states) + phi[tau + 1][successor]
+        phi[tau] = vals.max(axis=1)
+    start = int(np.flatnonzero(phi[0] >= phi[0].max() - TIE_TOL)[0])
+    idx = [int(d) for d in np.unravel_index(start, (num_states,) * (k - 1))]
+    node = start
+    for tau in range(n_positions - 1):
+        vals = window_gain[tau].reshape(n_tuples, num_states)[node] + phi[tau + 1][successor[node]]
+        nxt = int(np.flatnonzero(vals >= vals.max() - TIE_TOL)[0])
+        idx.append(nxt)
+        node = successor[node, nxt]
+    return np.asarray(idx)
+
+
+@st.composite
+def tied_window_tables(draw):
+    """A window table (K 1-4, k 2-4, T k-9) whose entries come from a small
+    set, so exact ties and ties inside TIE_TOL are common."""
+    num_states, k = draw(st.integers(1, 4)), draw(st.integers(2, 4))
+    horizon = draw(st.integers(k, 9))
+    shape = (horizon - k + 1, num_states**k)
+    values = st.sampled_from([0.0, 0.5, 0.5 + 1e-13, 1.0])
+    cells = draw(st.lists(values, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]))
+    return np.array(cells).reshape(shape), num_states, k
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_window_tables())
+def test_rabiner_walk_matches_greedy_walk(case):
+    table, num_states, k = case
+    got = decoders._rabiner_walk(table, num_states, k)
+    want = greedy_rabiner_walk(table, num_states, k)
+    assert got.shape == want.shape == (len(table) + k - 1,)
+    np.testing.assert_array_equal(got, want)
 
 
 @st.composite
@@ -120,7 +167,7 @@ def test_gain_batch_matches_per_start_loop(case):
 def test_kblock_logrisk_matches_per_window_loop(case, data):
     summary, _, paths = case
     k = data.draw(st.integers(1, summary.horizon))  # every k up to T: no full window is left out
-    for chain in (hr.PosteriorChain(summary), hr.PriorChain(summary.model, summary.horizon)):
+    for chain in (summary, hr.PriorChain(summary.model, summary.horizon)):
         for path in paths:
             got = hr.kblock_logrisk(chain, path, k)
             assert type(got) is float
