@@ -15,13 +15,13 @@ import numpy as np
 
 from .errors import InstanceTooLargeError, KOutOfRangeError
 from .inference import BLOCK_STATE_CAP, PosteriorSummary, forward_backward, log_window_posterior
-from .lattice import TIE_TOL, best_path, follow
+from .lattice import TIE_TOL, _max_sum, follow
 from .model import HmmModel
 from .risk import (
     RiskReport,
     RiskWeights,
+    _report,
     combined_risk,
-    evaluate_risks,
     joint_log_likelihood,
     neg_power_log,
     rabiner_gain_batch,
@@ -43,10 +43,11 @@ class DecodedPath:
 
 
 def _finish(summary, idx, objective, tag) -> DecodedPath:
-    path = tuple((np.asarray(idx) + 1).tolist())
-    risks = evaluate_risks(summary, path)
+    """Wrap a decoder's 0-based index array, scoring it without re-checking it."""
+    idx = np.asarray(idx)
+    risks = _report(summary, idx[None])
     return DecodedPath(
-        path=path,
+        path=tuple((idx + 1).tolist()),
         objective=float(objective),
         risks=risks,
         admissible=bool(np.isfinite(risks.rbarinf_posterior)),
@@ -68,16 +69,26 @@ class _LatticeDecoder:
     objective: Callable
 
 
-def _decode_group(summaries, decoder: _LatticeDecoder) -> list[DecodedPath]:
-    """Decode equal-length summaries with one batched max-sum call."""
+def _decode_lattice(summaries, decoders) -> list[list[DecodedPath]]:
+    """Decode equal-length summaries with every lattice decoder in one max-sum
+    call; returns one list of DecodedPath per decoder, in summary order."""
     if not summaries:
-        return []
-    first = summaries[0]
-    gains = np.empty((len(summaries), first.horizon, first.num_states))
-    init_extra, trans = zip(*(decoder.tables(s, g) for s, g in zip(summaries, gains)))
-    idx, scores = best_path(gains, np.stack(init_extra), np.stack(trans))
+        return [[] for _ in decoders]
+    first, num = summaries[0], len(summaries)
+    # gains[l, n] is decoder l on summary n; the kernel sees the decoder-major (L * N, T, K) stack
+    gains = np.empty((len(decoders), num, first.horizon, first.num_states))
+    init_extra, trans = zip(*(d.tables(s, g) for d, block in zip(decoders, gains) for s, g in zip(summaries, block)))
+    idx, scores = _max_sum(gains.reshape(-1, *gains.shape[2:]), np.stack(init_extra), np.stack(trans))
     del gains  # freed before the risk evaluations allocate theirs
-    return [_finish(s, i, decoder.objective(s, i, sc), decoder.tag) for s, i, sc in zip(summaries, idx, scores)]
+    return [
+        [_finish(s, i, d.objective(s, i, sc), d.tag) for s, i, sc in zip(summaries, paths, best)]
+        for d, paths, best in zip(decoders, idx.reshape(len(decoders), num, -1), scores.reshape(len(decoders), num))
+    ]
+
+
+def _decode_group(summaries, decoder: _LatticeDecoder) -> list[DecodedPath]:
+    """Decode equal-length summaries with one lattice decoder."""
+    return _decode_lattice(summaries, [decoder])[0]
 
 
 def _same_table(marginals: np.ndarray, beta: float) -> np.ndarray:
@@ -356,16 +367,16 @@ _FIXED_DECODERS = {
 }
 
 
-def _group_decoder(tag: str):
-    """Parse a decoder tag into a function from equal-length summaries to
-    their DecodedPaths.  Lattice tags solve the whole group in one batched
-    max-sum call; pmap and rabiner:k decode summary by summary."""
+def _parse_tag(tag: str):
+    """Parse a decoder tag.  A lattice tag gives its _LatticeDecoder, which
+    decode_many solves together with the other lattice tags; pmap and
+    rabiner:k give a function of one summary."""
     head, _, arg = tag.partition(":")
     if tag == "pmap":
-        return lambda summaries: [pmap_decode(s) for s in summaries]
+        return pmap_decode
     if head == "rabiner" and arg:
         k = int(arg)
-        return lambda summaries: [rabiner_block_decode(s, k) for s in summaries]
+        return lambda summary: rabiner_block_decode(summary, k)
     decoder = {"viterbi": _VITERBI, "pvd": _PVD, "constrained-pmap": _CONSTRAINED_PMAP}.get(tag)
     if head == "kblock" and arg:
         decoder = _kblock(int(arg))
@@ -379,7 +390,7 @@ def _group_decoder(tag: str):
         decoder = _combined(weights, weights.tag())
     if decoder is None:
         raise ValueError(f"unknown decoder tag: {tag!r}")
-    return lambda summaries: _decode_group(summaries, decoder)
+    return decoder
 
 
 def resolve_decoder(tag: str):
@@ -389,22 +400,34 @@ def resolve_decoder(tag: str):
     Weight components may be separated by "/" or ","; the slash form survives
     comma-separated tag lists.
     """
-    # the registry is looked up first only because perfbench/tests pins it (ROADMAP item 6)
+    # the registry is looked up first only because perfbench/tests pins it (ROADMAP item 1)
     if tag in _FIXED_DECODERS:
         return _FIXED_DECODERS[tag]
-    decode = _group_decoder(tag)
-    return lambda summary: decode([summary])[0]
+    decoder = _parse_tag(tag)
+    if isinstance(decoder, _LatticeDecoder):
+        return lambda summary: _decode_group([summary], decoder)[0]
+    return decoder
 
 
 def decode_many(summaries, tags):
     """Decode every summary with every tag understood by resolve_decoder.
 
-    Yields one list of DecodedPath per tag, in summary order, decoding each
-    tag only when its list is asked for.  The summaries must share one
-    horizon; each lattice decoder solves all of them in one batched max-sum
-    call, and the result for every summary is the one its single-summary
-    decoder returns.
+    Yields one list of DecodedPath per tag, in summary order; the result for
+    every summary is the one its single-summary decoder returns.  The
+    summaries must share one horizon.  Every tag is parsed before anything is
+    decoded.  When the first lattice tag's turn comes, all lattice tags are
+    solved in one max-sum call over a (lattice tags x summaries, T, K) gains
+    buffer, so that buffer grows with the number of lattice tags; tags listed
+    before it run first.  pmap and rabiner:k decode summary by summary, each
+    when its list is asked for.
     """
     summaries = list(summaries)
-    for tag in tags:
-        yield _group_decoder(tag)(summaries)
+    decoders = [_parse_tag(tag) for tag in tags]
+    solved = None
+    for decoder in decoders:
+        if not isinstance(decoder, _LatticeDecoder):
+            yield [decoder(s) for s in summaries]
+            continue
+        if solved is None:
+            solved = iter(_decode_lattice(summaries, [d for d in decoders if isinstance(d, _LatticeDecoder)]))
+        yield next(solved)

@@ -6,8 +6,8 @@ Model file (JSON): keys ``num_states``, ``initial``, ``transition``, and
 "gaussian" (params: means, variances), "direct" (params: table).
 
 Observation file: one observation per line; a symbol index for categorical
-emissions, whitespace-separated reals for Gaussian emissions, a row position
-for direct-likelihood emissions.
+emissions, whitespace-separated finite reals for Gaussian emissions, a row
+position for direct-likelihood emissions.
 
 Label file (JSON): ``{"labels": {"1": "A", ...}, "beta": 1.0}``.  ``beta``
 sets ``LabelMap.averaging_beta``, which only ``averaged_label_posterior``
@@ -118,25 +118,25 @@ def save_model(model: HmmModel, path) -> None:
 
 def load_observations(path, model: HmmModel) -> np.ndarray:
     """Parse an observation file according to the model's emission type."""
-    lines = []
     with open(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if line:
-                lines.append(line)
-    if not lines:
+        lines = [raw.strip() for raw in fh]  # blank lines kept, so that errors can give the file's line number
+    if not any(lines):
         raise ParseError(f"{path}: no observations")
     try:
-        if isinstance(model.emission, DiagonalGaussian):
-            rows = [[float(x) for x in line.split()] for line in lines]
-            widths = {len(r) for r in rows}
-            if len(widths) != 1:
-                raise ParseError(f"{path}: ragged observation rows")
-            out = np.asarray(rows)
-            return out[:, 0] if out.shape[1] == 1 else out
-        return np.asarray([int(line) for line in lines])
+        if not isinstance(model.emission, DiagonalGaussian):
+            return np.asarray([int(line) for line in lines if line])
+        rows = [[float(x) for x in line.split()] for line in lines if line]
+        widths = {len(r) for r in rows}
+        if len(widths) != 1:
+            raise ParseError(f"{path}: ragged observation rows")
     except ValueError as exc:
         raise ParseError(f"{path}: bad observation line: {exc}") from exc
+    out = np.asarray(rows)
+    bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
+    if len(bad):
+        number = [n for n, line in enumerate(lines, start=1) if line][bad[0]]
+        raise ParseError(f"{path}: line {number}: non-finite observation {lines[number - 1]!r}")
+    return out[:, 0] if out.shape[1] == 1 else out
 
 
 def save_observations(obs, path) -> None:

@@ -10,6 +10,12 @@ over all state sequences.  Scores may be -inf; -inf is absorbing.  Every
 array may carry a leading batch axis of N independent problems of equal
 length, which are solved together; a single problem is the N = 1 case.
 
+The kernel, ``_max_sum``, works in place: it overwrites an (N, T, K) gains
+buffer with the cost-to-go, so a batch holds one table rather than two.
+The decoders fill such a buffer and hand it over.  The public ``best_path``
+copies its input and runs the kernel on the copy, so a caller's array is
+never written.
+
 Tie policy: among all maximizers the kernel returns the lexicographically
 smallest path.  A backward cost-to-go sweep computes, for every position t
 and state i, the best continuation value phi[t, i].  A second, loop-free
@@ -53,30 +59,25 @@ def follow(first: np.ndarray, successors: np.ndarray) -> np.ndarray:
     return paths.T
 
 
-def best_path(gains: np.ndarray, init_extra: np.ndarray, trans: np.ndarray):
-    """Return (path, score) for the lexicographically smallest maximizer.
+def _max_sum(gains: np.ndarray, init_extra, trans):
+    """Solve the N problems of an (N, T, K) float ``gains`` buffer in place.
 
-    ``gains`` is (T, K), or (N, T, K) for N problems at once; ``init_extra``
-    is (K,) or (N, K) and ``trans`` (K, K) or (N, K, K).  For one problem
-    ``path`` holds 0-based state indices of shape (T,) and ``score`` is a
-    float; with a batch axis they are (N, T) and (N,).  Raises
-    NoFinitePathError when some problem has no path of finite score.
+    The buffer is overwritten with the cost-to-go: ``gains[n, t, i]`` becomes
+    the best score of a continuation from state i at position t.  Returns the
+    (N, T) paths and the (N,) scores; raises NoFinitePathError when some
+    problem has no path of finite score.
     """
-    gains = np.asarray(gains, dtype=float)
-    single = gains.ndim == 2
-    if single:
-        gains = gains[None]
     num, horizon, num_states = gains.shape
     trans = np.broadcast_to(trans, (num, num_states, num_states))
-    phi = np.empty((horizon, num, num_states))
-    phi[-1] = gains[:, -1]
+    phi = gains.transpose(1, 0, 2)  # (T, N, K) view of the buffer
     buf = np.empty((num, num_states, num_states))
-    # step t: phi[t] = gains[:, t] + max_j (trans[:, :, j] + phi[t + 1][:, None, j])
-    for nxt, cur, gain in zip(phi[:0:-1, :, None, :], phi[-2::-1], gains.transpose(1, 0, 2)[-2::-1]):
+    best_next = np.empty((num, num_states))
+    # step t: phi[t] += max_j (trans[:, :, j] + phi[t + 1][:, None, j]); addition commutes, so the bits
+    # are those of gains[:, t] + max(...)
+    for nxt, cur in zip(phi[:0:-1, :, None, :], phi[-2::-1]):
         np.add(trans, nxt, out=buf)
-        np.maximum.reduce(buf, axis=2, out=cur)
-        cur += gain
-    del gains, buf
+        np.maximum.reduce(buf, axis=2, out=best_next)
+        cur += best_next
     start = init_extra + phi[0]
     best = start.max(axis=1)
     if not np.all(np.isfinite(best)):
@@ -98,5 +99,20 @@ def best_path(gains: np.ndarray, init_extra: np.ndarray, trans: np.ndarray):
         successors[lo:hi] = m.argmax(axis=3)
     del vals, near, floor
     first = np.argmax(start >= best[:, None] - TIE_TOL, axis=1)
-    path = follow(first, successors)
+    return follow(first, successors), best
+
+
+def best_path(gains: np.ndarray, init_extra: np.ndarray, trans: np.ndarray):
+    """Return (path, score) for the lexicographically smallest maximizer.
+
+    ``gains`` is (T, K), or (N, T, K) for N problems at once; ``init_extra``
+    is (K,) or (N, K) and ``trans`` (K, K) or (N, K, K).  For one problem
+    ``path`` holds 0-based state indices of shape (T,) and ``score`` is a
+    float; with a batch axis they are (N, T) and (N,).  Raises
+    NoFinitePathError when some problem has no path of finite score.  The
+    kernel runs on a copy, so ``gains`` is left unchanged.
+    """
+    gains = np.array(gains, dtype=float)
+    single = gains.ndim == 2
+    path, best = _max_sum(gains[None] if single else gains, init_extra, trans)
     return (path[0], float(best[0])) if single else (path, best)

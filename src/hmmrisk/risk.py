@@ -101,23 +101,25 @@ def _gather(table: np.ndarray, paths0: np.ndarray) -> np.ndarray:
     return table[np.arange(paths0.shape[1])[None, :], paths0]
 
 
+def _joint_ll(summary: PosteriorSummary, paths0: np.ndarray) -> np.ndarray:
+    return _prior_ll(summary, paths0) + _gather(summary.log_emission, paths0).sum(axis=1)
+
+
+def _prior_ll(summary: PosteriorSummary, paths0: np.ndarray) -> np.ndarray:
+    return summary.log_initial[paths0[:, 0]] + summary.log_transition[paths0[:, :-1], paths0[:, 1:]].sum(axis=1)
+
+
 def joint_log_likelihood(summary: PosteriorSummary, paths):
     """log p(x^T, s^T) for one path or a batch of paths."""
     paths0, single = _as_paths0(summary, paths)
-    out = (
-        summary.log_initial[paths0[:, 0]]
-        + summary.log_transition[paths0[:, :-1], paths0[:, 1:]].sum(axis=1)
-        + _gather(summary.log_emission, paths0).sum(axis=1)
-    )
+    out = _joint_ll(summary, paths0)
     return float(out[0]) if single else out
 
 
 def prior_log_likelihood(summary: PosteriorSummary, paths):
     """log p(s^T) under the hidden chain alone."""
     paths0, single = _as_paths0(summary, paths)
-    out = summary.log_initial[paths0[:, 0]] + summary.log_transition[
-        paths0[:, :-1], paths0[:, 1:]
-    ].sum(axis=1)
+    out = _prior_ll(summary, paths0)
     return float(out[0]) if single else out
 
 
@@ -139,24 +141,31 @@ def combined_risk(summary: PosteriorSummary, paths, weights: RiskWeights):
     if weights.c1 > 0:
         total += weights.c1 * power_risk(_gather(summary.smoothed, paths0), weights.beta1).mean(axis=1)
     if weights.c2 > 0:
-        total += weights.c2 * (-joint_log_likelihood(summary, paths0 + 1) / horizon)
+        total += weights.c2 * (-_joint_ll(summary, paths0) / horizon)
     if weights.c3 > 0:
         total += weights.c3 * power_risk(_gather(summary.prior, paths0), weights.beta3).mean(axis=1)
     if weights.c4 > 0:
-        total += weights.c4 * (-prior_log_likelihood(summary, paths0 + 1) / horizon)
+        total += weights.c4 * (-_prior_ll(summary, paths0) / horizon)
     return float(total[0]) if single else total
 
 
 def evaluate_risks(summary: PosteriorSummary, path) -> RiskReport:
     """Evaluate every catalogued risk of one path against (model, obs, posterior)."""
-    paths0, _ = _as_paths0(summary, path)
+    paths0, single = _as_paths0(summary, path)
+    if not single:
+        raise ValueError("evaluate_risks scores one 1-d path")
+    return _report(summary, paths0)
+
+
+def _report(summary: PosteriorSummary, paths0: np.ndarray) -> RiskReport:
+    """The RiskReport of the one valid 0-based path in the (1, T) ``paths0``."""
     horizon = summary.horizon
     sm = _gather(summary.smoothed, paths0)[0]
     lsm = _gather(summary.log_smoothed, paths0)[0]
     pm = _gather(summary.prior, paths0)[0]
     lpm = _gather(summary.log_prior, paths0)[0]
-    joint_ll = joint_log_likelihood(summary, path)
-    prior_ll = prior_log_likelihood(summary, path)
+    joint_ll = float(_joint_ll(summary, paths0)[0])
+    prior_ll = float(_prior_ll(summary, paths0)[0])
     post_lp = joint_ll - summary.log_evidence
     return RiskReport(
         r1_posterior=float(1.0 - sm.mean()),

@@ -8,7 +8,11 @@ random numbers.
 Replicates of one horizon are sampled, smoothed and decoded in groups, each
 as one batch.  A group holds at most ``_GROUP_CELLS // (T * K)`` replicates
 (and at least one), which bounds the memory its (replicate, position, state)
-tables take; the results do not depend on the group size.
+tables take; the results do not depend on the group size.  A group's lattice
+decoders share one max-sum call, whose gains buffer has one (T, K) row per
+lattice tag and replicate, so it grows with the number of lattice tags.
+Horizons must be at least 1; trajectories need at least 2 replicates (for
+standard deviations), the gap sweep at least 1.
 """
 
 from __future__ import annotations
@@ -52,6 +56,13 @@ class RiskTrajectory:
         raise KeyError((horizon, decoder, metric))
 
 
+def _horizons(horizons) -> tuple[int, ...]:
+    horizons = tuple(int(t) for t in horizons)
+    if any(t < 1 for t in horizons):
+        raise ValueError("horizon must be at least 1")
+    return horizons
+
+
 def _groups(model: HmmModel, horizon: int, replicates: int, seed: int):
     """Yield the first replicate and the seeds of each group of replicates.
 
@@ -91,7 +102,7 @@ def estimate_risk_trajectories(
     """
     if replicates < 2:
         raise ValueError("at least 2 replicates are needed for standard deviations")
-    horizons = tuple(int(t) for t in horizons)
+    horizons = _horizons(horizons)
     tags = tuple(decoders)
     records = []
     for horizon in horizons:
@@ -142,9 +153,10 @@ def sandwich_constant_sweep(model: HmmModel, horizons, ks, replicates: int, seed
     ks = [int(k) for k in ks]
     if any(k < 2 for k in ks):
         raise ValueError("the gap bound needs k >= 2")
+    if replicates < 1:
+        raise ValueError("the gap sweep needs at least 1 replicate")
     rows = []
-    for horizon in horizons:
-        horizon = int(horizon)
+    for horizon in _horizons(horizons):
         for lo, seeds in _groups(model, horizon, replicates, seed):
             rows += _gap_rows(model, horizon, ks, seeds, lo)
     return rows

@@ -27,7 +27,7 @@ INITIAL = np.array([0.0, 1.0, 0.0, 0.0])
 
 def four_state_model(a: float = 2.0) -> HmmModel:
     """The four-state model with emission contrast ``a`` (must exceed 1)."""
-    if a <= 1:
+    if not a > 1:  # written so that NaN fails it too
         raise ValueError(f"the emission contrast must exceed 1, got {a}")
     table = np.array(
         [

@@ -6,17 +6,20 @@ references; where the arithmetic is unchanged the results must be equal bit
 for bit.
 """
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hmmrisk as hr
+import hmmrisk.decoders as decoders
 import hmmrisk.sim as sim
 from hmmrisk import io as hio
 from hmmrisk.cli import main
 from hmmrisk.errors import NoFinitePathError
-from hmmrisk.lattice import TIE_TOL, best_path
+from hmmrisk.lattice import TIE_TOL, _max_sum, best_path
 
 from conftest import random_categorical_model
 
@@ -124,6 +127,30 @@ class TestBestPathBatch:
         np.testing.assert_array_equal(paths, np.zeros((2, 50), dtype=int))
         assert scores[0] == scores[1] == values.sum()
 
+    @FAST
+    @given(lattice_batches())
+    def test_input_is_left_unchanged_and_the_kernel_overwrites_its_buffer(self, batch):
+        gains, init_extra, trans = batch
+        before, buffer = gains.copy(), gains.copy()
+        try:
+            paths, scores = _max_sum(buffer, init_extra, trans)
+        except NoFinitePathError:
+            with pytest.raises(NoFinitePathError):
+                best_path(gains, init_extra, trans)
+        else:
+            got_paths, got_scores = best_path(gains, init_extra, trans)
+            np.testing.assert_array_equal(got_paths, paths)
+            np.testing.assert_array_equal(got_scores, scores)
+        with contextlib.suppress(NoFinitePathError):
+            best_path(gains[0], init_extra[0], trans[0] if trans.ndim == 3 else trans)
+        np.testing.assert_array_equal(gains, before)
+        # the sweep, which runs before the finiteness check, leaves the cost-to-go in the buffer
+        phi = before.copy()
+        row_trans = np.broadcast_to(trans, (len(gains),) + trans.shape[-2:])
+        for t in range(gains.shape[1] - 2, -1, -1):
+            phi[:, t] = before[:, t] + np.max(row_trans + phi[:, t + 1, None, :], axis=2)
+        np.testing.assert_array_equal(buffer, phi)
+
     def test_wide_state_space_uses_small_successor_dtype(self):
         rng = np.random.default_rng(5)
         gains = rng.normal(size=(3, 40, 300))
@@ -198,6 +225,10 @@ class TestForwardBackwardBatch:
 ALL_TAGS = ["viterbi", "pmap", "pvd", "constrained-pmap", "kblock:1", "kblock:3", "alpha:0.25", "rabiner:2", "weights:1/0.5/0.2/0.1/1/0.5"]
 
 
+# lattice and non-lattice tags; weights:0/0/1/0 scores the prior marginals only
+MIXED_TAGS = ALL_TAGS + ["alpha:1", "rabiner:1", "weights:0/0/1/0", "kblock:2"]
+
+
 class TestDecodeMany:
     def test_every_tag_matches_its_single_summary_decoder(self):
         rng = np.random.default_rng(77)
@@ -208,6 +239,67 @@ class TestDecodeMany:
             assert len(decoded) == len(summaries)
             for summary, got in zip(summaries, decoded):
                 assert got == hr.resolve_decoder(tag)(summary)
+
+    @FAST
+    @given(
+        st.lists(st.sampled_from(MIXED_TAGS), max_size=8),
+        st.integers(1, 4),
+        st.integers(2, 9),
+        st.sampled_from([0.0, 0.3, 0.6]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_mixed_tag_lists_match_single_summary_decoders(self, tags, num, horizon, zero_frac, seed):
+        rng = np.random.default_rng(seed)
+        model = random_categorical_model(rng, num_states=int(rng.integers(1, 4)), zero_frac=zero_frac)
+        _, observations = hr.sample_trajectories(model, horizon, range(seed, seed + num))
+        summaries = hr.forward_backward_many(model, observations)
+        decoded = list(hr.decode_many(summaries, tags))
+        assert len(decoded) == len(tags)
+        for tag, paths in zip(tags, decoded):
+            assert paths == [hr.resolve_decoder(tag)(summary) for summary in summaries]
+
+    def test_lattice_tags_share_one_kernel_call_at_the_first_lattice_turn(self, monkeypatch, four_state):
+        _, _, summary = four_state
+        rows = []
+
+        def counting(gains, init_extra, trans):
+            rows.append(len(gains))
+            return _max_sum(gains, init_extra, trans)
+
+        monkeypatch.setattr(decoders, "_max_sum", counting)
+        tags = ["pmap", "rabiner:2", "kblock:2", "pmap", "viterbi", "pvd"]
+        decoded = hr.decode_many([summary, summary], tags)
+        next(decoded), next(decoded)
+        assert rows == []
+        next(decoded)
+        assert rows == [3 * 2]  # lattice tags x summaries
+        assert [paths[0].decoder_tag for paths in decoded] == ["pmap", "viterbi", "pvd"]
+        assert rows == [3 * 2]
+
+    @pytest.mark.parametrize("position", [0, 2, 4])
+    @pytest.mark.parametrize("bad", ["bogus", "kblock:0", "weights:1/2"])
+    def test_a_bad_tag_anywhere_raises_before_the_kernel_runs(self, monkeypatch, four_state, position, bad):
+        _, _, summary = four_state
+        calls = []
+        monkeypatch.setattr(decoders, "_max_sum", lambda *args: calls.append(args))
+        tags = ["viterbi", "pmap", "kblock:2", "rabiner:2"]
+        tags.insert(position, bad)
+        with pytest.raises(ValueError):
+            next(hr.decode_many([summary], tags))
+        assert calls == []
+
+    def test_finish_scores_the_index_array_like_evaluate_risks(self):
+        rng = np.random.default_rng(19)
+        for zero_frac in (0.0, 0.3, 0.6):
+            model = random_categorical_model(rng, num_states=3, zero_frac=zero_frac)
+            _, obs = hr.sample_trajectory(model, 12, int(rng.integers(2**31)))
+            summary = hr.forward_backward(model, obs)
+            for _ in range(20):  # arbitrary paths, impossible ones included
+                idx = rng.integers(0, 3, size=12)
+                decoded = decoders._finish(summary, idx, 0.0, "any")
+                assert decoded.path == tuple(int(s) + 1 for s in idx)
+                assert decoded.risks == hr.evaluate_risks(summary, decoded.path)
+                assert decoded.admissible == bool(np.isfinite(decoded.risks.rbarinf_posterior))
 
     def test_no_summaries_give_empty_lists(self):
         assert list(hr.decode_many([], ["viterbi", "pmap", "rabiner:2"])) == [[], [], []]

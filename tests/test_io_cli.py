@@ -307,3 +307,74 @@ class TestPaperExample:
         code, _, err = run_cli(capsys, "paper-example", "--A", "1.0")
         assert code == 10
         assert "error:" in err
+
+
+def assert_one_error_line(err):
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+class TestBadCountsAndNonFiniteInputs:
+    """Each repro gives its library exception and its documented exit code,
+    with exactly one error line."""
+
+    def gaussian_files(self, tmp_path, text):
+        model = hr.HmmModel([0.5, 0.5], [[0.9, 0.1], [0.1, 0.9]], hr.DiagonalGaussian([[0.0], [1.0]], [[1.0], [1.0]]))
+        model_path, obs_path = tmp_path / "g.json", tmp_path / "g.txt"
+        hio.save_model(model, model_path)
+        obs_path.write_text(text)
+        return model, str(model_path), str(obs_path)
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN", "1e999"])
+    def test_non_finite_gaussian_observation_is_a_parse_error(self, capsys, tmp_path, token):
+        model, model_path, obs_path = self.gaussian_files(tmp_path, f"0.1\n\n0.5\n{token}\n0.2\n")
+        with pytest.raises(ParseError, match=f"line 4: non-finite observation '{token}'"):
+            hio.load_observations(obs_path, model)
+        code, _, err = run_cli(capsys, "decode", "--model", model_path, "--obs", obs_path, "--k", "3",
+                               "--out", str(tmp_path / "p.txt"))
+        assert code == 3
+        assert_one_error_line(err)
+        assert "line 4" in err
+
+    def test_finite_gaussian_rows_still_parse(self, tmp_path):
+        model, _, obs_path = self.gaussian_files(tmp_path, "0.1\n\n-2.5\n1e300\n")
+        np.testing.assert_array_equal(hio.load_observations(obs_path, model), [0.1, -2.5, 1e300])
+
+    @pytest.mark.parametrize("ks", [None, [2]])
+    @pytest.mark.parametrize("horizons", [[0], [5, 0], [-3]])
+    def test_horizons_below_one_are_rejected(self, capsys, workdir, horizons, ks):
+        _, model, _, model_path, _ = workdir
+        with pytest.raises(ValueError, match="horizon must be at least 1"):
+            if ks is None:
+                hr.estimate_risk_trajectories(model, ["viterbi"], horizons, 3, 0)
+            else:
+                hr.sandwich_constant_sweep(model, horizons, ks, 3, 0)
+        argv = ["simulate", "--model", model_path, "--horizons", ",".join(map(str, horizons)), "--replicates", "3"]
+        code, out, err = run_cli(capsys, *argv, *([] if ks is None else ["--k", "2"]))
+        assert code == 10 and out == ""
+        assert_one_error_line(err)
+
+    @pytest.mark.parametrize("replicates", [0, -1])
+    def test_gap_sweep_needs_a_replicate(self, capsys, workdir, replicates):
+        _, model, _, model_path, _ = workdir
+        with pytest.raises(ValueError, match="at least 1 replicate"):
+            hr.sandwich_constant_sweep(model, [5], [2], replicates, 0)
+        code, out, err = run_cli(
+            capsys, "simulate", "--model", model_path, "--horizons", "5", "--replicates", str(replicates), "--k", "2"
+        )
+        assert code == 10 and out == ""
+        assert_one_error_line(err)
+
+    def test_one_replicate_gap_sweep_and_two_replicate_trajectories_run(self, workdir):
+        _, model, _, _, _ = workdir
+        assert len(hr.sandwich_constant_sweep(model, [5], [2], 1, 0)) == 1
+        with pytest.raises(ValueError, match="at least 2 replicates"):
+            hr.estimate_risk_trajectories(model, ["viterbi"], [5], 1, 0)
+        assert hr.estimate_risk_trajectories(model, ["viterbi"], [5], 2, 0).replicates == 2
+
+    def test_nan_contrast_is_rejected(self, capsys):
+        with pytest.raises(ValueError, match="must exceed 1"):
+            hr.four_state_model(float("nan"))
+        code, out, err = run_cli(capsys, "paper-example", "--A", "nan")
+        assert code == 10 and out == ""
+        assert_one_error_line(err)

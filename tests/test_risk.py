@@ -266,3 +266,5 @@ class TestStatePathValidation:
             hr.block_posterior(summary, 1, [[2, 1]])
         with pytest.raises(ValueError, match="non-empty"):
             hr.evaluate_risks(summary, ())
+        with pytest.raises(ValueError, match="one 1-d path"):
+            hr.evaluate_risks(summary, [(2, 1, 1, 2), (2, 1, 2, 2)])
