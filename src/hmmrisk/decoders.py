@@ -15,13 +15,13 @@ import numpy as np
 
 from .errors import InstanceTooLargeError, KOutOfRangeError
 from .inference import BLOCK_STATE_CAP, PosteriorSummary, forward_backward, log_window_posterior
-from .lattice import TIE_TOL, _max_sum, follow
+from .lattice import TIE_TOL, best_path, follow
 from .model import HmmModel
 from .risk import (
     RiskReport,
     RiskWeights,
-    _report,
     combined_risk,
+    evaluate_risks,
     joint_log_likelihood,
     neg_power_log,
     rabiner_gain_batch,
@@ -43,11 +43,11 @@ class DecodedPath:
 
 
 def _finish(summary, idx, objective, tag) -> DecodedPath:
-    """Wrap a decoder's 0-based index array, scoring it without re-checking it."""
-    idx = np.asarray(idx)
-    risks = _report(summary, idx[None])
+    """Wrap a decoder's 0-based index array; evaluate_risks checks and scores it once."""
+    path = np.asarray(idx) + 1
+    risks = evaluate_risks(summary, path)
     return DecodedPath(
-        path=tuple((idx + 1).tolist()),
+        path=tuple(path.tolist()),
         objective=float(objective),
         risks=risks,
         admissible=bool(np.isfinite(risks.rbarinf_posterior)),
@@ -78,7 +78,7 @@ def _decode_lattice(summaries, decoders) -> list[list[DecodedPath]]:
     # gains[l, n] is decoder l on summary n; the kernel sees the decoder-major (L * N, T, K) stack
     gains = np.empty((len(decoders), num, first.horizon, first.num_states))
     init_extra, trans = zip(*(d.tables(s, g) for d, block in zip(decoders, gains) for s, g in zip(summaries, block)))
-    idx, scores = _max_sum(gains.reshape(-1, *gains.shape[2:]), np.stack(init_extra), np.stack(trans))
+    idx, scores = best_path(gains.reshape(-1, *gains.shape[2:]), np.stack(init_extra), np.stack(trans))
     del gains  # freed before the risk evaluations allocate theirs
     return [
         [_finish(s, i, d.objective(s, i, sc), d.tag) for s, i, sc in zip(summaries, paths, best)]

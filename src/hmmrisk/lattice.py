@@ -11,10 +11,10 @@ array may carry a leading batch axis of N independent problems of equal
 length, which are solved together; a single problem is the N = 1 case.
 
 The kernel, ``_max_sum``, works in place: it overwrites an (N, T, K) gains
-buffer with the cost-to-go, so a batch holds one table rather than two.
-The decoders fill such a buffer and hand it over.  The public ``best_path``
-copies its input and runs the kernel on the copy, so a caller's array is
-never written.
+buffer with the cost-to-go.  The public ``best_path`` copies its input and
+runs the kernel on the copy, so a caller's array is never written; the
+decoders stack the gains of several problems into one array and pass it to
+``best_path``, so the copy is the one cost-to-go table of that call.
 
 Tie policy: among all maximizers the kernel returns the lexicographically
 smallest path.  A backward cost-to-go sweep computes, for every position t

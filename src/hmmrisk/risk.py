@@ -154,11 +154,6 @@ def evaluate_risks(summary: PosteriorSummary, path) -> RiskReport:
     paths0, single = _as_paths0(summary, path)
     if not single:
         raise ValueError("evaluate_risks scores one 1-d path")
-    return _report(summary, paths0)
-
-
-def _report(summary: PosteriorSummary, paths0: np.ndarray) -> RiskReport:
-    """The RiskReport of the one valid 0-based path in the (1, T) ``paths0``."""
     horizon = summary.horizon
     sm = _gather(summary.smoothed, paths0)[0]
     lsm = _gather(summary.log_smoothed, paths0)[0]

@@ -264,9 +264,9 @@ class TestDecodeMany:
 
         def counting(gains, init_extra, trans):
             rows.append(len(gains))
-            return _max_sum(gains, init_extra, trans)
+            return best_path(gains, init_extra, trans)
 
-        monkeypatch.setattr(decoders, "_max_sum", counting)
+        monkeypatch.setattr(decoders, "best_path", counting)
         tags = ["pmap", "rabiner:2", "kblock:2", "pmap", "viterbi", "pvd"]
         decoded = hr.decode_many([summary, summary], tags)
         next(decoded), next(decoded)
@@ -281,14 +281,14 @@ class TestDecodeMany:
     def test_a_bad_tag_anywhere_raises_before_the_kernel_runs(self, monkeypatch, four_state, position, bad):
         _, _, summary = four_state
         calls = []
-        monkeypatch.setattr(decoders, "_max_sum", lambda *args: calls.append(args))
+        monkeypatch.setattr(decoders, "best_path", lambda *args: calls.append(args))
         tags = ["viterbi", "pmap", "kblock:2", "rabiner:2"]
         tags.insert(position, bad)
         with pytest.raises(ValueError):
             next(hr.decode_many([summary], tags))
         assert calls == []
 
-    def test_finish_scores_the_index_array_like_evaluate_risks(self):
+    def test_finish_reports_the_risks_evaluate_risks_gives(self):
         rng = np.random.default_rng(19)
         for zero_frac in (0.0, 0.3, 0.6):
             model = random_categorical_model(rng, num_states=3, zero_frac=zero_frac)
