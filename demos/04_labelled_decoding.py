@@ -13,11 +13,11 @@ model = hr.four_state_model(2.0)
 obs = hr.four_state_observations()
 summary = hr.forward_backward(model, obs)
 
-labels = hr.LabelMap({1: "loop", 4: "loop", 2: "anchor", 3: "anchor"}, averaging_beta=1.0)
+labels = hr.LabelMap({1: "loop", 4: "loop", 2: "anchor", 3: "anchor"})
 
 print("class-averaged posterior weights at each position:")
 for t in range(1, 5):
-    row = [hr.averaged_label_posterior(summary, labels, t, s) for s in (1, 2)]
+    row = [hr.averaged_label_posterior(summary, labels, t, s, beta=1.0) for s in (1, 2)]
     print(f"  t={t}: loop={row[0]:.4f} anchor={row[1]:.4f}")
 
 weights = hr.RiskWeights(1.0, 1e-9, 0.0, 0.0, beta1=1.0)

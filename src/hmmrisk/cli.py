@@ -27,7 +27,7 @@ from .errors import (
 )
 from .inference import forward_backward
 from .labelling import label_decode
-from .risk import RiskWeights, evaluate_risks, posterior_log_probability
+from .risk import RiskReport, RiskWeights, evaluate_risks, posterior_log_probability
 from .sim import estimate_risk_trajectories, sandwich_constant_sweep
 from .transform import rescaling_distortion_probe, symbol_by_symbol_decode, transformed_forward_backward
 from .worked_example import four_state_model, four_state_observations
@@ -43,11 +43,7 @@ _ERROR_CODES = [
     (ValueError, 10),
 ]
 
-SWEEP_COLUMNS = (
-    "param,value,path,posterior_log_prob,objective,admissible,"
-    "r1_posterior,rbar1_posterior,rinf_posterior,rbarinf_posterior,"
-    "rbarinf_joint,r1_prior,rbar1_prior,rbarinf_prior"
-)
+SWEEP_COLUMNS = ",".join(("param", "value", "path", "posterior_log_prob", "objective", "admissible", *RiskReport.FIELDS))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InstanceTooLargeError, KOutOfRangeError
 from .inference import BLOCK_STATE_CAP, PosteriorSummary, forward_backward, log_window_posterior
-from .lattice import TIE_TOL, best_path, follow
+from .lattice import TIE_TOL, best_path, rabiner_walk
 from .model import HmmModel
 from .risk import (
     RiskReport,
@@ -23,7 +23,7 @@ from .risk import (
     combined_risk,
     evaluate_risks,
     joint_log_likelihood,
-    neg_power_log,
+    power_risk,
     rabiner_gain_batch,
 )
 
@@ -101,11 +101,11 @@ def _combined_tables(summary: PosteriorSummary, weights: RiskWeights, gains: np.
     the prior marginals to the tables the two pointwise terms score."""
     gains[...] = 0.0
     if weights.c1 > 0:
-        gains += weights.c1 * neg_power_log(pointwise(summary.smoothed, weights.beta1), weights.beta1)
+        gains -= weights.c1 * power_risk(pointwise(summary.smoothed, weights.beta1), weights.beta1)
     if weights.c2 > 0:
         gains += weights.c2 * summary.log_emission
     if weights.c3 > 0:
-        gains += weights.c3 * neg_power_log(pointwise(summary.prior, weights.beta3), weights.beta3)
+        gains -= weights.c3 * power_risk(pointwise(summary.prior, weights.beta3), weights.beta3)
     path_weight = weights.c2 + weights.c4
     if path_weight > 0:
         return path_weight * summary.log_initial, path_weight * summary.log_transition
@@ -257,31 +257,6 @@ def _window_table(summary: PosteriorSummary, k: int) -> np.ndarray:
     return table
 
 
-def _rabiner_walk(window_gain: np.ndarray, num_states: int, k: int) -> np.ndarray:
-    """0-based path maximizing the summed window gains, lexicographically
-    smallest within TIE_TOL; ``window_gain[a, c]`` scores the k-tuple with
-    base-K digits c at window start a.
-
-    The backward sweep over (k-1)-tuples keeps one row of cost-to-go and
-    records, per window start and tuple, the smallest successor tuple within
-    TIE_TOL of that row's best; ``follow`` reads the path off those records.
-    """
-    n_tuples, lead = num_states ** (k - 1), num_states ** (k - 2)
-    # gains[a, d, rest, j]: window a holds tuple (d, rest), then state j; the next tuple is (rest, j)
-    gains = window_gain.reshape(len(window_gain), num_states, lead, num_states)
-    nodes = np.empty((len(window_gain), num_states, lead), dtype=np.min_scalar_type(n_tuples - 1))
-    phi = np.zeros((num_states, lead))
-    for gain, node in zip(gains[::-1], nodes[::-1]):
-        vals = gain + phi.reshape(lead, num_states)  # phi indexed by the next tuple (rest, j)
-        phi = vals.max(axis=2)
-        node[...] = np.argmax(vals >= phi[..., None] - TIE_TOL, axis=2)  # the smallest near-optimal j
-    nodes = nodes.reshape(len(window_gain), 1, n_tuples)
-    nodes += (np.arange(n_tuples) % lead * num_states).astype(nodes.dtype)  # j -> tuple index rest * K + j
-    start = int(np.argmax(phi >= phi.max() - TIE_TOL))
-    tuples = follow(np.array([start]), nodes)[0]
-    return np.concatenate((np.unravel_index(start, (num_states,) * (k - 1)), tuples[1:] % num_states))
-
-
 def rabiner_block_decode(summary: PosteriorSummary, k: int) -> DecodedPath:
     """Maximize the expected number of correctly decoded overlapping k-blocks.
 
@@ -298,7 +273,7 @@ def rabiner_block_decode(summary: PosteriorSummary, k: int) -> DecodedPath:
         out = pmap_decode(summary)
         gain = float(summary.smoothed.max(axis=1).sum())
         return DecodedPath(out.path, gain, out.risks, out.admissible, "rabiner k=1")
-    idx = _rabiner_walk(_window_table(summary, k), num_states, k)
+    idx = rabiner_walk(_window_table(summary, k), num_states, k)
     gain = rabiner_gain_batch(summary, idx[None, :] + 1, k)[0]
     return _finish(summary, idx, gain, f"rabiner k={k}")
 

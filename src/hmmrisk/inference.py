@@ -7,15 +7,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import KOutOfRangeError, ZeroEvidenceError
-from .model import HmmModel, check_state_path, prior_marginals
+from .model import HmmModel, _log, check_state_path, prior_marginals
 
 BLOCK_STATE_CAP = 10**6
-
-
-def _log(a: np.ndarray) -> np.ndarray:
-    """Natural log with log 0 = -inf and no divide-by-zero warning."""
-    with np.errstate(divide="ignore"):
-        return np.log(a)
 
 
 def emission_likelihood(model: HmmModel, obs) -> np.ndarray:

@@ -9,9 +9,7 @@ Observation file: one observation per line; a symbol index for categorical
 emissions, whitespace-separated finite reals for Gaussian emissions, a row
 position for direct-likelihood emissions.
 
-Label file (JSON): ``{"labels": {"1": "A", ...}, "beta": 1.0}``.  ``beta``
-sets ``LabelMap.averaging_beta``, which only ``averaged_label_posterior``
-reads; CLI label decoding averages the classes at ``--beta1``/``--beta3``.
+Label file (JSON): ``{"labels": {"1": "A", ...}}``; other keys are ignored.
 
 All numbers are printed with 12 significant digits; +inf serializes as "inf".
 """
@@ -126,15 +124,18 @@ def load_observations(path, model: HmmModel) -> np.ndarray:
         if not isinstance(model.emission, DiagonalGaussian):
             return np.asarray([int(line) for line in lines if line])
         rows = [[float(x) for x in line.split()] for line in lines if line]
-        widths = {len(r) for r in rows}
-        if len(widths) != 1:
-            raise ParseError(f"{path}: ragged observation rows")
     except ValueError as exc:
         raise ParseError(f"{path}: bad observation line: {exc}") from exc
+    numbers = [n for n, line in enumerate(lines, start=1) if line]  # the file's line number of each row
+    for number, row in zip(numbers, rows):
+        if len(row) != len(rows[0]):
+            raise ParseError(
+                f"{path}: line {number}: ragged observation rows: {len(row)} values, line {numbers[0]} has {len(rows[0])}"
+            )
     out = np.asarray(rows)
     bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
     if len(bad):
-        number = [n for n, line in enumerate(lines, start=1) if line][bad[0]]
+        number = numbers[bad[0]]
         raise ParseError(f"{path}: line {number}: non-finite observation {lines[number - 1]!r}")
     return out[:, 0] if out.shape[1] == 1 else out
 
@@ -159,12 +160,11 @@ def load_label_map(path, num_states: int) -> LabelMap:
     try:
         raw = data["labels"]
         assignment = {int(k): str(v) for k, v in raw.items()}
-        beta = float(data.get("beta", 1.0))
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ParseError(f"{path}: malformed label map: {exc}") from exc
     if sorted(assignment) != list(range(1, num_states + 1)):
         raise ParseError(f"{path}: label map must cover states 1..{num_states}")
-    return LabelMap(assignment, beta)
+    return LabelMap(assignment)
 
 
 def load_path(path) -> tuple[int, ...]:

@@ -17,20 +17,14 @@ class LabelMap:
     """A partition of the state space into named labels.
 
     ``assignment`` maps every 1-based state to a label name; names are
-    indexed 1..num_labels in sorted order.  ``averaging_beta`` selects how
-    class posteriors are averaged by averaged_label_posterior: the arithmetic
-    class mean raised to beta when beta != 0, the geometric class mean when
-    beta == 0.
+    indexed 1..num_labels in sorted order.
     """
 
     assignment: dict[int, str]
-    averaging_beta: float = 1.0
     names: tuple[str, ...] = field(init=False)
     label_of_state: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.averaging_beta < 0:
-            raise ValueError("averaging_beta must be nonnegative")
         num_states = len(self.assignment)
         if sorted(self.assignment) != list(range(1, num_states + 1)):
             raise ValueError("assignment must cover states 1..K exactly")
@@ -55,8 +49,8 @@ class LabelMap:
         return tuple(self.names[self.label_of_state[s - 1]] for s in path)
 
 
-def identity_label_map(num_states: int, averaging_beta: float = 1.0) -> LabelMap:
-    return LabelMap({s: f"s{s}" for s in range(1, num_states + 1)}, averaging_beta)
+def identity_label_map(num_states: int) -> LabelMap:
+    return LabelMap({s: f"s{s}" for s in range(1, num_states + 1)})
 
 
 def _class_means(marginals: np.ndarray, labels: LabelMap, beta: float) -> np.ndarray:
@@ -74,17 +68,20 @@ def _class_means(marginals: np.ndarray, labels: LabelMap, beta: float) -> np.nda
     return out
 
 
-def averaged_label_posterior(summary: PosteriorSummary, labels: LabelMap, t: int, s: int) -> float:
+def averaged_label_posterior(summary: PosteriorSummary, labels: LabelMap, t: int, s: int, beta: float = 1.0) -> float:
     """Class-averaged smoothed posterior weight of state s at position t (both 1-based).
 
-    Uses ``labels.averaging_beta``; the proportionality constant is fixed to
-    1 since only the argmax matters downstream.
+    The class average is the arithmetic class mean raised to ``beta`` when
+    beta != 0, and the geometric class mean when beta == 0; beta must be
+    nonnegative.  The proportionality constant is fixed to 1 since only the
+    argmax matters downstream.
     """
+    if not beta >= 0:
+        raise ValueError(f"beta must be nonnegative, got {beta}")
     if not 1 <= t <= summary.horizon:
         raise IndexError(f"position {t} outside 1..{summary.horizon}")
     if not 1 <= s <= summary.num_states:
         raise IndexError(f"state {s} outside 1..{summary.num_states}")
-    beta = labels.averaging_beta
     table = _class_means(summary.smoothed, labels, beta)
     return float((table if beta == 0.0 else table**beta)[t - 1, s - 1])
 

@@ -1,4 +1,4 @@
-"""Max-sum lattice kernel shared by every path decoder in the package.
+"""The max-sum walks of the package and their one tie rule.
 
 A decoding problem is given by per-position gains g[t, j], an extra initial
 score for the first position, and a transition score matrix w[i, j]; the
@@ -15,18 +15,21 @@ buffer with the cost-to-go.  The public ``best_path`` copies its input and
 runs the kernel on the copy, so a caller's array is never written; the
 decoders stack the gains of several problems into one array and pass it to
 ``best_path``, so the copy is the one cost-to-go table of that call.
+``rabiner_walk`` is the overlapping-block decoder's walk over (k-1)-tuples
+of states.
 
-Tie policy: among all maximizers the kernel returns the lexicographically
-smallest path.  A backward cost-to-go sweep computes, for every position t
-and state i, the best continuation value phi[t, i].  A second, loop-free
-pass then tabulates for every (t, i) the smallest successor j whose value
-w[i, j] + phi[t + 1, j] is within ``TIE_TOL`` of the best one, working
-through the positions in fixed-size blocks and storing each successor in the
-smallest integer dtype that holds K - 1.  The path is read off that table by
-following successors from the smallest near-optimal first state, which is
-the same choice a greedy forward selection makes, since it compares the same
-sums.  The tolerance exists because mathematically exact ties can differ by
-a few ulps when the same score is accumulated along different orders.
+Tie policy: among all maximizers both walks return the lexicographically
+smallest path.  ``near_max`` owns the rule: the smallest index within
+``TIE_TOL`` of the best.  A backward cost-to-go sweep computes, for every
+position t and state i, the best continuation value phi[t, i].  A second,
+loop-free pass then tabulates for every (t, i) the near_max successor j of
+w[i, j] + phi[t + 1, j], working through the positions in blocks of about
+``_BLOCK`` elements and storing each successor in the smallest integer dtype
+that holds K - 1.  The path is read off that table by ``follow``, from the
+near_max first state, which is the same choice a greedy forward selection
+makes, since it compares the same sums.  The tolerance exists because
+mathematically exact ties can differ by a few ulps when the same score is
+accumulated along different orders.
 """
 
 from __future__ import annotations
@@ -59,6 +62,13 @@ def follow(first: np.ndarray, successors: np.ndarray) -> np.ndarray:
     return paths.T
 
 
+def near_max(vals: np.ndarray, axis: int):
+    """The tie rule: the max of ``vals`` along ``axis`` and the smallest index
+    whose value is within ``TIE_TOL`` of it."""
+    best = vals.max(axis=axis, keepdims=True)
+    return best.squeeze(axis), np.argmax(vals >= best - TIE_TOL, axis=axis)
+
+
 def _max_sum(gains: np.ndarray, init_extra, trans):
     """Solve the N problems of an (N, T, K) float ``gains`` buffer in place.
 
@@ -78,27 +88,15 @@ def _max_sum(gains: np.ndarray, init_extra, trans):
         np.add(trans, nxt, out=buf)
         np.maximum.reduce(buf, axis=2, out=best_next)
         cur += best_next
-    start = init_extra + phi[0]
-    best = start.max(axis=1)
+    best, first = near_max(init_extra + phi[0], axis=1)
     if not np.all(np.isfinite(best)):
         raise NoFinitePathError("all candidate paths have -inf score")
 
-    # successors[t, n, i]: smallest j with trans[n, i, j] + phi[t + 1, n, j] within TIE_TOL of the best
+    # successors[t, n, i]: the near_max successor j of trans[n, i, j] + phi[t + 1, n, j]
     successors = np.empty((horizon - 1, num, num_states), dtype=np.min_scalar_type(num_states - 1))
     step = max(1, _BLOCK // (num * num_states * num_states))
-    vals = np.empty((step, num, num_states, num_states))
-    near = np.empty(vals.shape, dtype=bool)
-    floor = np.empty((step, num, num_states, 1))
     for lo in range(0, horizon - 1, step):
-        hi = min(lo + step, horizon - 1)
-        v, f, m = vals[: hi - lo], floor[: hi - lo], near[: hi - lo]
-        np.add(trans, phi[lo + 1 : hi + 1, :, None, :], out=v)
-        np.maximum.reduce(v, axis=3, out=f[..., 0])
-        f -= TIE_TOL
-        np.greater_equal(v, f, out=m)
-        successors[lo:hi] = m.argmax(axis=3)
-    del vals, near, floor
-    first = np.argmax(start >= best[:, None] - TIE_TOL, axis=1)
+        successors[lo : lo + step] = near_max(trans + phi[lo + 1 : lo + step + 1, :, None, :], axis=3)[1]
     return follow(first, successors), best
 
 
@@ -116,3 +114,27 @@ def best_path(gains: np.ndarray, init_extra: np.ndarray, trans: np.ndarray):
     single = gains.ndim == 2
     path, best = _max_sum(gains[None] if single else gains, init_extra, trans)
     return (path[0], float(best[0])) if single else (path, best)
+
+
+def rabiner_walk(window_gain: np.ndarray, num_states: int, k: int) -> np.ndarray:
+    """0-based path of length T = len(window_gain) + k - 1 maximizing the
+    summed window gains, lexicographically smallest under the tie rule;
+    ``window_gain[a, c]`` scores the k-tuple with base-K digits c at window
+    start a (k >= 2).
+
+    The backward sweep over (k-1)-tuples keeps one row of cost-to-go and
+    records, per window start and tuple, the near_max successor tuple;
+    ``follow`` reads the path off those records.
+    """
+    n_tuples, lead = num_states ** (k - 1), num_states ** (k - 2)
+    # gains[a, d, rest, j]: window a holds tuple (d, rest), then state j; the next tuple is (rest, j)
+    gains = window_gain.reshape(len(window_gain), num_states, lead, num_states)
+    nodes = np.empty((len(window_gain), num_states, lead), dtype=np.min_scalar_type(n_tuples - 1))
+    phi = np.zeros((num_states, lead))
+    for gain, node in zip(gains[::-1], nodes[::-1]):
+        phi, node[...] = near_max(gain + phi.reshape(lead, num_states), axis=2)  # phi indexed by the next tuple
+    nodes = nodes.reshape(len(window_gain), 1, n_tuples)
+    nodes += (np.arange(n_tuples) % lead * num_states).astype(nodes.dtype)  # j -> tuple index rest * K + j
+    start = int(near_max(phi.reshape(-1), axis=0)[1])
+    tuples = follow(np.array([start]), nodes)[0]
+    return np.concatenate((np.unravel_index(start, (num_states,) * (k - 1)), tuples[1:] % num_states))

@@ -18,6 +18,12 @@ PROB_SUM_TOL = 1e-12
 _SETTLE_CHECK = 64  # prior_marginals compares a row with its predecessor every this many steps
 
 
+def _log(a: np.ndarray) -> np.ndarray:
+    """Natural log with log 0 = -inf and no divide-by-zero warning."""
+    with np.errstate(divide="ignore"):
+        return np.log(a)
+
+
 def _readonly(a) -> np.ndarray:
     out = np.array(a, dtype=float)
     out.setflags(write=False)
@@ -83,8 +89,7 @@ class Categorical:
         return self.table[:, symbols].T.copy()
 
     def log_likelihood(self, obs) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            return np.log(self.likelihood(obs))
+        return _log(self.likelihood(obs))
 
     def sample(self, state_indices, rng) -> np.ndarray:
         cdf = np.cumsum(self.table, axis=1)
@@ -182,8 +187,7 @@ class DirectLikelihood:
         return self.table[positions]
 
     def log_likelihood(self, obs) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            return np.log(self.likelihood(obs))
+        return _log(self.likelihood(obs))
 
     def sample(self, state_indices, rng):
         raise DirectLikelihoodNotGenerativeError(

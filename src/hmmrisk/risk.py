@@ -32,11 +32,6 @@ def power_risk(p, beta: float):
     return float(out) if out.ndim == 0 else out
 
 
-def neg_power_log(p, beta: float):
-    """-power_risk: log p when beta is 0, (p**beta - 1)/beta otherwise."""
-    return -power_risk(p, beta)
-
-
 @dataclass
 class RiskWeights:
     """Weights (c1..c4) and inflection exponents of the combined decoding objective.
@@ -56,8 +51,9 @@ class RiskWeights:
 
     def __post_init__(self):
         for name in ("c1", "c2", "c3", "c4", "beta1", "beta3"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            value = getattr(self, name)
+            if not 0 <= value < np.inf:  # written so that NaN fails it too
+                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
         if self.c1 + self.c2 + self.c3 + self.c4 <= 0:
             raise ValueError("at least one of c1..c4 must be positive")
 

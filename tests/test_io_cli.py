@@ -98,10 +98,9 @@ class TestModelFiles:
 
     def test_label_file(self, tmp_path):
         path = tmp_path / "labels.json"
-        path.write_text(json.dumps({"labels": {"1": "A", "2": "B"}, "beta": 0.0}))
+        path.write_text(json.dumps({"labels": {"1": "A", "2": "B"}, "beta": 0.0}))  # the unread beta key still loads
         labels = hio.load_label_map(path, 2)
         assert labels.names == ("A", "B")
-        assert labels.averaging_beta == 0.0
         path.write_text(json.dumps({"labels": {"1": "A"}}))
         with pytest.raises(ParseError):
             hio.load_label_map(path, 2)
@@ -376,5 +375,50 @@ class TestBadCountsAndNonFiniteInputs:
         with pytest.raises(ValueError, match="must exceed 1"):
             hr.four_state_model(float("nan"))
         code, out, err = run_cli(capsys, "paper-example", "--A", "nan")
+        assert code == 10 and out == ""
+        assert_one_error_line(err)
+
+    def test_inf_contrast_is_rejected_without_runtime_warnings(self, capsys, recwarn):
+        with pytest.raises(ValueError, match="must exceed 1 and be finite"):
+            hr.four_state_model(float("inf"))
+        code, out, err = run_cli(capsys, "paper-example", "--A", "inf")
+        assert code == 10 and out == ""
+        assert_one_error_line(err)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    def test_ragged_gaussian_rows_name_the_file_once_and_the_first_differing_line(self, capsys, tmp_path):
+        model, model_path, obs_path = self.gaussian_files(tmp_path, "0.1\n\n0.5\n0.2 0.3\n0.4 0.4\n")
+        with pytest.raises(ParseError, match="line 4: ragged observation rows: 2 values, line 1 has 1"):
+            hio.load_observations(obs_path, model)
+        code, _, err = run_cli(capsys, "decode", "--model", model_path, "--obs", obs_path, "--k", "2",
+                               "--out", str(tmp_path / "p.txt"))
+        assert code == 3
+        assert_one_error_line(err)
+        assert err.count(obs_path) == 1 and "line 4" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--weights", "1,0,0,nan"],
+            ["--weights", "1,inf,0,0"],
+            ["--weights", "1,0,0,0", "--beta1", "nan"],
+            ["--weights", "1,0,0,0", "--beta1", "inf"],
+            ["--weights", "1,0,1,0", "--beta3", "nan"],
+        ],
+    )
+    def test_non_finite_decode_weights_exit_10(self, capsys, workdir, argv):
+        tmp_path, _, _, model_path, obs_path = workdir
+        code, out, err = run_cli(capsys, "decode", "--model", model_path, "--obs", obs_path, *argv,
+                                 "--out", str(tmp_path / "p.txt"))
+        assert code == 10 and out == ""
+        assert_one_error_line(err)
+        assert "must be finite and nonnegative" in err
+
+    @pytest.mark.parametrize("tag", ["weights:1/0/0/0/nan/0", "weights:1/0/0/nan", "weights:1/0/0/0/0/inf"])
+    def test_non_finite_simulate_weights_exit_10(self, capsys, workdir, tag):
+        _, _, _, model_path, _ = workdir
+        code, out, err = run_cli(
+            capsys, "simulate", "--model", model_path, "--horizons", "5", "--replicates", "2", "--decoders", tag
+        )
         assert code == 10 and out == ""
         assert_one_error_line(err)

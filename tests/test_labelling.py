@@ -16,18 +16,18 @@ class TestLabelMap:
         classes = labels.classes()
         assert sorted(np.concatenate(classes).tolist()) == [0, 1, 2, 3]
 
-    def test_rejects_gaps_and_negative_beta(self):
+    def test_rejects_gaps_and_negative_beta(self, four_state):
         with pytest.raises(ValueError):
             hr.LabelMap({1: "A", 3: "B"})
         with pytest.raises(ValueError):
-            hr.LabelMap({1: "A"}, averaging_beta=-1.0)
+            hr.averaged_label_posterior(four_state[2], identity_label_map(4), 1, 1, beta=-1.0)
 
 
 class TestAveragedLabelPosterior:
     def test_identity_labelling_with_unit_beta(self):
         rng = np.random.default_rng(271)
         _, _, summary = random_instance(rng)
-        labels = identity_label_map(summary.num_states, averaging_beta=1.0)
+        labels = identity_label_map(summary.num_states)
         for t in range(1, summary.horizon + 1):
             for s in range(1, summary.num_states + 1):
                 assert hr.averaged_label_posterior(summary, labels, t, s) == pytest.approx(
@@ -43,31 +43,29 @@ class TestAveragedLabelPosterior:
         )
         summary = hr.forward_backward(model, np.array([0]))
         np.testing.assert_allclose(summary.smoothed[0], [0.2, 0.4, 0.4])
-        labels = hr.LabelMap({1: "x", 2: "x", 3: "y"}, averaging_beta=1.0)
-        assert hr.averaged_label_posterior(summary, labels, 1, 1) == pytest.approx(0.3)
-        assert hr.averaged_label_posterior(summary, labels, 1, 2) == pytest.approx(0.3)
-        geo = hr.LabelMap({1: "x", 2: "x", 3: "y"}, averaging_beta=0.0)
-        assert hr.averaged_label_posterior(summary, geo, 1, 1) == pytest.approx(np.sqrt(0.08))
+        labels = hr.LabelMap({1: "x", 2: "x", 3: "y"})
+        assert hr.averaged_label_posterior(summary, labels, 1, 1, beta=1.0) == pytest.approx(0.3)
+        assert hr.averaged_label_posterior(summary, labels, 1, 2, beta=1.0) == pytest.approx(0.3)
+        assert hr.averaged_label_posterior(summary, labels, 1, 1, beta=0.0) == pytest.approx(np.sqrt(0.08))
 
     def test_invariant_under_within_class_permutation(self):
         rng = np.random.default_rng(277)
         _, _, summary = random_instance(rng, num_states=3)
-        labels = hr.LabelMap({1: "a", 2: "a", 3: "b"}, averaging_beta=1.0)
-        swapped = hr.LabelMap({2: "a", 1: "a", 3: "b"}, averaging_beta=1.0)
+        labels = hr.LabelMap({1: "a", 2: "a", 3: "b"})
+        swapped = hr.LabelMap({2: "a", 1: "a", 3: "b"})
         for t in range(1, summary.horizon + 1):
-            assert hr.averaged_label_posterior(summary, labels, t, 1) == pytest.approx(
-                hr.averaged_label_posterior(summary, swapped, t, 2), abs=1e-12
+            assert hr.averaged_label_posterior(summary, labels, t, 1, beta=1.0) == pytest.approx(
+                hr.averaged_label_posterior(summary, swapped, t, 2, beta=1.0), abs=1e-12
             )
 
     def test_geometric_below_arithmetic(self):
         rng = np.random.default_rng(281)
         for _ in range(10):
             _, _, summary = random_instance(rng, num_states=3)
-            geo = hr.LabelMap({1: "a", 2: "a", 3: "b"}, averaging_beta=0.0)
-            ari = hr.LabelMap({1: "a", 2: "a", 3: "b"}, averaging_beta=1.0)
+            labels = hr.LabelMap({1: "a", 2: "a", 3: "b"})
             for t in range(1, summary.horizon + 1):
-                assert hr.averaged_label_posterior(summary, geo, t, 1) <= hr.averaged_label_posterior(
-                    summary, ari, t, 1
+                assert hr.averaged_label_posterior(summary, labels, t, 1, beta=0.0) <= hr.averaged_label_posterior(
+                    summary, labels, t, 1, beta=1.0
                 ) + 1e-12
 
     def test_index_errors(self, four_state):
@@ -126,7 +124,7 @@ class TestLabelDecode:
         rng = np.random.default_rng(307)
         for _ in range(10):
             _, _, summary = random_instance(rng, num_states=3, zero_frac=0.3)
-            labels = hr.LabelMap({1: "a", 2: "a", 3: "b"}, averaging_beta=1.0)
+            labels = hr.LabelMap({1: "a", 2: "a", 3: "b"})
             weights = hr.RiskWeights(1.0, 0.5, 0.0, 0.0, beta1=1.0)
             decoded, _ = hr.label_decode(summary, labels, weights)
             assert decoded.admissible

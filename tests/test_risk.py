@@ -228,6 +228,14 @@ class TestRiskWeights:
             hr.RiskWeights(1.0, 0.0, 0.0, 0.0, beta1=-0.5)
 
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["c1", "c2", "c3", "c4", "beta1", "beta3"])
+    def test_rejects_non_finite_weights_and_exponents(self, name, value):
+        fields = {"c1": 1.0, "c2": 1.0, "c3": 0.0, "c4": 0.0, "beta1": 0.0, "beta3": 0.0, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be finite and nonnegative"):
+            hr.RiskWeights(**fields)
+
+
 class TestStatePathValidation:
     """Every entry point that takes 1-based state labels validates them with
     one checker, which rejects fractional labels instead of truncating them."""

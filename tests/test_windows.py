@@ -7,7 +7,7 @@ The Rabiner window table (``decoders._window_table``) and
 ``log_window`` call.  The loops below compute one window start at a time, as
 the code did before; they are kept as references.  The table and the k-block
 risks must match them bit for bit and the gains within 1e-12 relative.  The
-Rabiner walk (``decoders._rabiner_walk``), which records its successors in
+Rabiner walk (``lattice.rabiner_walk``), which records its successors in
 the backward sweep and follows them, must return the path of the greedy
 forward walk it replaced bit for bit, ties included.
 """
@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 import hmmrisk as hr
 from hmmrisk import decoders
 from hmmrisk.inference import log_window_posterior
-from hmmrisk.lattice import TIE_TOL
+from hmmrisk.lattice import TIE_TOL, rabiner_walk
 from hmmrisk.risk import rabiner_gain_batch
 
 from conftest import random_categorical_model
@@ -124,7 +124,7 @@ def tied_window_tables(draw):
 @given(tied_window_tables())
 def test_rabiner_walk_matches_greedy_walk(case):
     table, num_states, k = case
-    got = decoders._rabiner_walk(table, num_states, k)
+    got = rabiner_walk(table, num_states, k)
     want = greedy_rabiner_walk(table, num_states, k)
     assert got.shape == want.shape == (len(table) + k - 1,)
     np.testing.assert_array_equal(got, want)
