@@ -16,7 +16,7 @@ import math
 import sys
 
 from . import io as hio
-from .decoders import alpha_interpolation_decode, decode_many, hybrid_decode, kblock_pvd_decode, viterbi_decode
+from .decoders import _kblock, alpha_interpolation_decode, decode_many, hybrid_decode, kblock_pvd_decode, viterbi_decode
 from .errors import (
     DirectLikelihoodNotGenerativeError,
     InstanceTooLargeError,
@@ -102,12 +102,15 @@ def _parse_k_range(text: str, horizon: int) -> list[int]:
     if ".." in text:
         lo, _, hi = text.partition("..")
         top = horizon if hi.strip().upper() == "T" else int(hi)
+        _kblock(top)  # refuses a top too large for a float before the list is built
+        if int(lo) > top:
+            raise ValueError(f"empty k range: {text}")
         return list(range(int(lo), top + 1))
     return [int(p) for p in text.split(",")]
 
 
 def _parse_float_list(text: str) -> list[float]:
-    return [math.inf if p.strip().lower() == "inf" else float(p) for p in text.split(",")]
+    return [float(p) for p in text.split(",")]
 
 
 def _emit(lines: list[str], out_path: str | None) -> None:
@@ -132,8 +135,7 @@ def _cmd_decode(args) -> int:
         raise ValueError("--labels needs --weights (label-averaged objective)")
 
     if args.q is not None:
-        q = math.inf if args.q.lower() == "inf" else float(args.q)
-        tables = transformed_forward_backward(model, obs, q, rescaled=args.rescaled)
+        tables = transformed_forward_backward(model, obs, float(args.q), rescaled=args.rescaled)
         path = symbol_by_symbol_decode(tables)
         summary = forward_backward(model, obs)
         report = evaluate_risks(summary, path)
@@ -234,7 +236,7 @@ def _cmd_simulate(args) -> int:
     lines = ["horizon,decoder_tag,metric,mean,sd,replicates"]
     lines += [
         hio.csv_line([r["horizon"], r["decoder_tag"], r["metric"], r["mean"], r["sd"], r["replicates"]])
-        for r in trajectory.rows()
+        for r in trajectory.records
     ]
     _emit(lines, args.out)
     return 0

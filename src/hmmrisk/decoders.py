@@ -8,6 +8,7 @@ path.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -57,7 +58,7 @@ def _finish(summary, idx, objective, tag) -> DecodedPath:
 
 @dataclass(frozen=True)
 class _LatticeDecoder:
-    """A decoder solved by the max-sum kernel.
+    """A decoder solved by the max-sum kernel, callable on one summary.
 
     ``tables(summary, gains)`` fills the (T, K) ``gains`` in place and
     returns the initial and transition scores; ``objective(summary, idx,
@@ -68,27 +69,30 @@ class _LatticeDecoder:
     tables: Callable
     objective: Callable
 
+    def __call__(self, summary: PosteriorSummary) -> DecodedPath:
+        return _decode_lattice([summary], [self])[0][0]
+
 
 def _decode_lattice(summaries, decoders) -> list[list[DecodedPath]]:
     """Decode equal-length summaries with every lattice decoder in one max-sum
-    call; returns one list of DecodedPath per decoder, in summary order."""
+    call; returns one list of DecodedPath per decoder, in summary order.
+    Raises ValueError when weights near the float limit overflow a score."""
     if not summaries:
         return [[] for _ in decoders]
     first, num = summaries[0], len(summaries)
     # gains[l, n] is decoder l on summary n; the kernel sees the decoder-major (L * N, T, K) stack
     gains = np.empty((len(decoders), num, first.horizon, first.num_states))
-    init_extra, trans = zip(*(d.tables(s, g) for d, block in zip(decoders, gains) for s, g in zip(summaries, block)))
-    idx, scores = best_path(gains.reshape(-1, *gains.shape[2:]), np.stack(init_extra), np.stack(trans))
+    try:
+        with np.errstate(over="raise"):
+            init_extra, trans = zip(*(d.tables(s, g) for d, block in zip(decoders, gains) for s, g in zip(summaries, block)))
+            idx, scores = best_path(gains.reshape(-1, *gains.shape[2:]), np.stack(init_extra), np.stack(trans))
+    except FloatingPointError as exc:
+        raise ValueError(f"decoder weights too large: the path scores overflow ({exc})") from None
     del gains  # freed before the risk evaluations allocate theirs
     return [
         [_finish(s, i, d.objective(s, i, sc), d.tag) for s, i, sc in zip(summaries, paths, best)]
         for d, paths, best in zip(decoders, idx.reshape(len(decoders), num, -1), scores.reshape(len(decoders), num))
     ]
-
-
-def _decode_group(summaries, decoder: _LatticeDecoder) -> list[DecodedPath]:
-    """Decode equal-length summaries with one lattice decoder."""
-    return _decode_lattice(summaries, [decoder])[0]
 
 
 def _same_table(marginals: np.ndarray, beta: float) -> np.ndarray:
@@ -106,7 +110,7 @@ def _combined_tables(summary: PosteriorSummary, weights: RiskWeights, gains: np.
         gains += weights.c2 * summary.log_emission
     if weights.c3 > 0:
         gains -= weights.c3 * power_risk(pointwise(summary.prior, weights.beta3), weights.beta3)
-    path_weight = weights.c2 + weights.c4
+    path_weight = np.float64(weights.c2) + weights.c4  # a numpy sum, so that an overflow raises like the tables
     if path_weight > 0:
         return path_weight * summary.log_initial, path_weight * summary.log_transition
     num_states = summary.num_states
@@ -138,7 +142,7 @@ def hybrid_decode(summary: PosteriorSummary, weights: RiskWeights) -> DecodedPat
     The objective reported is the minimized combined risk (joint form), i.e.
     -(best score)/T.
     """
-    return _decode_group([summary], _combined(weights, weights.tag()))[0]
+    return _combined(weights, weights.tag())(summary)
 
 
 _VITERBI = _combined(RiskWeights(0.0, 1.0, 0.0, 0.0), "viterbi")
@@ -146,7 +150,7 @@ _VITERBI = _combined(RiskWeights(0.0, 1.0, 0.0, 0.0), "viterbi")
 
 def viterbi_decode(summary: PosteriorSummary) -> DecodedPath:
     """Maximum a posteriori path as a DecodedPath (weights 0,1,0,0)."""
-    return _decode_group([summary], _VITERBI)[0]
+    return _VITERBI(summary)
 
 
 def viterbi(model: HmmModel, obs) -> tuple[int, ...]:
@@ -199,17 +203,17 @@ def constrained_pmap_decode(summary: PosteriorSummary) -> DecodedPath:
     Feasibility masks cover initial/transition support and positive emission
     likelihood per position, which together are exactly admissibility.
     """
-    return _decode_group([summary], _CONSTRAINED_PMAP)[0]
+    return _CONSTRAINED_PMAP(summary)
 
 
 def pvd_decode(summary: PosteriorSummary) -> DecodedPath:
     """Maximize the product of smoothed marginals over admissible paths."""
-    return _decode_group([summary], _PVD)[0]
+    return _PVD(summary)
 
 
 def _kblock(k: int) -> _LatticeDecoder:
-    if k < 1:
-        raise KOutOfRangeError(f"k must be at least 1, got {k}")
+    if not 1 <= k <= sys.float_info.max:  # k - 1 weighs the joint term, so it must be a float
+        raise KOutOfRangeError(f"k must be at least 1 and at most {sys.float_info.max!r}, got {k}")
     return _combined(RiskWeights(1.0, float(k - 1), 0.0, 0.0, beta1=0.0), f"kblock k={k}")
 
 
@@ -217,7 +221,7 @@ def kblock_pvd_decode(summary: PosteriorSummary, k: int) -> DecodedPath:
     """k-block posterior-Viterbi decoding: weights (1, k-1, 0, 0) with a
     logarithmic pointwise term.  k=1 is unconstrained PMAP; growing k bridges
     towards Viterbi, and any k >= 2 yields an admissible path."""
-    return _decode_group([summary], _kblock(k))[0]
+    return _kblock(k)(summary)
 
 
 def _alpha(alpha: float) -> _LatticeDecoder:
@@ -232,7 +236,7 @@ def alpha_interpolation_decode(summary: PosteriorSummary, alpha: float) -> Decod
     alpha=0 is the Viterbi objective, alpha=1 the PMAP objective, and
     alpha=1/k matches kblock_pvd_decode(k) up to a factor k.
     """
-    return _decode_group([summary], _alpha(alpha))[0]
+    return _alpha(alpha)(summary)
 
 
 def _digits_range(base: int, width: int, start: int, stop: int) -> np.ndarray:
@@ -270,9 +274,7 @@ def rabiner_block_decode(summary: PosteriorSummary, k: int) -> DecodedPath:
     if num_states ** (k - 1) > BLOCK_STATE_CAP:
         raise KOutOfRangeError(f"K^(k-1) exceeds the tabulation cap for k={k}")
     if k == 1:
-        out = pmap_decode(summary)
-        gain = float(summary.smoothed.max(axis=1).sum())
-        return DecodedPath(out.path, gain, out.risks, out.admissible, "rabiner k=1")
+        return _finish(summary, np.argmax(summary.smoothed, axis=1), summary.smoothed.max(axis=1).sum(), "rabiner k=1")
     idx = rabiner_walk(_window_table(summary, k), num_states, k)
     gain = rabiner_gain_batch(summary, idx[None, :] + 1, k)[0]
     return _finish(summary, idx, gain, f"rabiner k={k}")
@@ -370,18 +372,15 @@ def _parse_tag(tag: str):
 
 def resolve_decoder(tag: str):
     """Map a decoder tag like "viterbi", "kblock:3", "alpha:0.5", "rabiner:2",
-    or "weights:c1/c2/c3/c4[/beta1/beta3]" to a callable over summaries.
+    or "weights:c1/c2/c3/c4[/beta1/beta3]" to a callable over one summary:
+    the public decoder function for the four fixed tags, else what
+    ``_parse_tag`` gives (a lattice tag's _LatticeDecoder is callable).
 
     Weight components may be separated by "/" or ","; the slash form survives
     comma-separated tag lists.
     """
     # the registry is looked up first only because perfbench/tests pins it (ROADMAP item 1)
-    if tag in _FIXED_DECODERS:
-        return _FIXED_DECODERS[tag]
-    decoder = _parse_tag(tag)
-    if isinstance(decoder, _LatticeDecoder):
-        return lambda summary: _decode_group([summary], decoder)[0]
-    return decoder
+    return _FIXED_DECODERS[tag] if tag in _FIXED_DECODERS else _parse_tag(tag)
 
 
 def decode_many(summaries, tags):

@@ -69,18 +69,17 @@ class PosteriorSummary:
     log-likelihood is the sum of log scaling factors.  ``smoothed[t, j]`` is
     the posterior marginal of state j+1 at position t+1 given the whole
     sequence.  ``emission_likelihood`` is the table the recursions ran on.
-    The summary keeps references to the model and observations it was
-    computed from, so downstream decoders only need the summary.  Tables
+    The summary keeps a reference to the model it was computed from (not the
+    observations), so downstream decoders only need the summary.  Tables
     that depend only on the model and the horizon (prior marginals, log
     transition and initial scores) are shared by the summaries of one
     ``forward_backward_many`` call.
     """
 
     def __init__(
-        self, model, obs, scaled_forward, scaled_backward, scaling, smoothed, log_evidence, emission_likelihood, chain
+        self, model, scaled_forward, scaled_backward, scaling, smoothed, log_evidence, emission_likelihood, chain
     ):
         self.model = model
-        self.obs = obs
         self.scaled_forward = scaled_forward
         self.scaled_backward = scaled_backward
         self.scaling = scaling
@@ -193,7 +192,6 @@ def forward_backward_many(model: HmmModel, observations) -> list[PosteriorSummar
     return [
         PosteriorSummary(
             model=model,
-            obs=observations[n],
             scaled_forward=alpha[n],
             scaled_backward=beta[n],
             scaling=scaling[n],

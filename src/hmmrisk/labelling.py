@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decoders import DecodedPath, _combined, _decode_group
+from .decoders import DecodedPath, _combined
 from .inference import PosteriorSummary, _log
 from .risk import RiskWeights
 
@@ -97,8 +97,7 @@ def label_decode(
     with its induced label sequence.  With c2 > 0 the state path is
     admissible.
     """
-    decoder = _combined(
+    decoded = _combined(
         weights, f"label {weights.tag()}", lambda marginals, beta: _class_means(marginals, labels, beta)
-    )
-    decoded = _decode_group([summary], decoder)[0]
+    )(summary)
     return decoded, labels.labels_for(decoded.path)

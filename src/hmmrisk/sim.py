@@ -12,7 +12,8 @@ tables take; the results do not depend on the group size.  A group's lattice
 decoders share one max-sum call, whose gains buffer has one (T, K) row per
 lattice tag and replicate, so it grows with the number of lattice tags.
 Horizons must be at least 1; trajectories need at least 2 replicates (for
-standard deviations), the gap sweep at least 1.
+standard deviations) and at least one decoder tag, the gap sweep at least 1
+replicate.
 """
 
 from __future__ import annotations
@@ -45,9 +46,6 @@ class RiskTrajectory:
     replicates: int
     seed: int
     records: list[dict]
-
-    def rows(self) -> list[dict]:
-        return self.records
 
     def stat(self, horizon: int, decoder: str, metric: str) -> tuple[float, float]:
         for row in self.records:
@@ -95,7 +93,7 @@ def estimate_risk_trajectories(
     """Sample trajectories, decode each with every requested decoder, and
     aggregate the risks over replicates.
 
-    ``decoders`` is a list of tags understood by resolve_decoder.  For every
+    ``decoders`` is a non-empty list of tags understood by resolve_decoder.  For every
     replicate the decoded path is scored both against the posterior (the full
     RiskReport) and against the true sampled path (empirical_error, the
     fraction of misclassified positions).
@@ -104,6 +102,8 @@ def estimate_risk_trajectories(
         raise ValueError("at least 2 replicates are needed for standard deviations")
     horizons = _horizons(horizons)
     tags = tuple(decoders)
+    if not tags:
+        raise ValueError("no decoder tags")
     records = []
     for horizon in horizons:
         values = {tag: {metric: np.empty(replicates) for metric in METRICS} for tag in tags}

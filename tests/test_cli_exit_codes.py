@@ -3,9 +3,13 @@
 The test drives ``cli.main`` in process over the five commands.  Each example
 starts from small valid files and argument values and applies at most one
 mutation that makes the input invalid: an empty file, a NaN, inf, fractional,
-negative or out-of-alphabet token, a ragged row, an out-of-range k, q, alpha
-or contrast, a non-finite or negative weight, a horizon or replicate count
-below its minimum, or an unknown decoder tag.
+negative or out-of-alphabet token, a ragged row, an observation width that
+differs from the model's, a label file that misses a state, an out-of-range
+k, q, alpha or contrast, a k too large for a float (up to 400 digits), a
+non-finite or negative weight, a weight near the float limit that overflows
+the path scores, a horizon or replicate count below its minimum, an empty k
+range or tag list, or an unknown decoder tag.  The models are a categorical
+one, one- and two-column Gaussian ones, and a direct-likelihood one.
 
 A valid example must exit 0 and write nothing to stderr.  A mutated one must
 exit with the code documented for its error class and write exactly one
@@ -42,17 +46,34 @@ GAUSSIAN = {
     "transition": [[0.9, 0.1], [0.1, 0.9]],
     "emission": {"type": "gaussian", "params": {"means": [[0.0], [1.0]], "variances": [[1.0], [1.0]]}},
 }
+GAUSSIAN2 = {
+    **GAUSSIAN,
+    "emission": {"type": "gaussian", "params": {"means": [[0.0, 0.0], [1.0, 1.0]], "variances": [[1.0, 1.0], [1.0, 1.0]]}},
+}
+DIRECT = {**CATEGORICAL, "emission": {"type": "direct", "params": {"table": [[0.5, 0.2], [0.1, 0.9], [0.3, 0.3], [0.7, 0.4]]}}}
 SYMBOLS = ["0", "1", "1", "0", "1", "0"]  # T = 6 over the alphabet {0, 1}
 POINTS = ["0.1", "1.2", "-0.3", "0.8"]
+POINTS2 = ["0.1 0.2", "1.2 0.9", "-0.3 0.1", "0.8 1.1"]
+ROWS = ["0", "1", "2", "3"]  # positions in the direct-likelihood table
 STATES = ["1", "2", "2", "1", "2", "1"]
 BASE_FILES = {
     "model": json.dumps(CATEGORICAL),
     "gmodel": json.dumps(GAUSSIAN),
+    "gmodel2": json.dumps(GAUSSIAN2),
+    "dmodel": json.dumps(DIRECT),
     "obs": "\n".join(SYMBOLS) + "\n",
     "gobs": "\n".join(POINTS) + "\n",
+    "gobs2": "\n".join(POINTS2) + "\n",
+    "dobs": "\n".join(ROWS) + "\n",
     "path": "\n".join(STATES) + "\n",
     "labels": json.dumps({"labels": {"1": "A", "2": "B"}, "beta": 1.0}),
 }
+# k - 1 weighs the joint term, so a k at or above 2**1024 (no float) exits 7; below 1e300 it decodes
+HUGE_K = st.integers(2**1024, 10**400 - 1).map(str)
+LARGE_K = st.integers(9, 10**300).map(str)
+# a joint weight of at least 1e308 overflows a score of every sequence of the categorical model, whatever its
+# length: at the first position one state scores log 0.6 + log 0.2 or log 0.4 + log 0.3, both below -2.1
+OVERFLOWING = st.floats(1e308, 1.7976931348623157e308).map(repr)
 
 
 @dataclass
@@ -77,6 +98,7 @@ def _replace_line(lines, index, token):
 
 
 weight = st.floats(0.0, 4.0).map(_text)
+coefficient = st.one_of(weight, st.floats(4.0, 1e300).map(repr))
 unit = st.floats(0.0, 1.0).map(_text)
 bad_unit = st.one_of(st.floats(1.001, 9.0).map(_text), st.integers(-9, -1).map(str), st.sampled_from(["nan", "inf"]))
 non_finite = st.sampled_from(["nan", "inf", "-inf", "NaN", "1e999"])
@@ -88,11 +110,11 @@ def decode_cases(draw):
     kind = draw(st.sampled_from(["k", "alpha", "q", "weights", "labels"]))
     valid = draw(
         {
-            "k": st.one_of(st.integers(1, 8).map(str), st.just("inf")).map(lambda k: ["--k", k]),
+            "k": st.one_of(st.integers(1, 8).map(str), LARGE_K, st.just("inf")).map(lambda k: ["--k", k]),
             "alpha": unit.map(lambda alpha: ["--alpha", alpha]),
             "q": st.one_of(st.floats(1.0, 8.0).map(_text), st.just("inf")).map(lambda q: ["--q", q]),
-            "weights": st.lists(weight, min_size=5, max_size=5).map(
-                lambda w: ["--weights", ",".join(["1.0", *w[:3]]), "--beta1", w[3], "--beta3", w[4]]
+            "weights": st.tuples(st.lists(coefficient, min_size=3, max_size=3), weight, weight).map(
+                lambda w: ["--weights", ",".join(["1.0", *w[0]]), "--beta1", w[1], "--beta3", w[2]]
             ),
             "labels": st.just(["--weights", "1,1,0,0", "--labels", "{labels}"]),
         }[kind]
@@ -114,16 +136,23 @@ def decode_cases(draw):
     if mutation == "two selectors":
         return Case(argv + valid + ["--alpha", "0.5"] if kind != "alpha" else argv + valid + ["--k", "2"], 10)
     if kind == "k":
-        return Case(argv + ["--k", str(draw(st.integers(-3, 0)))], 7)
+        return Case(argv + ["--k", draw(st.one_of(st.integers(-3, 0).map(str), HUGE_K))], 7)
     if kind == "alpha":
         return Case(argv + ["--alpha", draw(bad_unit)], 10)
     if kind == "q":
         return Case(argv + ["--q", draw(st.one_of(st.floats(0.0, 0.999).map(_text), st.just("nan")))], 10)
     if kind == "labels":
-        return Case(argv + ["--q", "2", "--labels", "{labels}"], 10)
-    # a non-finite or negative weight or exponent; a negative value never leads an argument
+        return draw(st.sampled_from([
+            Case(argv + ["--q", "2", "--labels", "{labels}"], 10),
+            Case(argv + valid, 3, {"labels": json.dumps({"labels": {"1": "A"}})}, "labels"),
+            Case(argv + ["--weights", f"1,{draw(OVERFLOWING)},0,0", "--labels", "{labels}"], 10),
+        ]))
+    # a non-finite, negative or overflowing weight, or a non-finite or negative exponent; a negative value
+    # never leads an argument
     slot = draw(st.integers(0, 5))
     bad = draw(st.sampled_from(["nan", "inf", "-2"] if slot else ["nan", "inf"]))
+    if slot == 1 and draw(st.booleans()):
+        bad = draw(OVERFLOWING)
     parts = valid[1].split(",") + [valid[3], valid[5]]
     parts[slot] = bad
     return Case(argv + ["--weights", ",".join(parts[:4]), "--beta1", parts[4], "--beta3", parts[5]], 10)
@@ -131,16 +160,35 @@ def decode_cases(draw):
 
 @st.composite
 def gaussian_decode_cases(draw):
-    argv = ["decode", "--model", "{gmodel}", "--obs", "{gobs}", "--k", draw(st.sampled_from(["1", "2", "3"])),
+    two = draw(st.booleans())
+    model, obs, points = ("gmodel2", "gobs2", POINTS2) if two else ("gmodel", "gobs", POINTS)
+    argv = ["decode", "--model", f"{{{model}}}", "--obs", f"{{{obs}}}", "--k", draw(st.sampled_from(["1", "2", "3"])),
             "--out", "{out}"]
-    index = draw(st.integers(0, len(POINTS) - 1))
-    mutation = draw(st.sampled_from(["none", "non-finite", "ragged"]))
+    index = draw(st.integers(0, len(points) - 1))
+    mutation = draw(st.sampled_from(["none", "non-finite", "ragged", "width"]))
     if mutation == "none":
         return Case(argv)
+    if mutation == "width":  # every row one column short of or beyond the model's dimension
+        return Case(argv, 10, {obs: "\n".join(POINTS2 if not two else POINTS) + "\n"})
     if mutation == "non-finite":
-        return Case(argv, 3, {"gobs": _replace_line(POINTS, index, draw(non_finite))}, "gobs", index + 1)
+        row = points[index].split()
+        row[draw(st.integers(0, len(row) - 1))] = draw(non_finite)
+        return Case(argv, 3, {obs: _replace_line(points, index, " ".join(row))}, obs, index + 1)
     index = max(index, 1)  # the first row sets the width
-    return Case(argv, 3, {"gobs": _replace_line(POINTS, index, "0.5 0.5")}, "gobs", index + 1)
+    return Case(argv, 3, {obs: _replace_line(points, index, "0.5" if two else "0.5 0.5")}, obs, index + 1)
+
+
+@st.composite
+def direct_cases(draw):
+    """A direct-likelihood model: observations are rows of its table, and it cannot be sampled."""
+    if draw(st.booleans()):
+        return Case(["simulate", "--model", "{dmodel}", "--horizons", "3", "--replicates", "2"], 9)
+    argv = ["decode", "--model", "{dmodel}", "--obs", "{dobs}", "--k", draw(st.sampled_from(["1", "2", "inf"])),
+            "--out", "{out}"]
+    token, code = draw(st.sampled_from([(None, 0), ("4", 10), ("-1", 10), ("1.5", 3), ("x", 3)]))
+    if token is None:
+        return Case(argv)
+    return Case(argv, code, {"dobs": _replace_line(ROWS, draw(st.integers(0, len(ROWS) - 1)), token)}, "dobs")
 
 
 @st.composite
@@ -167,7 +215,14 @@ def sweep_cases(draw):
         }[grid]
         return Case(argv + [f"--{grid}", value])
     if grid == "k":
-        return Case(argv + ["--k", f"0..{draw(st.integers(0, 6))}"], 7)
+        lo = draw(st.integers(2, 8))
+        below = draw(st.sampled_from([str(lo - 1), "T"] if lo > 6 else [str(lo - 1)]))  # T = 6
+        return draw(st.sampled_from([
+            Case(argv + ["--k", f"0..{draw(st.integers(0, 6))}"], 7),
+            Case(argv + ["--k", f"1..{draw(HUGE_K)}"], 7),
+            Case(argv + ["--k", f"2,{draw(HUGE_K)}"], 7),
+            Case(argv + ["--k", f"{lo}..{below}"], 10),
+        ]))
     if grid == "alpha":
         return Case(argv + ["--alpha", f"0.5,{draw(bad_unit)}"], 10)
     return Case(argv + draw(st.sampled_from([["--q", "2,0.5"], ["--q", "nan"], []])), 10)
@@ -185,18 +240,21 @@ def simulate_cases(draw):
         "--decoders", ",".join(draw(st.lists(st.sampled_from(TAGS), min_size=1, max_size=3)))
     ]
     replicates = draw(st.integers(1 if gap else 2, 3))
-    mutation = draw(st.sampled_from(["none", "horizon", "replicates", "tag"]))
+    mutation = draw(st.sampled_from(["none", "horizon", "replicates", "tag"] + ([] if gap else ["no tags"])))
     code = 10
     if mutation == "horizon":
         horizons.append(draw(st.integers(-3, 0)))
     elif mutation == "replicates":
         replicates = draw(st.integers(-2, 0 if gap else 1))
     elif mutation == "tag" and gap:
-        tail = ["--k", "1"]
+        tail, code = draw(st.sampled_from([(["--k", "1"], 10), (["--k", f"2,{draw(HUGE_K)}"], 7)]))
     elif mutation == "tag":
         bad, code = draw(st.sampled_from([("foo", 10), ("kblock", 10), ("kblock:0", 7), ("alpha:2", 10),
-                                          ("weights:1/0/0/nan", 10), ("weights:1/0/0/0/inf/0", 10)]))
+                                          ("weights:1/0/0/nan", 10), ("weights:1/0/0/0/inf/0", 10),
+                                          (f"kblock:{draw(HUGE_K)}", 7), (f"weights:1/{draw(OVERFLOWING)}/0/0", 10)]))
         tail = ["--decoders", f"viterbi,{bad}"]
+    elif mutation == "no tags":
+        tail = ["--decoders", draw(st.sampled_from([",", "", " , "]))]
     else:
         code = 0
     return Case(argv + ["--horizons", ",".join(map(str, horizons)), "--replicates", str(replicates)] + tail, code)
@@ -207,7 +265,9 @@ paper_cases = st.one_of(
     st.sampled_from(["1", "0.5", "0", "-2", "nan", "inf"]).map(lambda a: Case(["paper-example", "--A", a], 10)),
 )
 
-cases = st.one_of(decode_cases(), gaussian_decode_cases(), risk_cases(), sweep_cases(), simulate_cases(), paper_cases)
+cases = st.one_of(
+    decode_cases(), gaussian_decode_cases(), direct_cases(), risk_cases(), sweep_cases(), simulate_cases(), paper_cases
+)
 
 
 @pytest.fixture(scope="module")
@@ -231,6 +291,16 @@ def run_main(argv):
 @example(Case(["decode", "--model", "{model}", "--obs", "{obs}", "--weights", "1,0,0,0", "--beta1", "nan",
                "--out", "{out}"], 10))
 @example(Case(["paper-example", "--A", "inf"], 10))
+@example(Case(["decode", "--model", "{model}", "--obs", "{obs}", "--k", str(10**399), "--out", "{out}"], 7))
+@example(Case(["decode", "--model", "{model}", "--obs", "{obs}", "--k", str(10**308), "--out", "{out}"], 10))
+@example(Case(["sweep", "--model", "{model}", "--obs", "{obs}", "--k", f"1..{10**399}"], 7))
+@example(Case(["simulate", "--model", "{model}", "--horizons", "3", "--replicates", "2", "--k", str(10**399)], 7))
+@example(Case(["simulate", "--model", "{model}", "--horizons", "3", "--replicates", "2",
+               "--decoders", f"kblock:{10**399}"], 7))
+@example(Case(["sweep", "--model", "{model}", "--obs", "{obs}", "--k", "3..2"], 10))
+@example(Case(["simulate", "--model", "{model}", "--horizons", "3", "--replicates", "2", "--decoders", ","], 10))
+@example(Case(["decode", "--model", "{model}", "--obs", "{obs}", "--weights", "1e308,1e308,0,0", "--out", "{out}"], 10))
+@example(Case(["decode", "--model", "{model}", "--obs", "{obs}", "--weights", "1e300,1,0,1", "--out", "{out}"]))
 @example(Case(["decode", "--model", "{gmodel}", "--obs", "{gobs}", "--k", "2", "--out", "{out}"], 3,
               {"gobs": "0.1\n1.2\n0.5 0.5\n0.8\n"}, "gobs", 3))
 @given(cases)
