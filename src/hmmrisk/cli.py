@@ -55,12 +55,12 @@ def build_parser() -> argparse.ArgumentParser:
     decode.add_argument("--obs", required=True)
     decode.add_argument("--labels")
     decode.add_argument("--weights", help="c1,c2,c3,c4")
-    decode.add_argument("--beta1", type=float, default=0.0)
-    decode.add_argument("--beta3", type=float, default=0.0)
+    decode.add_argument("--beta1", type=float, help="needs --weights (default 0)")
+    decode.add_argument("--beta3", type=float, help="needs --weights (default 0)")
     decode.add_argument("--k", help="block length (integer) or 'inf' for Viterbi")
     decode.add_argument("--alpha", type=float)
     decode.add_argument("--q", help="power-transform exponent (>= 1 or 'inf')")
-    decode.add_argument("--rescaled", action="store_true")
+    decode.add_argument("--rescaled", action="store_true", help="needs --q")
     decode.add_argument("--out", required=True, help="path file to write")
 
     risk = sub.add_parser("risk", help="evaluate the risks of a given path")
@@ -90,12 +90,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_weights(text: str, beta1: float, beta3: float) -> RiskWeights:
+def _parse_weights(text: str, beta1: float | None, beta3: float | None) -> RiskWeights:
     parts = text.split(",")
     if len(parts) != 4:
         raise ValueError(f"--weights needs 4 comma-separated values, got {len(parts)}")
     c1, c2, c3, c4 = (float(p) for p in parts)
-    return RiskWeights(c1, c2, c3, c4, beta1=beta1, beta3=beta3)
+    return RiskWeights(c1, c2, c3, c4, beta1=0.0 if beta1 is None else beta1, beta3=0.0 if beta3 is None else beta3)
 
 
 def _parse_k_range(text: str, horizon: int) -> list[int]:
@@ -128,6 +128,10 @@ def _cmd_decode(args) -> int:
     selectors = [s for s in (args.weights, args.k, args.alpha, args.q) if s is not None]
     if len(selectors) != 1:
         raise ValueError("exactly one of --weights, --k, --alpha, --q must be given")
+    if args.rescaled and args.q is None:
+        raise ValueError("--rescaled needs --q")
+    if (args.beta1 is not None or args.beta3 is not None) and args.weights is None:
+        raise ValueError("--beta1 and --beta3 need --weights")
     labels = hio.load_label_map(args.labels, model.num_states) if args.labels else None
     if labels is not None and args.q is not None:
         raise ValueError("--labels cannot be combined with --q")

@@ -1,4 +1,10 @@
-"""Scaled forward-backward smoothing, the prior chain, and window (block) posteriors."""
+"""Scaled forward-backward smoothing, the prior chain, and window (block) posteriors.
+
+The scaled recursions make four numpy calls per forward step (matmul,
+multiply, add.reduce, divide) and two per backward step (matmul, divide);
+the backward products transition * f_{t+1} do not depend on the recursion
+and are tabulated in blocks of at most about ``lattice._BLOCK`` elements.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import KOutOfRangeError, ZeroEvidenceError
+from .lattice import _BLOCK
 from .model import HmmModel, _log, check_state_path, prior_marginals
 
 BLOCK_STATE_CAP = 10**6
@@ -144,8 +151,12 @@ def forward_backward_many(model: HmmModel, observations) -> list[PosteriorSummar
 
     Each step does the same arithmetic per sequence as a single-sequence run,
     so every summary is bit-identical to ``forward_backward`` on its sequence.
-    Raises ZeroEvidenceError when some sequence has probability zero under
-    the model (some scaling factor vanishes).
+    A forward step makes 4 numpy calls and a backward step 2; the backward
+    pass reads the products transition * f_{t+1} from a (positions, N, K, K)
+    buffer that one multiply fills for max(1, _BLOCK // (N K K)) positions at
+    a time, so its memory does not grow with T.  Raises ZeroEvidenceError
+    when some sequence has probability zero under the model (some scaling
+    factor vanishes).
     """
     observations = list(observations)
     if not observations:
@@ -164,28 +175,38 @@ def forward_backward_many(model: HmmModel, observations) -> list[PosteriorSummar
     # time-major views: rows[t] is the (N, ...) slice of every sequence at position t
     alpha_rows, like_rows, scale_rows = alpha.transpose(1, 0, 2), likes.transpose(1, 0, 2), scaling.T[:, :, None]
     a = np.empty((num, 1, num_states))
-    np.multiply(model.initial, like_rows[0], out=a[:, 0])
+    a_row = a[:, 0]
     with np.errstate(divide="ignore", invalid="ignore"):  # a vanishing factor is reported below
-        for t, (alpha_t, likes_t, scale_t) in enumerate(zip(alpha_rows, like_rows, scale_rows)):
-            if t:
-                # (N, 1, K) @ (K, K) multiplies row by row, exactly as a single sequence does
-                np.matmul(alpha_rows[t - 1, :, None, :], model.transition, out=a)
-                a[:, 0] *= likes_t
+        np.multiply(model.initial, like_rows[0], out=a_row)
+        np.add.reduce(a, axis=2, out=scale_rows[0])
+        np.divide(a_row, scale_rows[0], out=alpha_rows[0])
+        forward = zip(alpha_rows[:-1, :, None, :], like_rows[1:], scale_rows[1:], alpha_rows[1:])
+        for alpha_prev, likes_t, scale_t, alpha_t in forward:
+            # (N, 1, K) @ (K, K) multiplies row by row, exactly as a single sequence does
+            np.matmul(alpha_prev, model.transition, out=a)
+            np.multiply(a_row, likes_t, out=a_row)
             np.add.reduce(a, axis=2, out=scale_t)
-            np.divide(a[:, 0], scale_t, out=alpha_t)
+            np.divide(a_row, scale_t, out=alpha_t)
     impossible = np.flatnonzero((scaling <= 0).any(axis=0))
     if len(impossible):
         raise ZeroEvidenceError(f"observation sequence impossible under the model at t={impossible[0] + 1}")
     beta = np.empty((num, horizon, num_states))
     beta[:, -1] = 1.0
     beta_rows = beta.transpose(1, 0, 2)
-    weighted = np.empty((num, num_states, num_states))
+    beta_cols = beta_rows[:, :, :, None]
+    step = max(1, _BLOCK // (num * num_states * num_states))
+    weighted = np.empty((step, num, num_states, num_states))
     b = np.empty((num, num_states, 1))
-    backward = zip(beta_rows[-2::-1], beta_rows[:0:-1, :, :, None], like_rows[:0:-1, :, None, :], scale_rows[:0:-1])
-    for beta_t, beta_next, likes_next, scale_next in backward:
-        np.multiply(model.transition, likes_next, out=weighted)
-        np.matmul(weighted, beta_next, out=b)
-        np.divide(b[..., 0], scale_next, out=beta_t)
+    b_col = b[..., 0]
+    # a block holds positions lo..hi-1: w[t - lo] = transition * f_{t+1}
+    for hi in range(horizon - 1, 0, -step):
+        lo = max(hi - step, 0)
+        w = weighted[: hi - lo]
+        np.multiply(model.transition, like_rows[lo + 1 : hi + 1, :, None, :], out=w)
+        block = zip(w[::-1], beta_cols[hi:lo:-1], scale_rows[hi:lo:-1], beta_rows[lo:hi][::-1])
+        for weighted_t, beta_next, scale_next, beta_t in block:
+            np.matmul(weighted_t, beta_next, out=b)
+            np.divide(b_col, scale_next, out=beta_t)
     smoothed = alpha * beta
     log_evidence = np.log(scaling).sum(axis=1)
     chain = PriorChain(model, horizon)

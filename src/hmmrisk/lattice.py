@@ -39,7 +39,7 @@ import numpy as np
 from .errors import NoFinitePathError
 
 TIE_TOL = 1e-12
-_BLOCK = 1 << 13  # elements of the (positions, N, K, K) block the tie-break tabulates at once
+_BLOCK = 1 << 13  # elements of a (positions, N, K, K) block: the tie-break's, and forward-backward's products
 
 
 def follow(first: np.ndarray, successors: np.ndarray) -> np.ndarray:

@@ -155,8 +155,9 @@ def evaluate_risks(summary: PosteriorSummary, path) -> RiskReport:
     lsm = _gather(summary.log_smoothed, paths0)[0]
     pm = _gather(summary.prior, paths0)[0]
     lpm = _gather(summary.log_prior, paths0)[0]
-    joint_ll = float(_joint_ll(summary, paths0)[0])
-    prior_ll = float(_prior_ll(summary, paths0)[0])
+    prior = _prior_ll(summary, paths0)
+    joint_ll = float((prior + _gather(summary.log_emission, paths0).sum(axis=1))[0])  # _joint_ll, prior reused
+    prior_ll = float(prior[0])
     post_lp = joint_ll - summary.log_evidence
     return RiskReport(
         r1_posterior=float(1.0 - sm.mean()),

@@ -8,8 +8,9 @@ differs from the model's, a label file that misses a state, an out-of-range
 k, q, alpha or contrast, a k too large for a float (up to 400 digits), a
 non-finite or negative weight, a weight near the float limit that overflows
 the path scores, a horizon or replicate count below its minimum, an empty k
-range or tag list, or an unknown decoder tag.  The models are a categorical
-one, one- and two-column Gaussian ones, and a direct-likelihood one.
+range or tag list, an option that no selected decoder reads, or an unknown
+decoder tag.  The models are a categorical one, one- and two-column Gaussian
+ones, and a direct-likelihood one.
 
 A valid example must exit 0 and write nothing to stderr.  A mutated one must
 exit with the code documented for its error class and write exactly one
@@ -119,9 +120,14 @@ def decode_cases(draw):
             "labels": st.just(["--weights", "1,1,0,0", "--labels", "{labels}"]),
         }[kind]
     )
-    mutation = draw(st.sampled_from(["none", "selector", "obs", "model", "missing", "two selectors"]))
+    mutation = draw(st.sampled_from(["none", "selector", "obs", "model", "missing", "two selectors", "stray option"]))
     if mutation == "none":
         return Case(argv + valid)
+    if mutation == "stray option":
+        # an option that no selected decoder reads: --rescaled belongs to --q, --beta1 and --beta3 to --weights
+        beta = [draw(st.sampled_from(["--beta1", "--beta3"])), draw(st.one_of(weight, st.sampled_from(["nan", "inf"])))]
+        strays = {"q": [beta], "weights": [["--rescaled"]], "labels": [["--rescaled"]]}.get(kind, [beta, ["--rescaled"]])
+        return Case(argv + valid + draw(st.sampled_from(strays)), 10)
     if mutation == "obs":
         token, code = draw(st.sampled_from([("nan", 3), ("inf", 3), ("1.5", 3), ("x", 3), ("-1", 10), ("2", 10)]))
         text = _replace_line(SYMBOLS, draw(st.integers(0, len(SYMBOLS) - 1)), token)

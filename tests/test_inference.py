@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hmmrisk as hr
 from hmmrisk.errors import KOutOfRangeError, ZeroEvidenceError
 from hmmrisk.inference import emission_likelihood
+from hmmrisk.lattice import _BLOCK
 
-from conftest import all_paths, path_joint_probs, random_instance
+from conftest import all_paths, path_joint_probs, random_categorical_model, random_instance
 
 
 def unscaled_forward_backward(model, obs):
@@ -79,6 +82,120 @@ class TestForwardBackward:
         expect = summary.log_evidence + len(obs) * np.log(scale)
         assert shifted.log_evidence == pytest.approx(expect, abs=1e-9)
         np.testing.assert_allclose(shifted.smoothed, summary.smoothed, atol=1e-12)
+
+
+def reference_forward_backward_many(model, observations):
+    """Reference: the batched recursions as they were before the backward pass
+    read block-tabulated products, one loop step per position and direction.
+    Returns (alpha, beta, scaling, smoothed, log_evidence), each with a leading
+    sequence axis."""
+    observations = list(observations)
+    horizon = len(observations[0])
+    num, num_states = len(observations), model.num_states
+    likes = np.empty((num, horizon, num_states))
+    for row, obs in zip(likes, observations):
+        row[...] = emission_likelihood(model, obs)
+    alpha = np.empty((num, horizon, num_states))
+    scaling = np.empty((num, horizon))
+    alpha_rows, like_rows, scale_rows = alpha.transpose(1, 0, 2), likes.transpose(1, 0, 2), scaling.T[:, :, None]
+    a = np.empty((num, 1, num_states))
+    np.multiply(model.initial, like_rows[0], out=a[:, 0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for t, (alpha_t, likes_t, scale_t) in enumerate(zip(alpha_rows, like_rows, scale_rows)):
+            if t:
+                np.matmul(alpha_rows[t - 1, :, None, :], model.transition, out=a)
+                a[:, 0] *= likes_t
+            np.add.reduce(a, axis=2, out=scale_t)
+            np.divide(a[:, 0], scale_t, out=alpha_t)
+    impossible = np.flatnonzero((scaling <= 0).any(axis=0))
+    if len(impossible):
+        raise ZeroEvidenceError(f"observation sequence impossible under the model at t={impossible[0] + 1}")
+    beta = np.empty((num, horizon, num_states))
+    beta[:, -1] = 1.0
+    beta_rows = beta.transpose(1, 0, 2)
+    weighted = np.empty((num, num_states, num_states))
+    b = np.empty((num, num_states, 1))
+    backward = zip(beta_rows[-2::-1], beta_rows[:0:-1, :, :, None], like_rows[:0:-1, :, None, :], scale_rows[:0:-1])
+    for beta_t, beta_next, likes_next, scale_next in backward:
+        np.multiply(model.transition, likes_next, out=weighted)
+        np.matmul(weighted, beta_next, out=b)
+        np.divide(b[..., 0], scale_next, out=beta_t)
+    return alpha, beta, scaling, alpha * beta, np.log(scaling).sum(axis=1)
+
+
+def batch_instance(seed, num, num_states, horizon, zero_frac, emission, sampled):
+    """A model with structural zeros at ``zero_frac`` and N sequences of length
+    T.  Sampled sequences have positive evidence; the others are drawn
+    independently of the model, so some are impossible, and Gaussian points
+    lie up to 40 from the means, far enough for densities to underflow."""
+    rng = np.random.default_rng(seed)
+    base = random_categorical_model(rng, num_states, num_symbols=3, zero_frac=zero_frac)
+    initial = base.initial.copy()
+    if zero_frac and num_states > 1:
+        initial[rng.random(num_states) < zero_frac] = 0.0
+        initial = initial / initial.sum() if initial.sum() > 0 else base.initial
+    if emission == "gaussian":
+        means, variances = rng.normal(0, 2, (num_states, 1)), rng.uniform(0.3, 2.0, (num_states, 1))
+        model = hr.HmmModel(initial, base.transition, hr.DiagonalGaussian(means, variances))
+    elif emission == "direct":
+        table = rng.uniform(0.0, 3.0, (horizon, num_states)) * (rng.random((horizon, num_states)) >= zero_frac)
+        model = hr.HmmModel(initial, base.transition, hr.DirectLikelihood(table))
+        return model, [rng.permutation(horizon) if n else np.arange(horizon) for n in range(num)]
+    else:
+        model = hr.HmmModel(initial, base.transition, base.emission)
+    if sampled:
+        return model, [hr.sample_trajectory(model, horizon, int(rng.integers(2**31)))[1] for _ in range(num)]
+    if emission == "gaussian":
+        return model, [rng.choice([-1.0, 1.0], horizon) * rng.uniform(0, 40.0, horizon) for _ in range(num)]
+    return model, [rng.integers(0, 3, horizon) for _ in range(num)]
+
+
+def backward_step(num, num_states):
+    """Positions of one block of transition x likelihood products."""
+    return max(1, _BLOCK // (num * num_states * num_states))
+
+
+@st.composite
+def batch_cases(draw):
+    """N 1-4, K 1-8, and T short or next to the first or second multiple of the
+    backward block: one before, at, and one or two after it."""
+    num, num_states = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    step = backward_step(num, num_states)
+    near_block = st.builds(lambda m, d: m * step + d, st.integers(1, 2), st.integers(-1, 2)).filter(lambda t: t >= 1)
+    horizon = draw(st.one_of(st.integers(1, 40), near_block))
+    zero_frac = draw(st.sampled_from([0.0, 0.3, 0.6]))
+    emission = draw(st.sampled_from(["categorical", "gaussian", "direct"]))
+    return draw(st.integers(0, 2**32 - 1)), num, num_states, horizon, zero_frac, emission, draw(st.booleans())
+
+
+def fb_outcome(fn, model, observations):
+    try:
+        return fn(model, observations)
+    except ZeroEvidenceError as exc:
+        return ZeroEvidenceError, str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@example((5, 1, 32, 2 * backward_step(1, 32) + 1, 0.3, "categorical", True))
+@example((6, 3, 32, 2 * backward_step(3, 32) + 2, 0.0, "gaussian", True))
+@example((7, 2, 32, backward_step(2, 32), 0.6, "direct", False))
+@example((8, 1, 1, 2 * backward_step(1, 1) + 1, 0.0, "categorical", True))
+@given(batch_cases())
+def test_batched_recursions_match_per_step_reference_bit_for_bit(case):
+    model, observations = batch_instance(*case)
+    got = fb_outcome(hr.forward_backward_many, model, observations)
+    expect = fb_outcome(reference_forward_backward_many, model, observations)
+    if isinstance(expect, tuple) and expect[0] is ZeroEvidenceError:
+        assert got == expect  # same error and message
+        return
+    alpha, beta, scaling, smoothed, log_evidence = expect
+    assert len(got) == len(observations)
+    for n, summary in enumerate(got):
+        assert np.array_equal(summary.scaled_forward, alpha[n])
+        assert np.array_equal(summary.scaled_backward, beta[n])
+        assert np.array_equal(summary.scaling, scaling[n])
+        assert np.array_equal(summary.smoothed, smoothed[n])
+        assert np.array_equal(summary.log_evidence, log_evidence[n])
 
 
 class TestBlockPosterior:

@@ -414,6 +414,25 @@ class TestBadCountsAndNonFiniteInputs:
         assert_one_error_line(err)
         assert "must be finite and nonnegative" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--k", "3", "--beta1", "nan"], "--beta1 and --beta3 need --weights"),
+            (["--alpha", "0.5", "--beta3", "inf"], "--beta1 and --beta3 need --weights"),
+            (["--weights", "1,0,0,0", "--rescaled"], "--rescaled needs --q"),
+            (["--k", "inf", "--rescaled"], "--rescaled needs --q"),
+        ],
+    )
+    def test_options_no_selected_decoder_reads_exit_10(self, capsys, workdir, argv, message):
+        """--rescaled is read by --q only, --beta1 and --beta3 by --weights only."""
+        tmp_path, _, _, model_path, obs_path = workdir
+        code, out, err = run_cli(capsys, "decode", "--model", model_path, "--obs", obs_path, *argv,
+                                 "--out", str(tmp_path / "p.txt"))
+        assert code == 10 and out == ""
+        assert_one_error_line(err)
+        assert message in err
+        assert not (tmp_path / "p.txt").exists()
+
     @pytest.mark.parametrize("tag", ["weights:1/0/0/0/nan/0", "weights:1/0/0/nan", "weights:1/0/0/0/0/inf"])
     def test_non_finite_simulate_weights_exit_10(self, capsys, workdir, tag):
         _, _, _, model_path, _ = workdir
