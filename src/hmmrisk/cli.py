@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--horizons", required=True, help="comma list of horizons")
     simulate.add_argument("--replicates", type=int, required=True)
     simulate.add_argument("--seed", type=int, default=0)
-    simulate.add_argument("--decoders", default="viterbi,pmap", help="comma list of decoder tags")
+    simulate.add_argument("--decoders", help="comma list of decoder tags (default viterbi,pmap; not with --k)")
     simulate.add_argument("--k", help="comma list of k >= 2: run the gap sweep instead")
     simulate.add_argument("--out", help="CSV output file (default stdout)")
 
@@ -98,14 +98,16 @@ def _parse_weights(text: str, beta1: float | None, beta3: float | None) -> RiskW
     return RiskWeights(c1, c2, c3, c4, beta1=0.0 if beta1 is None else beta1, beta3=0.0 if beta3 is None else beta3)
 
 
-def _parse_k_range(text: str, horizon: int) -> list[int]:
+def _parse_k_range(text: str, horizon: int) -> range | list[int]:
     if ".." in text:
         lo, _, hi = text.partition("..")
         top = horizon if hi.strip().upper() == "T" else int(hi)
-        _kblock(top)  # refuses a top too large for a float before the list is built
+        _kblock(top)  # refuses a top too large for a float before the range is built
         if int(lo) > top:
             raise ValueError(f"empty k range: {text}")
-        return list(range(int(lo), top + 1))
+        if top - int(lo) >= sys.maxsize:  # more k's than a range can count could never all be decoded
+            raise ValueError(f"k range too long: {text}")
+        return range(int(lo), top + 1)
     return [int(p) for p in text.split(",")]
 
 
@@ -228,6 +230,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_simulate(args) -> int:
     model = hio.load_model(args.model)
     horizons = [int(h) for h in args.horizons.split(",")]
+    if args.k is not None and args.decoders is not None:
+        raise ValueError("--decoders cannot be combined with --k (the gap sweep decodes viterbi and kblock:k)")
     if args.k is not None:
         ks = [int(k) for k in args.k.split(",")]
         rows = sandwich_constant_sweep(model, horizons, ks, args.replicates, args.seed)
@@ -235,7 +239,7 @@ def _cmd_simulate(args) -> int:
         lines += [hio.csv_line([r["horizon"], r["k"], r["replicate"], r["gap"], r["bound"]]) for r in rows]
         _emit(lines, args.out)
         return 0
-    tags = [t.strip() for t in args.decoders.split(",") if t.strip()]
+    tags = [t.strip() for t in ("viterbi,pmap" if args.decoders is None else args.decoders).split(",") if t.strip()]
     trajectory = estimate_risk_trajectories(model, tags, horizons, args.replicates, args.seed)
     lines = ["horizon,decoder_tag,metric,mean,sd,replicates"]
     lines += [

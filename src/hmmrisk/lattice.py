@@ -10,26 +10,25 @@ over all state sequences.  Scores may be -inf; -inf is absorbing.  Every
 array may carry a leading batch axis of N independent problems of equal
 length, which are solved together; a single problem is the N = 1 case.
 
-The kernel, ``_max_sum``, works in place: it overwrites an (N, T, K) gains
-buffer with the cost-to-go.  The public ``best_path`` copies its input and
-runs the kernel on the copy, so a caller's array is never written; the
-decoders stack the gains of several problems into one array and pass it to
-``best_path``, so the copy is the one cost-to-go table of that call.
-``rabiner_walk`` is the overlapping-block decoder's walk over (k-1)-tuples
-of states.
+The kernel, ``best_path``, only reads its gains: the decoders stack the
+gains of several problems into one (N, T, K) array and pass it in, and no
+float table of that size is made inside.  The cost-to-go lives in a window of
+about ``_BLOCK`` elements that moves down the positions, so its memory does
+not grow with T.  ``rabiner_walk`` is the overlapping-block decoder's walk
+over (k-1)-tuples of states.
 
 Tie policy: among all maximizers both walks return the lexicographically
 smallest path.  ``near_max`` owns the rule: the smallest index within
 ``TIE_TOL`` of the best.  A backward cost-to-go sweep computes, for every
-position t and state i, the best continuation value phi[t, i].  A second,
-loop-free pass then tabulates for every (t, i) the near_max successor j of
-w[i, j] + phi[t + 1, j], working through the positions in blocks of about
-``_BLOCK`` elements and storing each successor in the smallest integer dtype
-that holds K - 1.  The path is read off that table by ``follow``, from the
-near_max first state, which is the same choice a greedy forward selection
-makes, since it compares the same sums.  The tolerance exists because
-mathematically exact ties can differ by a few ulps when the same score is
-accumulated along different orders.
+position t and state i, the best continuation value phi[t, i].  As soon as
+the sweep has filled a window, the near_max successor j of
+w[i, j] + phi[t + 1, j] is tabulated for every (t, i) that reads it, in
+blocks of about ``_BLOCK`` elements, and each successor is stored in the
+smallest integer dtype that holds K - 1.  The path is read off that table
+by ``follow``, from the near_max first state, which is the same choice a
+greedy forward selection makes, since it compares the same sums.  The
+tolerance exists because mathematically exact ties can differ by a few ulps
+when the same score is accumulated along different orders.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ import numpy as np
 from .errors import NoFinitePathError
 
 TIE_TOL = 1e-12
-_BLOCK = 1 << 13  # elements of a (positions, N, K, K) block: the tie-break's, and forward-backward's products
+_BLOCK = 1 << 13  # elements of a block: the tie-break's and forward-backward's (positions, N, K, K) products, and the cost-to-go window
 
 
 def follow(first: np.ndarray, successors: np.ndarray) -> np.ndarray:
@@ -69,37 +68,6 @@ def near_max(vals: np.ndarray, axis: int):
     return best.squeeze(axis), np.argmax(vals >= best - TIE_TOL, axis=axis)
 
 
-def _max_sum(gains: np.ndarray, init_extra, trans):
-    """Solve the N problems of an (N, T, K) float ``gains`` buffer in place.
-
-    The buffer is overwritten with the cost-to-go: ``gains[n, t, i]`` becomes
-    the best score of a continuation from state i at position t.  Returns the
-    (N, T) paths and the (N,) scores; raises NoFinitePathError when some
-    problem has no path of finite score.
-    """
-    num, horizon, num_states = gains.shape
-    trans = np.broadcast_to(trans, (num, num_states, num_states))
-    phi = gains.transpose(1, 0, 2)  # (T, N, K) view of the buffer
-    buf = np.empty((num, num_states, num_states))
-    best_next = np.empty((num, num_states))
-    # step t: phi[t] += max_j (trans[:, :, j] + phi[t + 1][:, None, j]); addition commutes, so the bits
-    # are those of gains[:, t] + max(...)
-    for nxt, cur in zip(phi[:0:-1, :, None, :], phi[-2::-1]):
-        np.add(trans, nxt, out=buf)
-        np.maximum.reduce(buf, axis=2, out=best_next)
-        cur += best_next
-    best, first = near_max(init_extra + phi[0], axis=1)
-    if not np.all(np.isfinite(best)):
-        raise NoFinitePathError("all candidate paths have -inf score")
-
-    # successors[t, n, i]: the near_max successor j of trans[n, i, j] + phi[t + 1, n, j]
-    successors = np.empty((horizon - 1, num, num_states), dtype=np.min_scalar_type(num_states - 1))
-    step = max(1, _BLOCK // (num * num_states * num_states))
-    for lo in range(0, horizon - 1, step):
-        successors[lo : lo + step] = near_max(trans + phi[lo + 1 : lo + step + 1, :, None, :], axis=3)[1]
-    return follow(first, successors), best
-
-
 def best_path(gains: np.ndarray, init_extra: np.ndarray, trans: np.ndarray):
     """Return (path, score) for the lexicographically smallest maximizer.
 
@@ -107,12 +75,38 @@ def best_path(gains: np.ndarray, init_extra: np.ndarray, trans: np.ndarray):
     is (K,) or (N, K) and ``trans`` (K, K) or (N, K, K).  For one problem
     ``path`` holds 0-based state indices of shape (T,) and ``score`` is a
     float; with a batch axis they are (N, T) and (N,).  Raises
-    NoFinitePathError when some problem has no path of finite score.  The
-    kernel runs on a copy, so ``gains`` is left unchanged.
+    NoFinitePathError when some problem has no path of finite score.
+    ``gains`` is only read, never written or copied; the cost-to-go window
+    holds max(step, _BLOCK // (N K)) positions, step = max(1, _BLOCK // (N K K)).
     """
-    gains = np.array(gains, dtype=float)
+    gains = np.asarray(gains, dtype=float)
     single = gains.ndim == 2
-    path, best = _max_sum(gains[None] if single else gains, init_extra, trans)
+    gains = gains[None] if single else gains
+    num, horizon, num_states = gains.shape
+    trans = np.broadcast_to(trans, (num, num_states, num_states))
+    rows = gains.transpose(1, 0, 2)  # (T, N, K) view of the input
+    step = max(1, _BLOCK // (num * num_states * num_states))
+    size = max(step, _BLOCK // (num * num_states))
+    window = np.empty((size + 1, num, num_states))  # window[-1]: the cost-to-go just above the window
+    window[-1] = rows[-1]
+    buf = np.empty((num, num_states, num_states))
+    add, max_reduce = np.add, np.maximum.reduce  # bound once and called positionally: the sweep is call-bound
+    successors = np.empty((horizon - 1, num, num_states), dtype=np.min_scalar_type(num_states - 1))  # [t, n, i] -> j
+    for hi in range(horizon - 1, 0, -size):
+        lo = max(0, hi - size)
+        phi = window[size - (hi - lo) :]  # phi[i] is the cost-to-go at position lo + i
+        # cur = max_j (trans[:, :, j] + nxt[:, None, j]) + gains[t]; addition commutes: the bits of gains[t] + max
+        for nxt, cur, gain in zip(phi[:0:-1, :, None, :], phi[-2::-1], rows[lo:hi][::-1]):
+            add(trans, nxt, buf)
+            max_reduce(buf, 2, None, cur)  # (array, axis, dtype, out)
+            cur += gain
+        for a in range(0, hi - lo, step):
+            successors[lo + a : min(lo + a + step, hi)] = near_max(trans + phi[a + 1 : a + step + 1, :, None, :], axis=3)[1]
+        window[-1] = phi[0]
+    best, first = near_max(init_extra + window[-1], axis=1)
+    if not np.all(np.isfinite(best)):
+        raise NoFinitePathError("all candidate paths have -inf score")
+    path = follow(first, successors)
     return (path[0], float(best[0])) if single else (path, best)
 
 

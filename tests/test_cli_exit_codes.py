@@ -8,7 +8,8 @@ differs from the model's, a label file that misses a state, an out-of-range
 k, q, alpha or contrast, a k too large for a float (up to 400 digits), a
 non-finite or negative weight, a weight near the float limit that overflows
 the path scores, a horizon or replicate count below its minimum, an empty k
-range or tag list, an option that no selected decoder reads, or an unknown
+range or tag list, a k range too long to count, an option that no selected
+decoder reads (``--decoders`` with the gap sweep included), or an unknown
 decoder tag.  The models are a categorical one, one- and two-column Gaussian
 ones, and a direct-likelihood one.
 
@@ -72,6 +73,8 @@ BASE_FILES = {
 # k - 1 weighs the joint term, so a k at or above 2**1024 (no float) exits 7; below 1e300 it decodes
 HUGE_K = st.integers(2**1024, 10**400 - 1).map(str)
 LARGE_K = st.integers(9, 10**300).map(str)
+# a range top that is a float but leaves more k's than a range can count (sys.maxsize on 64-bit builds)
+LONG_RANGE_TOP = st.integers(2**63, 10**300).map(str)
 # a joint weight of at least 1e308 overflows a score of every sequence of the categorical model, whatever its
 # length: at the first position one state scores log 0.6 + log 0.2 or log 0.4 + log 0.3, both below -2.1
 OVERFLOWING = st.floats(1e308, 1.7976931348623157e308).map(repr)
@@ -226,6 +229,7 @@ def sweep_cases(draw):
         return draw(st.sampled_from([
             Case(argv + ["--k", f"0..{draw(st.integers(0, 6))}"], 7),
             Case(argv + ["--k", f"1..{draw(HUGE_K)}"], 7),
+            Case(argv + ["--k", f"1..{draw(LONG_RANGE_TOP)}"], 10),
             Case(argv + ["--k", f"2,{draw(HUGE_K)}"], 7),
             Case(argv + ["--k", f"{lo}..{below}"], 10),
         ]))
@@ -246,12 +250,14 @@ def simulate_cases(draw):
         "--decoders", ",".join(draw(st.lists(st.sampled_from(TAGS), min_size=1, max_size=3)))
     ]
     replicates = draw(st.integers(1 if gap else 2, 3))
-    mutation = draw(st.sampled_from(["none", "horizon", "replicates", "tag"] + ([] if gap else ["no tags"])))
+    mutation = draw(st.sampled_from(["none", "horizon", "replicates", "tag"] + (["decoders"] if gap else ["no tags"])))
     code = 10
     if mutation == "horizon":
         horizons.append(draw(st.integers(-3, 0)))
     elif mutation == "replicates":
         replicates = draw(st.integers(-2, 0 if gap else 1))
+    elif mutation == "decoders":  # the gap sweep decodes viterbi and kblock:k only
+        tail += ["--decoders", draw(st.sampled_from(TAGS + ["nonsense-tag", ""]))]
     elif mutation == "tag" and gap:
         tail, code = draw(st.sampled_from([(["--k", "1"], 10), (["--k", f"2,{draw(HUGE_K)}"], 7)]))
     elif mutation == "tag":
@@ -304,6 +310,9 @@ def run_main(argv):
 @example(Case(["simulate", "--model", "{model}", "--horizons", "3", "--replicates", "2",
                "--decoders", f"kblock:{10**399}"], 7))
 @example(Case(["sweep", "--model", "{model}", "--obs", "{obs}", "--k", "3..2"], 10))
+@example(Case(["sweep", "--model", "{model}", "--obs", "{obs}", "--k", f"1..{10**20}"], 10))
+@example(Case(["simulate", "--model", "{model}", "--horizons", "5", "--replicates", "2", "--k", "2",
+               "--decoders", "nonsense-tag"], 10))
 @example(Case(["simulate", "--model", "{model}", "--horizons", "3", "--replicates", "2", "--decoders", ","], 10))
 @example(Case(["decode", "--model", "{model}", "--obs", "{obs}", "--weights", "1e308,1e308,0,0", "--out", "{out}"], 10))
 @example(Case(["decode", "--model", "{model}", "--obs", "{obs}", "--weights", "1e300,1,0,1", "--out", "{out}"]))

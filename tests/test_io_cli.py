@@ -1,12 +1,15 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import hmmrisk as hr
+from hmmrisk import cli
 from hmmrisk import io as hio
 from hmmrisk.cli import main
-from hmmrisk.errors import ParseError
+from hmmrisk.decoders import kblock_pvd_decode
+from hmmrisk.errors import KOutOfRangeError, ParseError
 
 from conftest import random_categorical_model
 
@@ -441,3 +444,50 @@ class TestBadCountsAndNonFiniteInputs:
         )
         assert code == 10 and out == ""
         assert_one_error_line(err)
+
+    @pytest.mark.parametrize("tags", ["nonsense-tag", "viterbi", "viterbi,pmap", ""])
+    def test_decoders_with_the_gap_sweep_exit_10(self, capsys, workdir, tags):
+        """The gap sweep decodes viterbi and kblock:k only, so --decoders is refused with --k."""
+        _, _, _, model_path, _ = workdir
+        code, out, err = run_cli(capsys, "simulate", "--model", model_path, "--horizons", "5", "--replicates", "2",
+                                 "--k", "2", "--decoders", tags)
+        assert code == 10 and out == ""
+        assert_one_error_line(err)
+        assert "--decoders cannot be combined with --k" in err
+
+    def test_simulate_decoders_default_to_viterbi_and_pmap(self, capsys, workdir):
+        _, _, _, model_path, _ = workdir
+        argv = ["simulate", "--model", model_path, "--horizons", "5", "--replicates", "2"]
+        assert run_cli(capsys, *argv) == run_cli(capsys, *argv, "--decoders", "viterbi,pmap")
+
+    @pytest.mark.parametrize("top", [str(10**20), str(2**63 + 1)])
+    def test_k_range_too_long_to_count_exits_10(self, capsys, workdir, top):
+        tmp_path, _, _, model_path, obs_path = workdir
+        code, out, err = run_cli(capsys, "sweep", "--model", model_path, "--obs", obs_path, "--k", f"1..{top}",
+                                 "--out", str(tmp_path / "s.csv"))
+        assert code == 10 and out == ""
+        assert_one_error_line(err)
+        assert "k range too long" in err
+
+    def test_k_range_is_decoded_one_k_at_a_time(self, capsys, workdir, monkeypatch):
+        """A range of 10**6 k's is not listed up front: the first bad k stops the sweep early."""
+        tmp_path, _, _, model_path, obs_path = workdir
+        seen = []
+
+        def decode(summary, k):
+            seen.append(k)
+            if k == 3:
+                raise KOutOfRangeError("stop at k=3")
+            return kblock_pvd_decode(summary, k)
+
+        monkeypatch.setattr(cli, "kblock_pvd_decode", decode)
+        tracemalloc.start()
+        try:
+            code, _, err = run_cli(capsys, "sweep", "--model", model_path, "--obs", obs_path, "--k", f"1..{10**6}",
+                                   "--out", str(tmp_path / "s.csv"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 7 and seen == [1, 2, 3]
+        assert_one_error_line(err)
+        assert peak < 1 << 20, peak
