@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InstanceTooLargeError, KOutOfRangeError
-from .inference import BLOCK_STATE_CAP, PosteriorSummary, forward_backward, log_window_posterior
+from .inference import BLOCK_STATE_CAP, PosteriorSummary, forward_backward
 from .lattice import TIE_TOL, best_path, rabiner_walk
 from .model import HmmModel
 from .risk import (
@@ -29,7 +29,7 @@ from .risk import (
 )
 
 BRUTE_FORCE_CAP = 10**7
-_CHUNK = 1 << 16  # paths enumerated, or Rabiner window probabilities tabulated, at once
+_CHUNK = 1 << 16  # paths enumerated at once, or Rabiner window probabilities in one block of the walk's stream
 
 
 @dataclass
@@ -249,16 +249,24 @@ def _digits_range(base: int, width: int, start: int, stop: int) -> np.ndarray:
     return digits
 
 
-def _window_table(summary: PosteriorSummary, k: int) -> np.ndarray:
+def _window_blocks(summary: PosteriorSummary, k: int):
     """Linear-domain block posteriors of every k-tuple (column, in base-K digit
-    order) at every window start (row), tabulated a bounded block of starts at a time."""
-    digits = _digits_range(summary.num_states, k, 0, summary.num_states**k)
-    table = np.empty((summary.horizon - k + 1, len(digits)))
-    step = max(1, _CHUNK // len(digits))
-    for lo in range(0, len(table), step):
-        starts = np.arange(lo, min(lo + step, len(table)))[:, None]
-        np.exp(log_window_posterior(summary, starts, digits), out=table[lo : lo + step])
-    return table
+    order) at the window starts (rows), in blocks of about ``_CHUNK`` elements,
+    the last block first.  The terms ``log_window_posterior`` gathers are
+    broadcast along k state axes and added in its order: the same floats."""
+    num_states, step = summary.num_states, max(1, _CHUNK // summary.num_states**k)
+
+    def spread(table, lo, hi, *axes):  # rows lo:hi, their states along the given axes of a (starts, K, ..., K) block
+        return table[lo:hi].reshape((hi - lo,) + tuple(num_states if i in axes else 1 for i in range(k)))
+
+    for hi in range(summary.horizon - k + 1, 0, -step):
+        lo = max(0, hi - step)
+        logw = spread(summary.log_forward, lo, hi, 0)
+        for u in range(1, k):
+            terms = spread(summary.log_transition[None], 0, 1, u - 1, u) + spread(summary.log_emission, lo + u, hi + u, u)
+            logw = logw + (terms - spread(summary.log_scaling, lo + u, hi + u))
+        logw = logw + spread(summary.log_backward, lo + k - 1, hi + k - 1, k - 1)
+        yield np.exp(logw, out=logw).reshape(hi - lo, -1)
 
 
 def rabiner_block_decode(summary: PosteriorSummary, k: int) -> DecodedPath:
@@ -275,7 +283,7 @@ def rabiner_block_decode(summary: PosteriorSummary, k: int) -> DecodedPath:
         raise KOutOfRangeError(f"K^(k-1) exceeds the tabulation cap for k={k}")
     if k == 1:
         return _finish(summary, np.argmax(summary.smoothed, axis=1), summary.smoothed.max(axis=1).sum(), "rabiner k=1")
-    idx = rabiner_walk(_window_table(summary, k), num_states, k)
+    idx = rabiner_walk(_window_blocks(summary, k), num_states, k)
     gain = rabiner_gain_batch(summary, idx[None, :] + 1, k)[0]
     return _finish(summary, idx, gain, f"rabiner k={k}")
 

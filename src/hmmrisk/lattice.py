@@ -14,17 +14,17 @@ The kernel, ``best_path``, only reads its gains: the decoders stack the
 gains of several problems into one (N, T, K) array and pass it in, and no
 float table of that size is made inside.  The cost-to-go lives in a window of
 about ``_BLOCK`` elements that moves down the positions, so its memory does
-not grow with T.  ``rabiner_walk`` is the overlapping-block decoder's walk
-over (k-1)-tuples of states.
+not grow with T.  ``rabiner_walk``, the overlapping-block decoder's walk over
+(k-1)-tuples of states, streams its window gains in blocks the same way.
 
 Tie policy: among all maximizers both walks return the lexicographically
 smallest path.  ``near_max`` owns the rule: the smallest index within
 ``TIE_TOL`` of the best.  A backward cost-to-go sweep computes, for every
 position t and state i, the best continuation value phi[t, i].  As soon as
-the sweep has filled a window, the near_max successor j of
-w[i, j] + phi[t + 1, j] is tabulated for every (t, i) that reads it, in
-blocks of about ``_BLOCK`` elements, and each successor is stored in the
-smallest integer dtype that holds K - 1.  The path is read off that table
+the sweep has passed a window or block, the near_max successor j of
+w[i, j] + phi[t + 1, j] is tabulated for every (t, i) in it, and each
+successor is stored in the smallest integer dtype that holds the largest
+state or tuple index.  The path is read off that table
 by ``follow``, from the near_max first state, which is the same choice a
 greedy forward selection makes, since it compares the same sums.  The
 tolerance exists because mathematically exact ties can differ by a few ulps
@@ -110,25 +110,27 @@ def best_path(gains: np.ndarray, init_extra: np.ndarray, trans: np.ndarray):
     return (path[0], float(best[0])) if single else (path, best)
 
 
-def rabiner_walk(window_gain: np.ndarray, num_states: int, k: int) -> np.ndarray:
-    """0-based path of length T = len(window_gain) + k - 1 maximizing the
-    summed window gains, lexicographically smallest under the tie rule;
-    ``window_gain[a, c]`` scores the k-tuple with base-K digits c at window
-    start a (k >= 2).
-
-    The backward sweep over (k-1)-tuples keeps one row of cost-to-go and
-    records, per window start and tuple, the near_max successor tuple;
-    ``follow`` reads the path off those records.
+def rabiner_walk(blocks, num_states: int, k: int) -> np.ndarray:
+    """0-based path of length (window starts) + k - 1 maximizing the summed
+    window gains, lexicographically smallest under the tie rule.  ``blocks``
+    yields (starts, K^k) gains of consecutive window starts, the last block
+    first (``[table]`` is one block); column c scores the k-tuple with base-K
+    digits c (k >= 2).  The backward sweep over (k-1)-tuples takes 2 numpy
+    calls per start; then the block's near_max successor tuples are tabulated
+    in one call and the block is dropped: only the successors outlive it.
     """
     n_tuples, lead = num_states ** (k - 1), num_states ** (k - 2)
-    # gains[a, d, rest, j]: window a holds tuple (d, rest), then state j; the next tuple is (rest, j)
-    gains = window_gain.reshape(len(window_gain), num_states, lead, num_states)
-    nodes = np.empty((len(window_gain), num_states, lead), dtype=np.min_scalar_type(n_tuples - 1))
-    phi = np.zeros((num_states, lead))
-    for gain, node in zip(gains[::-1], nodes[::-1]):
-        phi, node[...] = near_max(gain + phi.reshape(lead, num_states), axis=2)  # phi indexed by the next tuple
-    nodes = nodes.reshape(len(window_gain), 1, n_tuples)
-    nodes += (np.arange(n_tuples) % lead * num_states).astype(nodes.dtype)  # j -> tuple index rest * K + j
-    start = int(near_max(phi.reshape(-1), axis=0)[1])
-    tuples = follow(np.array([start]), nodes)[0]
+    offsets = np.arange(n_tuples).reshape(num_states, lead) % lead * num_states  # j -> tuple index rest * K + j
+    phi, buf, nodes = np.zeros((1, num_states, lead)), np.empty((num_states, lead, num_states)), []
+    for block in blocks:
+        # gains[a, d, rest, j]: window a holds tuple (d, rest), then state j; the next tuple is (rest, j)
+        gains = block.reshape(len(block), num_states, lead, num_states)
+        phi = np.concatenate((np.empty((len(gains), num_states, lead)), phi[:1]))  # phi[a]: cost-to-go at start a
+        for gain, nxt, cur in zip(gains[::-1], phi[:0:-1], phi[-2::-1]):
+            np.add(gain, nxt.reshape(lead, num_states), buf)
+            np.maximum.reduce(buf, 2, None, cur)  # (array, axis, dtype, out)
+        successors = near_max(gains + phi[1:].reshape(len(gains), 1, lead, num_states), axis=3)[1]
+        nodes.append((successors + offsets).astype(np.min_scalar_type(n_tuples - 1)))
+    start = int(near_max(phi[0].reshape(-1), axis=0)[1])
+    tuples = follow(np.array([start]), np.concatenate(nodes[::-1]).reshape(-1, 1, n_tuples))[0]
     return np.concatenate((np.unravel_index(start, (num_states,) * (k - 1)), tuples[1:] % num_states))

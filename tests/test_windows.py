@@ -1,18 +1,22 @@
-"""The window primitive against the per-start loops it replaced.
+"""The window primitive and the Rabiner stream against the per-start loops
+they replaced.
 
-The Rabiner window table (``decoders._window_table``) and
-``risk.rabiner_gain_batch`` get every window probability from
-``inference.log_window_posterior``, called once per block of window starts;
-``risk.kblock_logrisk`` scores all full windows of a path in one
-``log_window`` call.  The loops below compute one window start at a time, as
-the code did before; they are kept as references.  The table and the k-block
-risks must match them bit for bit and the gains within 1e-12 relative.  The
-Rabiner walk (``lattice.rabiner_walk``), which records its successors in
-the backward sweep and follows them, must return the path of the greedy
-forward walk it replaced bit for bit, ties included.
+The Rabiner window blocks (``decoders._window_blocks``), which broadcast the
+terms ``inference.log_window_posterior`` gathers, and
+``risk.rabiner_gain_batch``, which calls it once per batch of paths, give the
+window probabilities; ``risk.kblock_logrisk`` scores all full windows of a
+path in one ``log_window`` call.  The loops below compute one window start at
+a time, as the code did before; they are kept as references.  The blocks,
+concatenated, and the k-block risks must match them bit for bit and the gains
+within 1e-12 relative.  The Rabiner walk (``lattice.rabiner_walk``), which
+sweeps the blocks backward and tabulates each block's successors before it
+drops the block, must return the path of the greedy forward walk it replaced
+bit for bit, ties included, however the table is cut into blocks; and the
+decoder must not hold a (starts, K^k) table.
 """
 
 import itertools
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -124,10 +128,11 @@ def tied_window_tables(draw):
 @given(tied_window_tables())
 def test_rabiner_walk_matches_greedy_walk(case):
     table, num_states, k = case
-    got = rabiner_walk(table, num_states, k)
     want = greedy_rabiner_walk(table, num_states, k)
-    assert got.shape == want.shape == (len(table) + k - 1,)
-    np.testing.assert_array_equal(got, want)
+    assert want.shape == (len(table) + k - 1,)
+    for size in range(1, len(table) + 1):  # blocks of every size, the last block first, as the decoder streams them
+        blocks = [table[max(0, hi - size) : hi] for hi in range(len(table), 0, -size)]
+        np.testing.assert_array_equal(rabiner_walk(blocks, num_states, k), want)
 
 
 @st.composite
@@ -148,8 +153,33 @@ def window_cases(draw):
 def test_window_table_matches_per_start_loop(case, chunk):
     summary, k, _ = case
     with mock.patch.object(decoders, "_CHUNK", chunk):  # blocks of one start, a few, or all
-        table = decoders._window_table(summary, k)
-    np.testing.assert_array_equal(table, loop_window_table(summary, k))
+        blocks = list(decoders._window_blocks(summary, k))
+    np.testing.assert_array_equal(np.concatenate(blocks[::-1]), loop_window_table(summary, k))
+
+
+@FAST
+@given(window_cases())
+def test_rabiner_decode_does_not_depend_on_block_size(case):
+    summary, k, _ = case
+    want = hr.rabiner_block_decode(summary, k)
+    for chunk in (1, 3):
+        with mock.patch.object(decoders, "_CHUNK", chunk):
+            assert hr.rabiner_block_decode(summary, k) == want
+
+
+def test_rabiner_decode_never_holds_the_window_table():
+    num_states, k, horizon = 32, 2, 2000
+    model = random_categorical_model(np.random.default_rng(4), num_states, zero_frac=0.2)
+    _, obs = hr.sample_trajectory(model, horizon, 9)
+    summary = hr.forward_backward(model, obs)
+    tracemalloc.start()
+    try:
+        hr.rabiner_block_decode(summary, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table_bytes = (horizon - k + 1) * num_states**k * 8
+    assert peak < table_bytes / 4, (peak, table_bytes)
 
 
 @FAST
@@ -159,7 +189,6 @@ def test_gain_batch_matches_per_start_loop(case):
     gains = rabiner_gain_batch(summary, paths, k)
     np.testing.assert_allclose(gains, loop_gain_batch(summary, paths, k), rtol=1e-12, atol=0)
     assert hr.rabiner_block_gain(summary, paths[-1], k) == gains[-1]
-
 
 
 @FAST
