@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InstanceTooLargeError, KOutOfRangeError
-from .inference import BLOCK_STATE_CAP, PosteriorSummary, forward_backward
+from .inference import BLOCK_STATE_CAP, PosteriorSummary, forward_backward, log_window_posterior
 from .lattice import TIE_TOL, best_path, rabiner_walk
 from .model import HmmModel
 from .risk import (
@@ -252,21 +252,13 @@ def _digits_range(base: int, width: int, start: int, stop: int) -> np.ndarray:
 def _window_blocks(summary: PosteriorSummary, k: int):
     """Linear-domain block posteriors of every k-tuple (column, in base-K digit
     order) at the window starts (rows), in blocks of about ``_CHUNK`` elements,
-    the last block first.  The terms ``log_window_posterior`` gathers are
-    broadcast along k state axes and added in its order: the same floats."""
+    the last block first: one ``log_window_posterior`` call per block, over an
+    open mesh of the starts and the k state axes."""
     num_states, step = summary.num_states, max(1, _CHUNK // summary.num_states**k)
-
-    def spread(table, lo, hi, *axes):  # rows lo:hi, their states along the given axes of a (starts, K, ..., K) block
-        return table[lo:hi].reshape((hi - lo,) + tuple(num_states if i in axes else 1 for i in range(k)))
-
-    for hi in range(summary.horizon - k + 1, 0, -step):
-        lo = max(0, hi - step)
-        logw = spread(summary.log_forward, lo, hi, 0)
-        for u in range(1, k):
-            terms = spread(summary.log_transition[None], 0, 1, u - 1, u) + spread(summary.log_emission, lo + u, hi + u, u)
-            logw = logw + (terms - spread(summary.log_scaling, lo + u, hi + u))
-        logw = logw + spread(summary.log_backward, lo + k - 1, hi + k - 1, k - 1)
-        yield np.exp(logw, out=logw).reshape(hi - lo, -1)
+    starts, *states = np.ix_(np.arange(summary.horizon - k + 1), *[np.arange(num_states)] * k)
+    for hi in range(len(starts), 0, -step):
+        logw = log_window_posterior(summary, starts[max(0, hi - step) : hi], states)
+        yield np.exp(logw, out=logw).reshape(len(logw), -1)
 
 
 def rabiner_block_decode(summary: PosteriorSummary, k: int) -> DecodedPath:
@@ -279,8 +271,8 @@ def rabiner_block_decode(summary: PosteriorSummary, k: int) -> DecodedPath:
     horizon, num_states = summary.horizon, summary.num_states
     if not 1 <= k <= horizon:
         raise KOutOfRangeError(f"k must lie in 1..{horizon}, got {k}")
-    if num_states ** (k - 1) > BLOCK_STATE_CAP:
-        raise KOutOfRangeError(f"K^(k-1) exceeds the tabulation cap for k={k}")
+    if num_states**k > BLOCK_STATE_CAP:  # every window block and the walk's buffer hold K^k floats per start
+        raise KOutOfRangeError(f"K^k exceeds the tabulation cap for k={k}")
     if k == 1:
         return _finish(summary, np.argmax(summary.smoothed, axis=1), summary.smoothed.max(axis=1).sum(), "rabiner k=1")
     idx = rabiner_walk(_window_blocks(summary, k), num_states, k)

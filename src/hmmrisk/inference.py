@@ -142,7 +142,7 @@ class PosteriorSummary:
     def log_window(self, start, states0: np.ndarray):
         """log P(Y_start..Y_{start+k-1} = states0 + 1 | x^T), as
         ``PriorChain.log_window`` but conditioned on the observations."""
-        return log_window_posterior(self, np.asarray(start) - 1, states0)
+        return log_window_posterior(self, np.asarray(start) - 1, np.moveaxis(states0, -1, 0))
 
 
 def forward_backward_many(model: HmmModel, observations) -> list[PosteriorSummary]:
@@ -234,24 +234,24 @@ def forward_backward(model: HmmModel, obs) -> PosteriorSummary:
     return forward_backward_many(model, [obs])[0]
 
 
-def log_window_posterior(summary: PosteriorSummary, starts, states0) -> np.ndarray:
-    """log P(Y_a..Y_{a+k-1} = s + 1 | x^T) for 0-based window starts a and
-    0-based state tuples s, which run along the last axis of ``states0``.
-
-    ``starts`` broadcasts against ``states0[..., 0]``, so one call covers any
-    grid of windows and tuples; the loop runs only over the k - 1 steps inside
-    a window.
+def log_window_posterior(summary: PosteriorSummary, starts, states) -> np.ndarray:
+    """log P(Y_a..Y_{a+k-1} = (s_0..s_{k-1}) + 1 | x^T) for 0-based window
+    starts a and 0-based states s_u, given as k index arrays (a list, or an
+    array whose first axis has length k) that broadcast against ``starts``:
+    arrays along paths gather each window's own states, and an open mesh
+    (``np.ix_``) tabulates every k-tuple.  The loop runs only over the k - 1
+    steps inside a window; its adds are out of place, as over a mesh the sum
+    outgrows its first term.
     """
-    k = states0.shape[-1]
-    logw = summary.log_forward[starts, states0[..., 0]]
-    for u in range(k - 1):
-        logw += (
-            summary.log_transition[states0[..., u], states0[..., u + 1]]
-            + summary.log_emission[starts + u + 1, states0[..., u + 1]]
-            - summary.log_scaling[starts + u + 1]
+    k = len(states)
+    logw = summary.log_forward[starts, states[0]]
+    for u in range(1, k):
+        logw = logw + (
+            summary.log_transition[states[u - 1], states[u]]
+            + summary.log_emission[starts + u, states[u]]
+            - summary.log_scaling[starts + u]
         )
-    logw += summary.log_backward[starts + k - 1, states0[..., -1]]
-    return logw
+    return logw + summary.log_backward[starts + k - 1, states[-1]]
 
 
 def log_block_posterior(summary: PosteriorSummary, t: int, block) -> float:

@@ -209,6 +209,6 @@ def rabiner_gain_batch(summary: PosteriorSummary, paths, k: int) -> np.ndarray:
     if not 1 <= k <= horizon:
         raise KOutOfRangeError(f"k must lie in 1..{horizon}, got {k}")
     windows = np.lib.stride_tricks.sliding_window_view(paths0, k, axis=1)  # (N, T - k + 1, k)
-    probs = np.exp(log_window_posterior(summary, np.arange(horizon - k + 1), windows))
+    probs = np.exp(log_window_posterior(summary, np.arange(horizon - k + 1), np.moveaxis(windows, -1, 0)))
     # cumsum adds the windows left to right, so the total does not depend on how numpy pairs terms
     return np.cumsum(probs, axis=1)[:, -1]

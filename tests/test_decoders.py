@@ -229,6 +229,15 @@ class TestRabinerBlockDecode:
         with pytest.raises(KOutOfRangeError):
             hr.rabiner_block_decode(summary, 5)
 
+    def test_cap_bounds_k_tuples(self):
+        """Every window block holds K^k floats per start, so K^k above the cap
+        is refused before any block is built: 2^20 > 10^6 >= 2^19."""
+        _, _, summary = random_instance(np.random.default_rng(173), num_states=2, horizon=20)
+        with pytest.raises(KOutOfRangeError, match=r"K\^k exceeds the tabulation cap"):
+            hr.rabiner_block_decode(summary, 20)
+        decoded = hr.rabiner_block_decode(summary, 19)
+        assert len(decoded.path) == 20
+
 
 class TestAdmissibility:
     def test_positive_joint_weight_guarantees_admissibility(self):

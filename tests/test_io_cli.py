@@ -455,6 +455,16 @@ class TestBadCountsAndNonFiniteInputs:
         assert_one_error_line(err)
         assert "--decoders cannot be combined with --k" in err
 
+    def test_rabiner_k_tuples_above_the_cap_exit_7(self, capsys, workdir):
+        """2^20 window tuples exceed the 10^6 cap, though k = 20 fits the horizon."""
+        _, _, _, model_path, _ = workdir
+        code, out, err = run_cli(
+            capsys, "simulate", "--model", model_path, "--horizons", "20", "--replicates", "2", "--decoders", "rabiner:20"
+        )
+        assert code == 7 and out == ""
+        assert_one_error_line(err)
+        assert "K^k exceeds the tabulation cap" in err
+
     def test_simulate_decoders_default_to_viterbi_and_pmap(self, capsys, workdir):
         _, _, _, model_path, _ = workdir
         argv = ["simulate", "--model", model_path, "--horizons", "5", "--replicates", "2"]

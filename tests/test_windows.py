@@ -1,18 +1,20 @@
 """The window primitive and the Rabiner stream against the per-start loops
 they replaced.
 
-The Rabiner window blocks (``decoders._window_blocks``), which broadcast the
-terms ``inference.log_window_posterior`` gathers, and
-``risk.rabiner_gain_batch``, which calls it once per batch of paths, give the
-window probabilities; ``risk.kblock_logrisk`` scores all full windows of a
-path in one ``log_window`` call.  The loops below compute one window start at
-a time, as the code did before; they are kept as references.  The blocks,
-concatenated, and the k-block risks must match them bit for bit and the gains
-within 1e-12 relative.  The Rabiner walk (``lattice.rabiner_walk``), which
-sweeps the blocks backward and tabulates each block's successors before it
-drops the block, must return the path of the greedy forward walk it replaced
-bit for bit, ties included, however the table is cut into blocks; and the
-decoder must not hold a (starts, K^k) table.
+``inference.log_window_posterior`` is the one code that builds a window
+posterior.  The Rabiner window blocks (``decoders._window_blocks``) call it
+once per block over an open mesh of every k-tuple, and
+``risk.rabiner_gain_batch`` calls it once per batch of paths;
+``risk.kblock_logrisk`` scores all full windows of a path in one
+``log_window`` call, which calls it for a summary.
+The loops below compute one window start at a time, as the code did before;
+they are kept as references.  The blocks, concatenated, and the k-block
+risks must match them bit for bit and the gains within 1e-12 relative.  The
+Rabiner walk (``lattice.rabiner_walk``), which sweeps the blocks backward and
+tabulates each block's successors before it drops the block, must return the
+path of the greedy forward walk it replaced bit for bit, ties included,
+however the table is cut into blocks; and the decoder must not hold a
+(starts, K^k) table.
 """
 
 import itertools
