@@ -45,7 +45,7 @@ class DecodedPath:
 
 def _finish(summary, idx, objective, tag) -> DecodedPath:
     """Wrap a decoder's 0-based index array; evaluate_risks checks and scores it once."""
-    path = np.asarray(idx) + 1
+    path = np.asarray(idx, dtype=int) + 1  # widened first: a uint8 index 255 is state 256
     risks = evaluate_risks(summary, path)
     return DecodedPath(
         path=tuple(path.tolist()),
@@ -60,56 +60,77 @@ def _finish(summary, idx, objective, tag) -> DecodedPath:
 class _LatticeDecoder:
     """A decoder solved by the max-sum kernel, callable on one summary.
 
-    ``tables(summary, gains)`` fills the (T, K) ``gains`` in place and
-    returns the initial and transition scores; ``objective(summary, idx,
-    score)`` reads the reported objective off the optimal 0-based path.
+    ``gains(summary, at)`` returns the gains at the positions of the slice
+    ``at``, ``scores(summary)`` the initial and transition scores, and
+    ``objective(summary, idx, score)`` the objective of the 0-based path.
     """
 
     tag: str
-    tables: Callable
+    gains: Callable
+    scores: Callable
     objective: Callable
 
     def __call__(self, summary: PosteriorSummary) -> DecodedPath:
-        return _decode_lattice([summary], [self])[0][0]
+        return next(_decode_lattice([summary], [self]))[0]
 
 
-def _decode_lattice(summaries, decoders) -> list[list[DecodedPath]]:
+class _Row:
+    """One decoder's gains on one summary, computed for the slice the kernel reads."""
+
+    def __init__(self, decoder: _LatticeDecoder, summary: PosteriorSummary):
+        self.decoder, self.summary = decoder, summary
+
+    def __len__(self) -> int:
+        return self.summary.horizon
+
+    def __getitem__(self, at: slice) -> np.ndarray:
+        return self.decoder.gains(self.summary, at)
+
+
+def _decode_lattice(summaries, decoders):
     """Decode equal-length summaries with every lattice decoder in one max-sum
-    call; returns one list of DecodedPath per decoder, in summary order.
+    call, which reads one _Row per decoder and summary; yields one list of
+    DecodedPath per decoder, in summary order, built when it is asked for.
     Raises ValueError when weights near the float limit overflow a score."""
     if not summaries:
-        return [[] for _ in decoders]
-    first, num = summaries[0], len(summaries)
-    # gains[l, n] is decoder l on summary n; the kernel sees the decoder-major (L * N, T, K) stack
-    gains = np.empty((len(decoders), num, first.horizon, first.num_states))
+        yield from [[] for _ in decoders]
+        return
+    problems = [(d, s) for d in decoders for s in summaries]  # decoder-major, as the kernel sees them
     try:
         with np.errstate(over="raise"):
-            init_extra, trans = zip(*(d.tables(s, g) for d, block in zip(decoders, gains) for s, g in zip(summaries, block)))
-            idx, scores = best_path(gains.reshape(-1, *gains.shape[2:]), np.stack(init_extra), np.stack(trans))
+            init_extra, trans = zip(*(d.scores(s) for d, s in problems))
+            idx, scores = best_path([_Row(d, s) for d, s in problems], np.stack(init_extra), np.stack(trans))
     except FloatingPointError as exc:
+        try:  # name the overflow raised first when every problem's whole gains come before its scores
+            with np.errstate(over="raise"):
+                for d, s in problems:
+                    d.gains(s, slice(None)), d.scores(s)
+        except FloatingPointError as first:
+            exc = first
         raise ValueError(f"decoder weights too large: the path scores overflow ({exc})") from None
-    del gains  # freed before the risk evaluations allocate theirs
-    return [
-        [_finish(s, i, d.objective(s, i, sc), d.tag) for s, i, sc in zip(summaries, paths, best)]
-        for d, paths, best in zip(decoders, idx.reshape(len(decoders), num, -1), scores.reshape(len(decoders), num))
-    ]
+    for d, paths, best in zip(decoders, np.split(idx, len(decoders)), np.split(scores, len(decoders))):
+        yield [_finish(s, i, d.objective(s, i, sc), d.tag) for s, i, sc in zip(summaries, paths, best)]
 
 
 def _same_table(marginals: np.ndarray, beta: float) -> np.ndarray:
     return marginals
 
 
-def _combined_tables(summary: PosteriorSummary, weights: RiskWeights, gains: np.ndarray, pointwise=_same_table):
-    """Fill ``gains`` and return the initial and transition scores of the
-    combined objective.  ``pointwise(marginals, beta)`` maps the smoothed and
-    the prior marginals to the tables the two pointwise terms score."""
-    gains[...] = 0.0
+def _combined_gains(summary: PosteriorSummary, weights: RiskWeights, at=slice(None), pointwise=_same_table):
+    """The combined objective's gains at the positions of the slice ``at``.
+    ``pointwise(marginals, beta)`` maps the smoothed and the prior marginals
+    to the tables the two pointwise terms score."""
+    gains = np.zeros_like(summary.smoothed[at])
     if weights.c1 > 0:
-        gains -= weights.c1 * power_risk(pointwise(summary.smoothed, weights.beta1), weights.beta1)
+        gains -= weights.c1 * power_risk(pointwise(summary.smoothed[at], weights.beta1), weights.beta1)
     if weights.c2 > 0:
-        gains += weights.c2 * summary.log_emission
+        gains += weights.c2 * summary.log_emission[at]
     if weights.c3 > 0:
-        gains -= weights.c3 * power_risk(pointwise(summary.prior, weights.beta3), weights.beta3)
+        gains -= weights.c3 * power_risk(pointwise(summary.prior[at], weights.beta3), weights.beta3)
+    return gains
+
+
+def _combined_scores(summary: PosteriorSummary, weights: RiskWeights):
     path_weight = np.float64(weights.c2) + weights.c4  # a numpy sum, so that an overflow raises like the tables
     if path_weight > 0:
         return path_weight * summary.log_initial, path_weight * summary.log_transition
@@ -121,15 +142,14 @@ def combined_score_tables(summary: PosteriorSummary, weights: RiskWeights):
     """Per-position gains, initial scores, and transition scores of the
     combined objective, such that the total path score is -T times the
     combined risk."""
-    gains = np.empty((summary.horizon, summary.num_states))
-    init_extra, trans = _combined_tables(summary, weights, gains)
-    return gains, init_extra, trans
+    return (_combined_gains(summary, weights), *_combined_scores(summary, weights))
 
 
 def _combined(weights: RiskWeights, tag: str, pointwise=_same_table) -> _LatticeDecoder:
     return _LatticeDecoder(
         tag,
-        lambda summary, gains: _combined_tables(summary, weights, gains, pointwise),
+        lambda summary, at: _combined_gains(summary, weights, at, pointwise),
+        lambda summary: _combined_scores(summary, weights),
         lambda summary, idx, score: -score / summary.horizon,
     )
 
@@ -177,22 +197,16 @@ def _support_masks(summary: PosteriorSummary):
     return init, trans
 
 
-def _constrained_pmap_tables(summary: PosteriorSummary, gains: np.ndarray):
-    np.add(summary.smoothed, np.where(summary.emission_likelihood > 0, 0.0, -np.inf), out=gains)
-    return _support_masks(summary)
-
-
-def _pvd_tables(summary: PosteriorSummary, gains: np.ndarray):
-    gains[...] = summary.log_smoothed
-    return _support_masks(summary)
-
-
 _CONSTRAINED_PMAP = _LatticeDecoder(
-    "constrained-pmap", _constrained_pmap_tables, lambda summary, idx, score: _pointwise_objective(summary, idx)
+    "constrained-pmap",
+    lambda summary, at: summary.smoothed[at] + np.where(summary.emission_likelihood[at] > 0, 0.0, -np.inf),
+    _support_masks,
+    lambda summary, idx, score: _pointwise_objective(summary, idx),
 )
 _PVD = _LatticeDecoder(
     "pvd",
-    _pvd_tables,
+    lambda summary, at: summary.log_smoothed[at],
+    _support_masks,
     lambda summary, idx, score: -summary.log_smoothed[np.arange(summary.horizon), idx].mean(),
 )
 
@@ -390,10 +404,10 @@ def decode_many(summaries, tags):
     every summary is the one its single-summary decoder returns.  The
     summaries must share one horizon.  Every tag is parsed before anything is
     decoded.  When the first lattice tag's turn comes, all lattice tags are
-    solved in one max-sum call over a (lattice tags x summaries, T, K) gains
-    buffer, so that buffer grows with the number of lattice tags; tags listed
-    before it run first.  pmap and rabiner:k decode summary by summary, each
-    when its list is asked for.
+    solved in one max-sum call over (lattice tags x summaries) gains rows,
+    each filled window by window as the kernel reads it; tags listed before
+    it run first.  Each tag's DecodedPath list, pmap and rabiner:k included,
+    is built when it is asked for.
     """
     summaries = list(summaries)
     decoders = [_parse_tag(tag) for tag in tags]
@@ -403,5 +417,5 @@ def decode_many(summaries, tags):
             yield [decoder(s) for s in summaries]
             continue
         if solved is None:
-            solved = iter(_decode_lattice(summaries, [d for d in decoders if isinstance(d, _LatticeDecoder)]))
+            solved = _decode_lattice(summaries, [d for d in decoders if isinstance(d, _LatticeDecoder)])
         yield next(solved)

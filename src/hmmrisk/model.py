@@ -312,7 +312,7 @@ def sample_trajectories(model: HmmModel, horizon: int, seeds):
     first = np.minimum(np.searchsorted(np.cumsum(model.initial), u[:, 0], side="right"), last)
     states = follow(first, moves)
     obs = np.stack([model.emission.sample(path, rng) for path, rng in zip(states, rngs)])
-    return states + 1, obs
+    return states.astype(int) + 1, obs  # widened first: a uint8 index 255 is state 256
 
 
 def sample_trajectory(model: HmmModel, horizon: int, seed: int):

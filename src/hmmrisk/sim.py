@@ -9,10 +9,10 @@ Replicates of one horizon are sampled, smoothed and decoded in groups, each
 as one batch.  A group holds at most ``_GROUP_CELLS // (T * K)`` replicates
 (and at least one), which bounds the memory its (replicate, position, state)
 tables take; the results do not depend on the group size.  A group's lattice
-decoders share one max-sum call, whose gains buffer has one (T, K) row per
-lattice tag and replicate, so it grows with the number of lattice tags.
-``_GROUP_CELLS`` is 1 << 14: a group of 4 at T = 2000, K = 2 and five tags
-peaks at about 1.8 MB of tables (tracemalloc), 14 (T, K) float64 per replicate.
+decoders share one max-sum call, which reads their gains window by window.
+``_GROUP_CELLS`` is 1 << 15: a group of 8 at T = 2000, K = 2 and five tags
+peaks at about 2.3 MB of tables (tracemalloc), 9 (T, K) float64 per replicate
+(while paths are scored, over the smoothing and cached log tables).
 Horizons must be at least 1; trajectories need at least 2 replicates (for
 standard deviations) and at least one decoder tag, the gap sweep at least 1
 replicate.
@@ -30,7 +30,7 @@ from .model import HmmModel, sample_trajectories
 from .risk import RiskReport
 
 METRICS = ("empirical_error",) + RiskReport.FIELDS
-_GROUP_CELLS = 1 << 14
+_GROUP_CELLS = 1 << 15
 
 
 def _mean_sd(values: np.ndarray) -> tuple[float, float]:

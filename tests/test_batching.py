@@ -89,6 +89,42 @@ def lattice_batches(draw, max_horizon=9):
     return gains, init_extra, trans
 
 
+LATTICE_TAGS = ["viterbi", "pvd", "constrained-pmap", "kblock:1", "kblock:3", "alpha:0.25", "weights:1/0.5/0.2/0.1/1/0.5"]
+
+
+def solve(gains, init_extra, trans):
+    try:
+        return best_path(gains, init_extra, trans)
+    except NoFinitePathError:
+        return None
+
+
+def assert_stream_matches(tables, stacked, init_extra, trans, block):
+    """best_path on the per-problem ``tables`` with ``_BLOCK`` patched to
+    ``block`` equals the call on the (N, T, K) ``stacked`` array bit for bit,
+    and each row equals greedy_best_path; NoFinitePathError is raised by all
+    three or by none."""
+    expected = solve(stacked, init_extra, trans)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lattice, "_BLOCK", block)
+        got = solve(tables, init_extra, trans)
+    greedy = []
+    for n in range(len(stacked)):
+        try:
+            greedy.append(greedy_best_path(stacked[n], init_extra[n], trans[n] if trans.ndim == 3 else trans))
+        except NoFinitePathError:
+            greedy.append(None)
+    if expected is None:
+        assert got is None and None in greedy
+        return
+    assert got is not None and None not in greedy
+    assert got[0].dtype == expected[0].dtype and got[0].tobytes() == expected[0].tobytes()
+    assert got[1].tobytes() == expected[1].tobytes()
+    for n, (path, score) in enumerate(greedy):
+        np.testing.assert_array_equal(got[0][n], path)
+        assert got[1][n] == score
+
+
 class TestBestPathBatch:
     @FAST
     @given(lattice_batches())
@@ -172,9 +208,33 @@ class TestBestPathBatch:
             np.testing.assert_array_equal(paths[n], path)
             assert scores[n] == score
 
+    @settings(max_examples=100, deadline=None)
+    @given(lattice_batches(max_horizon=40), st.sampled_from([1, 2, 3, 16]))
+    def test_a_list_of_tables_streams_bit_for_bit(self, batch, block):
+        gains, init_extra, trans = batch
+        assert_stream_matches([np.array(g) for g in gains], gains, init_extra, trans, block)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.sampled_from(LATTICE_TAGS), min_size=1, max_size=3),
+        st.integers(1, 3),
+        st.integers(1, 30),
+        st.sampled_from([0.0, 0.3, 0.6]),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1, 2, 3, 16]),
+    )
+    def test_decoder_rows_stream_bit_for_bit(self, tags, num, horizon, zero_frac, seed, block):
+        rng = np.random.default_rng(seed)
+        model = random_categorical_model(rng, num_states=int(rng.integers(1, 4)), zero_frac=zero_frac)
+        _, observations = hr.sample_trajectories(model, horizon, range(seed, seed + num))
+        problems = [(decoders._parse_tag(tag), s) for tag in tags for s in hr.forward_backward_many(model, observations)]
+        rows = [decoders._Row(d, s) for d, s in problems]
+        init_extra, trans = (np.stack(scores) for scores in zip(*(d.scores(s) for d, s in problems)))
+        assert_stream_matches(rows, np.stack([row[:] for row in rows]), init_extra, trans, block)
+
     def test_peak_memory_is_a_fraction_of_the_gains(self):
-        # the cost-to-go window and the tie-break blocks are about _BLOCK elements each; what grows with N T
-        # is the uint8 successor table (gains.nbytes / 8) and the int paths (gains.nbytes / K)
+        # the cost-to-go window, the gains block and the tie-break blocks are about _BLOCK elements each; what
+        # grows with N T is the uint8 successor table (gains.nbytes / 8) and the uint8 paths (gains.nbytes / 8K)
         rng = np.random.default_rng(3)
         gains = rng.normal(size=(4, 4000, 32))
         trans = rng.normal(size=(32, 32))
@@ -223,6 +283,14 @@ class TestSamplerBatch:
             assert tuple(paths[r].tolist()) == single_path == loop_path
             np.testing.assert_array_equal(observations[r], single_obs)
             np.testing.assert_array_equal(single_obs, loop_obs)
+
+    def test_truth_visits_state_256(self):
+        # every state moves to the last one, whose uint8 index is 255
+        transition = np.zeros((256, 256))
+        transition[:, -1] = 1.0
+        model = hr.HmmModel(np.full(256, 1 / 256), transition, hr.Categorical(np.full((256, 2), 0.5)))
+        truths, _ = hr.sample_trajectories(model, 6, range(3))
+        assert np.all(truths[:, 1:] == 256) and np.all(truths >= 1)
 
 
 class TestForwardBackwardBatch:
@@ -335,6 +403,34 @@ class TestDecodeMany:
                 assert decoded.path == tuple(int(s) + 1 for s in idx)
                 assert decoded.risks == hr.evaluate_risks(summary, decoded.path)
                 assert decoded.admissible == bool(np.isfinite(decoded.risks.rbarinf_posterior))
+
+    def test_state_256_survives_the_uint8_paths(self):
+        # uniform transitions: each decoder picks the state whose emission fits best, state 1 or 256; the
+        # Rabiner walk's 256 tuples are uint8 too
+        table = np.full((256, 2), 0.5)
+        table[0], table[-1] = [0.9, 0.1], [0.1, 0.9]
+        model = hr.HmmModel(np.full(256, 1 / 256), np.full((256, 256), 1 / 256), hr.Categorical(table))
+        summaries = hr.forward_backward_many(model, [[0, 1, 1, 0, 1]] * 2)
+        tags = ["viterbi", "pvd", "constrained-pmap", "kblock:3", "alpha:0.5", "rabiner:2"]
+        for decoded in hr.decode_many(summaries, tags):
+            assert [d.path for d in decoded] == [(1, 256, 256, 1, 256)] * 2
+
+    def test_lattice_tags_peak_below_their_gains_stack(self):
+        # 4 lattice tags x 8 summaries at T = 2000, K = 2: an (L N, T, K) float64 gains stack alone is 1,024,000 bytes
+        model, tags = gaussian_model(), ["viterbi", "pvd", "kblock:3", "constrained-pmap"]
+        _, observations = hr.sample_trajectories(model, 2000, range(8))
+        summaries = hr.forward_backward_many(model, observations)
+        for summary in summaries:  # the summaries' own cached tables, built once whatever decodes them
+            summary.log_emission, summary.log_smoothed, summary.prior
+        tracemalloc.start()
+        try:
+            for decoded in hr.decode_many(summaries, tags):  # one tag at a time, as the Monte Carlo groups read them
+                assert len(decoded) == len(summaries)
+            del decoded
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(tags) * len(summaries) * 2000 * 2 * 8, peak
 
     def test_no_summaries_give_empty_lists(self):
         assert list(hr.decode_many([], ["viterbi", "pmap", "rabiner:2"])) == [[], [], []]

@@ -445,6 +445,25 @@ class TestBadCountsAndNonFiniteInputs:
         assert code == 10 and out == ""
         assert_one_error_line(err)
 
+    @pytest.mark.parametrize(
+        "command, far, overflow",
+        [
+            # log 0.2 times 1e308 is finite, so the first overflow is the path weight 1e308 + 1e308
+            (["decode", "--weights", "0,1e308,0,1e308"], False, "scalar add"),
+            # the point 30 has log-density -450.9 in state 1: its gain overflows before the path weight is formed
+            (["decode", "--weights", "0,1e308,0,1e308"], True, "multiply"),
+            (["simulate", "--horizons", "5", "--replicates", "2", "--decoders", "weights:1/1e308/0/0"], False, "add"),
+        ],
+    )
+    def test_overflowing_weights_name_the_first_overflow(self, capsys, workdir, command, far, overflow):
+        tmp_path, _, _, model_path, obs_path = workdir
+        if far:
+            _, model_path, obs_path = self.gaussian_files(tmp_path, "0.1\n1.2\n30\n0.8\n")
+        files = ["--obs", obs_path, "--out", str(tmp_path / "p.txt")] if command[0] == "decode" else []
+        code, out, err = run_cli(capsys, command[0], "--model", model_path, *command[1:], *files)
+        assert code == 10 and out == ""
+        assert err == f"error: decoder weights too large: the path scores overflow (overflow encountered in {overflow})\n"
+
     @pytest.mark.parametrize("tags", ["nonsense-tag", "viterbi", "viterbi,pmap", ""])
     def test_decoders_with_the_gap_sweep_exit_10(self, capsys, workdir, tags):
         """The gap sweep decodes viterbi and kblock:k only, so --decoders is refused with --k."""
