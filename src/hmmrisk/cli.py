@@ -234,19 +234,13 @@ def _cmd_simulate(args) -> int:
         raise ValueError("--decoders cannot be combined with --k (the gap sweep decodes viterbi and kblock:k)")
     if args.k is not None:
         ks = [int(k) for k in args.k.split(",")]
+        columns = ("horizon", "k", "replicate", "gap", "bound")
         rows = sandwich_constant_sweep(model, horizons, ks, args.replicates, args.seed)
-        lines = ["horizon,k,replicate,gap,bound"]
-        lines += [hio.csv_line([r["horizon"], r["k"], r["replicate"], r["gap"], r["bound"]]) for r in rows]
-        _emit(lines, args.out)
-        return 0
-    tags = [t.strip() for t in ("viterbi,pmap" if args.decoders is None else args.decoders).split(",") if t.strip()]
-    trajectory = estimate_risk_trajectories(model, tags, horizons, args.replicates, args.seed)
-    lines = ["horizon,decoder_tag,metric,mean,sd,replicates"]
-    lines += [
-        hio.csv_line([r["horizon"], r["decoder_tag"], r["metric"], r["mean"], r["sd"], r["replicates"]])
-        for r in trajectory.records
-    ]
-    _emit(lines, args.out)
+    else:
+        tags = [t.strip() for t in ("viterbi,pmap" if args.decoders is None else args.decoders).split(",") if t.strip()]
+        columns = ("horizon", "decoder_tag", "metric", "mean", "sd", "replicates")
+        rows = estimate_risk_trajectories(model, tags, horizons, args.replicates, args.seed).records
+    _emit([",".join(columns)] + [hio.csv_line([row[c] for c in columns]) for row in rows], args.out)
     return 0
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InstanceTooLargeError, KOutOfRangeError
-from .inference import BLOCK_STATE_CAP, PosteriorSummary, forward_backward, log_window_posterior
+from .inference import PosteriorSummary, forward_backward, log_window_posterior
 from .lattice import TIE_TOL, best_path, rabiner_walk
 from .model import HmmModel
 from .risk import (
@@ -29,6 +29,7 @@ from .risk import (
 )
 
 BRUTE_FORCE_CAP = 10**7
+BLOCK_STATE_CAP = 10**6  # rabiner_block_decode refuses K^k above it
 _CHUNK = 1 << 16  # paths enumerated at once, or Rabiner window probabilities in one block of the walk's stream
 
 
@@ -411,11 +412,6 @@ def decode_many(summaries, tags):
     """
     summaries = list(summaries)
     decoders = [_parse_tag(tag) for tag in tags]
-    solved = None
+    solved = _decode_lattice(summaries, [d for d in decoders if isinstance(d, _LatticeDecoder)])  # runs at its first next
     for decoder in decoders:
-        if not isinstance(decoder, _LatticeDecoder):
-            yield [decoder(s) for s in summaries]
-            continue
-        if solved is None:
-            solved = _decode_lattice(summaries, [d for d in decoders if isinstance(d, _LatticeDecoder)])
-        yield next(solved)
+        yield next(solved) if isinstance(decoder, _LatticeDecoder) else [decoder(s) for s in summaries]

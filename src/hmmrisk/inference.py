@@ -12,11 +12,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import KOutOfRangeError, ZeroEvidenceError
+from .errors import ZeroEvidenceError
 from .lattice import _BLOCK
 from .model import HmmModel, _log, check_state_path, prior_marginals
-
-BLOCK_STATE_CAP = 10**6
 
 
 def emission_likelihood(model: HmmModel, obs) -> np.ndarray:
@@ -263,8 +261,6 @@ def log_block_posterior(summary: PosteriorSummary, t: int, block) -> float:
     horizon = summary.horizon
     if t < 1 or t + k - 1 > horizon:
         raise IndexError(f"block [{t}, {t + k - 1}] outside positions 1..{horizon}")
-    if summary.num_states ** (k - 1) > BLOCK_STATE_CAP:
-        raise KOutOfRangeError(f"block length {k} exceeds the tabulation cap for K={summary.num_states}")
     return float(log_window_posterior(summary, t - 1, block - 1))
 
 

@@ -38,27 +38,21 @@ def path_hash(path) -> str:
     return hashlib.sha1(text.encode()).hexdigest()[:12]
 
 
-_EMISSION_TYPES = {"categorical", "gaussian", "direct"}
+_EMISSIONS = {  # type -> emission class and its params, in the order they are read
+    "categorical": (Categorical, ("table",)),
+    "gaussian": (DiagonalGaussian, ("means", "variances")),
+    "direct": (DirectLikelihood, ("table",)),
+}
 
 
 def model_to_dict(model: HmmModel) -> dict:
-    if isinstance(model.emission, Categorical):
-        emission = {"type": "categorical", "params": {"table": model.emission.table.tolist()}}
-    elif isinstance(model.emission, DiagonalGaussian):
-        emission = {
-            "type": "gaussian",
-            "params": {
-                "means": model.emission.means.tolist(),
-                "variances": model.emission.variances.tolist(),
-            },
-        }
-    else:
-        emission = {"type": "direct", "params": {"table": model.emission.table.tolist()}}
+    etype = next(t for t, (cls, _) in _EMISSIONS.items() if isinstance(model.emission, cls))
+    params = {name: getattr(model.emission, name).tolist() for name in _EMISSIONS[etype][1]}
     return {
         "num_states": model.num_states,
         "initial": model.initial.tolist(),
         "transition": model.transition.tolist(),
-        "emission": emission,
+        "emission": {"type": etype, "params": params},
     }
 
 
@@ -72,22 +66,15 @@ def model_from_dict(data: dict) -> HmmModel:
         params = spec["params"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed model document: {exc}") from exc
-    if etype not in _EMISSION_TYPES:
+    if not isinstance(etype, str) or etype not in _EMISSIONS:
         raise ParseError(f"unknown emission type {etype!r}")
+    cls, names = _EMISSIONS[etype]
     try:
-        if etype == "categorical":
-            emission = Categorical(np.asarray(params["table"], dtype=float))
-        elif etype == "gaussian":
-            emission = DiagonalGaussian(
-                np.asarray(params["means"], dtype=float),
-                np.asarray(params["variances"], dtype=float),
-            )
-        else:
-            emission = DirectLikelihood(np.asarray(params["table"], dtype=float))
+        emission = cls(*(np.asarray(params[name], dtype=float) for name in names))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed emission params: {exc}") from exc
     model = HmmModel(initial=initial, transition=transition, emission=emission)
-    if model.num_states != num_states:
+    if initial.ndim == 1 and model.num_states != num_states:  # validate_model reports a misshapen initial
         raise ParseError(
             f"num_states is {num_states} but the initial distribution has {model.num_states} entries"
         )

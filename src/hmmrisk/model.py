@@ -7,7 +7,7 @@ direct-likelihood row positions are 0-based.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -74,8 +74,6 @@ class Categorical:
         return self.table.shape[0]
 
     def violations(self) -> list[str]:
-        if self.table.ndim != 2:
-            return [f"emission table must be 2-dimensional, got shape {self.table.shape}"]
         return _table_violations(self.table, "emission row {}")
 
     def likelihood(self, obs) -> np.ndarray:
@@ -170,8 +168,6 @@ class DirectLikelihood:
         return self.table.shape[1]
 
     def violations(self) -> list[str]:
-        if self.table.ndim != 2:
-            return [f"likelihood table must be 2-dimensional, got shape {self.table.shape}"]
         return _table_violations(self.table, "likelihood table row {}", distributions=False)
 
     def likelihood(self, obs) -> np.ndarray:
@@ -225,18 +221,18 @@ def validate_model(model: HmmModel) -> list[str]:
     Violations name the offending field and 1-based index.  This reports and
     never raises.
     """
-    out = []
+    if model.initial.ndim != 1:
+        return [f"initial distribution must be 1-dimensional, got shape {model.initial.shape}"]
     k = model.num_states
     if k < 1:
-        out.append("initial distribution is empty")
-        return out
+        return ["initial distribution is empty"]
     if model.transition.shape != (k, k):
-        out.append(
-            f"transition matrix shape {model.transition.shape} does not match {k} states"
-        )
-        return out
-    out.extend(_table_violations(model.initial, "initial distribution"))
-    out.extend(_table_violations(model.transition, "transition row {}"))
+        return [f"transition matrix shape {model.transition.shape} does not match {k} states"]
+    out = _table_violations(model.initial, "initial distribution") + _table_violations(model.transition, "transition row {}")
+    for param in fields(model.emission):  # every emission param is a table with one row per state
+        table = getattr(model.emission, param.name)
+        if table.ndim != 2:
+            return out + [f"emission {param.name} must be 2-dimensional, got shape {table.shape}"]
     if model.emission.num_states != k:
         out.append(
             f"emission is specified for {model.emission.num_states} states, model has {k}"

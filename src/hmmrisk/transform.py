@@ -183,16 +183,6 @@ def symbol_by_symbol_decode(tables: TransformedTables) -> tuple[int, ...]:
     return tuple((np.argmax(scores, axis=1) + 1).tolist())
 
 
-def _decode_rows(model: HmmModel, obs, qs: list, rescaled: bool) -> list:
-    """Symbol-by-symbol path of every exponent in ``qs`` (finite ones first), or
-    the ZeroEvidenceError its recursion raises."""
-    alpha, beta, errors = _recursions(model, obs, np.array(qs, dtype=float), rescaled)
-    return [
-        error or symbol_by_symbol_decode(TransformedTables(q, a, b, rescaled))
-        for q, a, b, error in zip(qs, alpha, beta, errors)
-    ]
-
-
 def rescaling_distortion_probe(model: HmmModel, obs, q_grid) -> list[dict]:
     """Compare plain and rescaled symbol-by-symbol paths over a grid of q.
 
@@ -206,9 +196,12 @@ def rescaling_distortion_probe(model: HmmModel, obs, q_grid) -> list[dict]:
     order = sorted(range(len(valid)), key=lambda i: math.isinf(valid[i]))  # finite exponents first
     outcomes = {}  # (grid index, rescaled) -> path or ZeroEvidenceError
     if valid:
-        for rescaled in (False, True):
-            decoded = _decode_rows(model, obs, [valid[i] for i in order], rescaled)
-            outcomes.update(((i, rescaled), path) for i, path in zip(order, decoded))
+        qs = [valid[i] for i in order]
+        for rescaled in (False, True):  # each variant's tables are dropped before the next is built
+            outcomes.update(
+                ((i, rescaled), error or symbol_by_symbol_decode(TransformedTables(q, a, b, rescaled)))
+                for i, q, a, b, error in zip(order, qs, *_recursions(model, obs, np.array(qs, dtype=float), rescaled))
+            )
     rows = []
     for i, q in enumerate(q_grid):
         _check_q(q)

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hmmrisk as hr
-from hmmrisk.errors import KOutOfRangeError, ZeroEvidenceError
+from hmmrisk.errors import ZeroEvidenceError
 from hmmrisk.inference import emission_likelihood
 from hmmrisk.lattice import _BLOCK
 
@@ -250,8 +250,15 @@ class TestBlockPosterior:
             np.full(40, 1 / 40), np.full((40, 40), 1 / 40), hr.Categorical(np.full((40, 2), 0.5))
         )
         big_summary = hr.forward_backward(big, np.zeros(8, dtype=int))
-        with pytest.raises(KOutOfRangeError):
-            hr.block_posterior(big_summary, 1, [1, 1, 1, 1, 1])
+        assert hr.block_posterior(big_summary, 1, [1] * 5) == pytest.approx((1 / 40) ** 5)
+
+    def test_whole_path_block(self):
+        # one block over all T = 21 positions: K^(k-1) = 2^20 states, evaluated in k gathers
+        rng = np.random.default_rng(23)
+        _, _, summary = random_instance(rng, num_states=2, horizon=21)
+        path = rng.integers(1, 3, size=21)
+        expect = np.exp(hr.posterior_log_probability(summary, path))
+        assert hr.block_posterior(summary, 1, path) == pytest.approx(expect, rel=1e-12)
 
 
 class TestViterbi:

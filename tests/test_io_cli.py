@@ -60,6 +60,81 @@ class TestModelFiles:
             loaded = hio.load_model(path)
             assert type(loaded.emission) is type(model.emission)
 
+    @pytest.mark.parametrize(
+        "emission, text",
+        [
+            (
+                hr.Categorical([[0.25, 0.75]]),
+                '  "type": "categorical",\n  "params": {\n   "table": [\n    [\n     0.25,\n     0.75\n    ]\n   ]\n',
+            ),
+            (
+                hr.DiagonalGaussian([[0.5]], [[2.0]]),
+                '  "type": "gaussian",\n  "params": {\n   "means": [\n    [\n     0.5\n    ]\n   ],\n'
+                '   "variances": [\n    [\n     2.0\n    ]\n   ]\n',
+            ),
+            (
+                hr.DirectLikelihood([[0.1], [0.3]]),
+                '  "type": "direct",\n  "params": {\n   "table": [\n    [\n     0.1\n    ],\n    [\n     0.3\n    ]\n   ]\n',
+            ),
+        ],
+    )
+    def test_saved_model_text(self, tmp_path, emission, text):
+        path = tmp_path / "m.json"
+        hio.save_model(hr.HmmModel([1.0], [[1.0]], emission), path)
+        head = '{\n "num_states": 1,\n "initial": [\n  1.0\n ],\n "transition": [\n  [\n   1.0\n  ]\n ],\n "emission": {\n'
+        assert path.read_text() == head + text + "  }\n }\n}\n"
+        assert type(hio.load_model(path).emission) is type(emission)
+
+    @pytest.mark.parametrize(
+        "etype, params, message",
+        [
+            ("categorical", {}, "malformed emission params: 'table'"),
+            ("direct", {"tables": [[1.0]]}, "malformed emission params: 'table'"),
+            ("gaussian", {"variances": [[1.0]]}, "malformed emission params: 'means'"),
+            ("gaussian", {"means": [[0.0]]}, "malformed emission params: 'variances'"),
+            ("gaussian", {}, "malformed emission params: 'means'"),
+            ("poisson", {"table": [[1.0]]}, "unknown emission type 'poisson'"),
+        ],
+    )
+    def test_emission_param_errors(self, etype, params, message):
+        doc = {"num_states": 1, "initial": [1.0], "transition": [[1.0]], "emission": {"type": etype, "params": params}}
+        with pytest.raises(ParseError) as info:
+            hio.model_from_dict(doc)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"emission": {"type": [], "params": {}}},
+            {"emission": {"type": {}, "params": {}}},
+            {"num_states": 1, "initial": [[1.0]], "transition": [[1.0]]},
+            {"initial": 1.0},
+            {"emission": {"type": "categorical", "params": {"table": 1.0}}},
+            {"emission": {"type": "direct", "params": {"table": [1.0]}}},
+            {"emission": {"type": "gaussian", "params": {"means": [[[0.0]], [[1.0]]], "variances": [[[1.0]], [[1.0]]]}}},
+            {"emission": {"type": "gaussian", "params": {"means": [[[0.0]]], "variances": [[[1.0]]]}}},
+        ],
+    )
+    def test_misshapen_documents_exit_3(self, tmp_path, capsys, change):
+        doc = {
+            "num_states": 2,
+            "initial": [0.6, 0.4],
+            "transition": [[0.7, 0.3], [0.25, 0.75]],
+            "emission": {"type": "categorical", "params": {"table": [[0.8, 0.2], [0.3, 0.7]]}},
+            **change,
+        }
+        model, obs = tmp_path / "model.json", tmp_path / "obs.txt"
+        model.write_text(json.dumps(doc))
+        obs.write_text("0\n1\n0\n")
+        argv = ["decode", "--model", str(model), "--obs", str(obs), "--k", "2", "--out", str(tmp_path / "path.txt")]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        if not isinstance(doc["emission"]["type"], str):  # an unknown type is named as every unknown type is
+            assert err == f"error: unknown emission type {doc['emission']['type']!r}\n"
+        else:
+            assert err.startswith(f"error: {model}: invalid model: ") and "dimensional, got shape" in err, err
+
     def test_invalid_documents_raise_parse_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
