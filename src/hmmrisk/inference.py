@@ -26,46 +26,6 @@ def emission_likelihood(model: HmmModel, obs) -> np.ndarray:
     return model.emission.likelihood(obs)
 
 
-class PriorChain:
-    """The hidden chain before any data is seen, over a fixed horizon.
-
-    Holds the prior marginals (row t-1 is the distribution of the state at
-    time t) and the log initial, transition and marginal tables, each
-    computed on first use; one instance is shared by every summary of a
-    ``forward_backward_many`` call.
-    """
-
-    def __init__(self, model: HmmModel, horizon: int):
-        self.model = model
-        self.horizon = horizon
-        self.num_states = model.num_states
-
-    @cached_property
-    def prior(self) -> np.ndarray:
-        return prior_marginals(self.model, self.horizon)
-
-    @cached_property
-    def log_prior(self) -> np.ndarray:
-        return _log(self.prior)
-
-    @cached_property
-    def log_transition(self) -> np.ndarray:
-        return _log(self.model.transition)
-
-    @cached_property
-    def log_initial(self) -> np.ndarray:
-        return _log(self.model.initial)
-
-    def log_window(self, start, states0: np.ndarray):
-        """log P(Y_start..Y_{start+k-1} = states0 + 1) for 1-based starts and
-        0-based state tuples along the last axis of ``states0``; ``start``
-        broadcasts against ``states0[..., 0]``."""
-        v = self.log_prior[np.asarray(start) - 1, states0[..., 0]]
-        if states0.shape[-1] > 1:
-            v = v + self.log_transition[states0[..., :-1], states0[..., 1:]].sum(axis=-1)
-        return v
-
-
 class PosteriorSummary:
     """Scaled forward/backward tables, smoothed marginals, and log-evidence.
 
@@ -75,14 +35,15 @@ class PosteriorSummary:
     the posterior marginal of state j+1 at position t+1 given the whole
     sequence.  ``emission_likelihood`` is the table the recursions ran on.
     The summary keeps a reference to the model it was computed from (not the
-    observations), so downstream decoders only need the summary.  Tables
-    that depend only on the model and the horizon (prior marginals, log
-    transition and initial scores) are shared by the summaries of one
+    observations), so downstream decoders only need the summary.
+    ``prior_chain`` is the summary of no observations over the same horizon
+    (a ``PriorChain``); its log initial and transition tables and its
+    smoothed table, the prior marginals, are shared by the summaries of one
     ``forward_backward_many`` call.
     """
 
     def __init__(
-        self, model, scaled_forward, scaled_backward, scaling, smoothed, log_evidence, emission_likelihood, chain
+        self, model, scaled_forward, scaled_backward, scaling, smoothed, log_evidence, emission_likelihood, prior_chain
     ):
         self.model = model
         self.scaled_forward = scaled_forward
@@ -91,15 +52,21 @@ class PosteriorSummary:
         self.smoothed = smoothed
         self.log_evidence = log_evidence
         self.emission_likelihood = emission_likelihood
-        self._chain = chain
+        self.prior_chain = prior_chain
+        self.log_initial, self.log_transition = prior_chain.log_initial, prior_chain.log_transition
 
     @property
     def horizon(self) -> int:
-        return self.smoothed.shape[0]
+        return self.emission_likelihood.shape[0]
 
     @property
     def num_states(self) -> int:
-        return self.smoothed.shape[1]
+        return self.emission_likelihood.shape[1]
+
+    @property
+    def prior(self) -> np.ndarray:
+        """The prior marginals, row t-1 the distribution of the state at time t."""
+        return self.prior_chain.smoothed
 
     @cached_property
     def log_emission(self) -> np.ndarray:
@@ -121,26 +88,28 @@ class PosteriorSummary:
     def log_scaling(self) -> np.ndarray:
         return np.log(self.scaling)
 
-    @property
-    def log_transition(self) -> np.ndarray:
-        return self._chain.log_transition
 
-    @property
-    def log_initial(self) -> np.ndarray:
-        return self._chain.log_initial
+class PriorChain(PosteriorSummary):
+    """The summary of a sequence that observes nothing, over ``horizon`` steps:
+    the hidden chain before any data is seen.  Every likelihood, scaling
+    factor and backward variable is 1, the log-evidence is 0, and the forward
+    and smoothed tables are the prior marginals, built on first use.  So its
+    windows and posterior risks are those of the chain alone, and they are
+    its prior risks too.
+    """
 
-    @property
-    def prior(self) -> np.ndarray:
-        return self._chain.prior
+    def __init__(self, model: HmmModel, horizon: int):
+        ones = np.broadcast_to(1.0, (horizon, model.num_states))
+        self.model, self.log_evidence = model, 0.0
+        self.emission_likelihood, self.scaled_backward, self.scaling = ones, ones, ones[:, 0]
+        self.log_initial, self.log_transition = _log(model.initial), _log(model.transition)
 
-    @property
-    def log_prior(self) -> np.ndarray:
-        return self._chain.log_prior
+    @cached_property
+    def prior(self) -> np.ndarray:  # not a prior_chain naming itself: that reference cycle only gc would free
+        return prior_marginals(self.model, self.horizon)
 
-    def log_window(self, start, states0: np.ndarray):
-        """log P(Y_start..Y_{start+k-1} = states0 + 1 | x^T), as
-        ``PriorChain.log_window`` but conditioned on the observations."""
-        return log_window_posterior(self, np.asarray(start) - 1, np.moveaxis(states0, -1, 0))
+    # with no data, neither filtering nor smoothing moves the prior marginals
+    scaled_forward = smoothed = property(lambda self: self.prior)
 
 
 def forward_backward_many(model: HmmModel, observations) -> list[PosteriorSummary]:
@@ -201,13 +170,15 @@ def forward_backward_many(model: HmmModel, observations) -> list[PosteriorSummar
         lo = max(hi - step, 0)
         w = weighted[: hi - lo]
         np.multiply(model.transition, like_rows[lo + 1 : hi + 1, :, None, :], out=w)
+        # a successor the forward pass ruled out adds nothing, as its beta can overflow
+        w *= alpha_rows[lo + 1 : hi + 1, :, None, :] > 0
         block = zip(w[::-1], beta_cols[hi:lo:-1], scale_rows[hi:lo:-1], beta_rows[lo:hi][::-1])
         for weighted_t, beta_next, scale_next, beta_t in block:
             np.matmul(weighted_t, beta_next, out=b)
             np.divide(b_col, scale_next, out=beta_t)
     smoothed = alpha * beta
     log_evidence = np.log(scaling).sum(axis=1)
-    chain = PriorChain(model, horizon)
+    chain = PriorChain(model, horizon)  # its prior marginals are built when a summary first reads them
     return [
         PosteriorSummary(
             model=model,
@@ -217,7 +188,7 @@ def forward_backward_many(model: HmmModel, observations) -> list[PosteriorSummar
             smoothed=smoothed[n],
             log_evidence=float(log_evidence[n]),
             emission_likelihood=likes[n],
-            chain=chain,
+            prior_chain=chain,
         )
         for n in range(num)
     ]

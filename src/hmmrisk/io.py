@@ -58,7 +58,7 @@ def model_to_dict(model: HmmModel) -> dict:
 
 def model_from_dict(data: dict) -> HmmModel:
     try:
-        num_states = int(data["num_states"])
+        num_states = data["num_states"]
         initial = np.asarray(data["initial"], dtype=float)
         transition = np.asarray(data["transition"], dtype=float)
         spec = data["emission"]
@@ -66,6 +66,8 @@ def model_from_dict(data: dict) -> HmmModel:
         params = spec["params"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed model document: {exc}") from exc
+    if type(num_states) is not int:  # a JSON integer: not 2.0, "2" or true (bool is an int subclass)
+        raise ParseError(f"num_states must be an integer, got {json.dumps(num_states)}")
     if not isinstance(etype, str) or etype not in _EMISSIONS:
         raise ParseError(f"unknown emission type {etype!r}")
     cls, names = _EMISSIONS[etype]

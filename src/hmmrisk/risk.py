@@ -154,7 +154,7 @@ def evaluate_risks(summary: PosteriorSummary, path) -> RiskReport:
     sm = _gather(summary.smoothed, paths0)[0]
     lsm = _gather(summary.log_smoothed, paths0)[0]
     pm = _gather(summary.prior, paths0)[0]
-    lpm = _gather(summary.log_prior, paths0)[0]
+    lpm = _log(pm)
     prior = _prior_ll(summary, paths0)
     joint_ll = float((prior + _gather(summary.log_emission, paths0).sum(axis=1))[0])  # _joint_ll, prior reused
     prior_ll = float(prior[0])
@@ -176,8 +176,8 @@ def kblock_logrisk(chain, path, k: int) -> float:
     probabilities along the path, including the truncated boundary windows.
 
     ``chain`` is a PosteriorSummary (windows given the observations) or a
-    PriorChain (windows of the hidden chain alone).  k=1 collapses to the
-    pointwise log risk of the same chain.
+    PriorChain (the summary of no observations: windows of the hidden chain
+    alone).  k=1 collapses to the pointwise log risk of the same chain.
     """
     horizon = chain.horizon
     if not 1 <= k <= horizon:
@@ -185,9 +185,9 @@ def kblock_logrisk(chain, path, k: int) -> float:
     idx = check_state_path(path, chain.num_states) - 1
     if idx.shape != (horizon,):
         raise ValueError(f"a path of length {horizon} is needed, got shape {idx.shape}")
-    full = chain.log_window(np.arange(1, horizon - k + 2), np.lib.stride_tricks.sliding_window_view(idx, k))
-    head = [chain.log_window(1, idx[:b]) for b in range(1, k)]
-    tail = [chain.log_window(a, idx[a - 1 :]) for a in range(horizon - k + 2, horizon + 1)]
+    full = log_window_posterior(chain, np.arange(horizon - k + 1), np.lib.stride_tricks.sliding_window_view(idx, k).T)
+    head = [log_window_posterior(chain, 0, idx[:b]) for b in range(1, k)]
+    tail = [log_window_posterior(chain, a, idx[a:]) for a in range(horizon - k + 1, horizon)]
     # cumsum adds the windows left to right, from 0.0, in the order they lie along the path
     total = np.cumsum(np.concatenate(([0.0], head, full, tail)))[-1]
     return float(-total / horizon)

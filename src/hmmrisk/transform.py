@@ -133,8 +133,12 @@ def _recursions(model: HmmModel, obs, qs: np.ndarray, rescaled: bool):
                 np.add.reduce(cur, axis=1, keepdims=True, out=norm)
                 np.divide(cur, norm, out=cur)
         beta_rows[-1] = 1.0 if rescaled else 0.0
-        for cur, nxt, f, norm in zip(beta_rows[-2::-1], beta_rows[:0:-1], emission[:0:-1], norms[:0:-1]):
+        # rescaled: a successor the forward pass ruled out adds nothing, as its beta can overflow
+        live = alpha_rows[:0:-1] > 0 if rescaled else [None] * horizon
+        for cur, nxt, f, norm, keep in zip(beta_rows[-2::-1], beta_rows[:0:-1], emission[:0:-1], norms[:0:-1], live):
             times(f, nxt, out=later_rows)
+            if rescaled:
+                np.multiply(later_rows, keep, out=later_rows)
             times(trans, later, out=scores)
             power_mean(2, backward_factor, cur)
             if rescaled:

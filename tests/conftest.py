@@ -9,9 +9,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import hmmrisk as hr
 from hmmrisk.inference import emission_likelihood
+
+# With CI set, Hypothesis loads its "ci" profile, which derandomizes: --hypothesis-seed is then ignored and every
+# run replays the same examples.  "explore" is that profile drawing afresh from the seed given on the command line.
+settings.register_profile("explore", settings.get_profile("ci"), derandomize=False)
 
 
 def random_categorical_model(rng, num_states=None, num_symbols=None, zero_frac=0.0):

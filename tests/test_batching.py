@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import hmmrisk as hr
 import hmmrisk.decoders as decoders
+import hmmrisk.inference as inference
 import hmmrisk.lattice as lattice
 import hmmrisk.sim as sim
 from hmmrisk import io as hio
@@ -311,8 +312,23 @@ class TestForwardBackwardBatch:
         _, observations = hr.sample_trajectories(model, 20, range(3))
         first, second, _ = hr.forward_backward_many(model, observations)
         assert first.prior is second.prior
-        assert first.log_prior is second.log_prior
         assert first.log_transition is second.log_transition
+
+    def test_prior_marginals_are_built_once_per_batch_on_first_use(self, monkeypatch):
+        calls = []
+
+        def counted(model, horizon):
+            calls.append(horizon)
+            return hr.prior_marginals(model, horizon)
+
+        monkeypatch.setattr(inference, "prior_marginals", counted)
+        model = gaussian_model()
+        _, observations = hr.sample_trajectories(model, 20, range(4))
+        summaries = hr.forward_backward_many(model, observations)
+        assert calls == []
+        for decoded in hr.decode_many(summaries, ["viterbi", "pmap", "pvd", "kblock:3", "weights:1/0/1/0"]):
+            assert len(decoded) == len(summaries)  # each path's risk report reads the prior marginals
+        assert calls == [20]
 
     def test_unequal_lengths_are_rejected(self):
         model = gaussian_model()

@@ -70,6 +70,24 @@ class TestForwardBackward:
         with pytest.raises(ZeroEvidenceError):
             hr.forward_backward(model, np.array([0, 1]))
 
+    def test_ruled_out_state_keeps_the_backward_pass_finite(self):
+        """State 1 has initial probability 0 and no way in, and the points fit
+        it alone: the scaled backward variable of the ruled-out state grew by
+        about e^450 a step until it overflowed, and 0 * inf made the smoothed
+        rows NaN.  The only admissible path is 2 2 2 2."""
+        model = hr.HmmModel([0.0, 1.0], [[0.5, 0.5], [0.0, 1.0]], hr.DiagonalGaussian([[0.0], [30.0]], [[1.0], [1.0]]))
+        obs = np.zeros(4)
+        summary = hr.forward_backward(model, obs)
+        assert np.all(np.isfinite(summary.scaled_backward))
+        np.testing.assert_array_equal(summary.smoothed, [[0.0, 1.0]] * 4)
+        tags = ["viterbi", "pmap", "pvd", "constrained-pmap", "kblock:2", "alpha:0.5", "weights:1/1/0/0", "rabiner:2"]
+        assert [decoded.path for (decoded,) in hr.decode_many([summary], tags)] == [(2, 2, 2, 2)] * len(tags)
+        assert hr.pmap_decode(summary).path == hr.pvd_decode(summary).path == hr.viterbi(model, obs) == (2, 2, 2, 2)
+        assert hr.evaluate_risks(summary, (2, 2, 2, 2)).r1_posterior == 0.0
+        for q in (1.0, 2.0):
+            tables = hr.transformed_forward_backward(model, obs, q, rescaled=True)
+            assert hr.symbol_by_symbol_decode(tables) == (2, 2, 2, 2)
+
     def test_log_evidence_shifts_under_table_scaling(self, four_state):
         model, obs, summary = four_state
         scale = 3.7
@@ -115,9 +133,12 @@ def reference_forward_backward_many(model, observations):
     beta_rows = beta.transpose(1, 0, 2)
     weighted = np.empty((num, num_states, num_states))
     b = np.empty((num, num_states, 1))
-    backward = zip(beta_rows[-2::-1], beta_rows[:0:-1, :, :, None], like_rows[:0:-1, :, None, :], scale_rows[:0:-1])
-    for beta_t, beta_next, likes_next, scale_next in backward:
+    backward = zip(
+        beta_rows[-2::-1], beta_rows[:0:-1, :, :, None], like_rows[:0:-1, :, None, :], scale_rows[:0:-1], alpha_rows[:0:-1]
+    )
+    for beta_t, beta_next, likes_next, scale_next, alpha_next in backward:
         np.multiply(model.transition, likes_next, out=weighted)
+        weighted *= alpha_next[:, None, :] > 0  # a successor the forward pass ruled out adds nothing
         np.matmul(weighted, beta_next, out=b)
         np.divide(b[..., 0], scale_next, out=beta_t)
     return alpha, beta, scaling, alpha * beta, np.log(scaling).sum(axis=1)

@@ -135,6 +135,24 @@ class TestModelFiles:
         else:
             assert err.startswith(f"error: {model}: invalid model: ") and "dimensional, got shape" in err, err
 
+    @pytest.mark.parametrize("num_states, initial", [(2.9, [0.6, 0.4]), ("2", [0.6, 0.4]), (2.0, [0.6, 0.4]), (True, [1.0])])
+    def test_num_states_must_be_a_json_integer(self, capsys, tmp_path, num_states, initial):
+        """int() truncated 2.9 and parsed "2", and true read as 1: each decoded a model of that size."""
+        size = len(initial)
+        doc = {
+            "num_states": num_states,
+            "initial": initial,
+            "transition": np.eye(size).tolist(),
+            "emission": {"type": "categorical", "params": {"table": [[0.5, 0.5]] * size}},
+        }
+        model_path, obs_path = tmp_path / "m.json", tmp_path / "o.txt"
+        model_path.write_text(json.dumps(doc))
+        obs_path.write_text("0\n1\n")
+        argv = ["decode", "--model", str(model_path), "--obs", str(obs_path), "--k", "2", "--out", str(tmp_path / "p.txt")]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert err == f"error: num_states must be an integer, got {json.dumps(num_states)}\n"
+
     def test_invalid_documents_raise_parse_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -229,6 +247,24 @@ class TestDecodeAndRisk:
         for line in lines:
             state, label = line.split()
             assert label == ("hot" if state == "1" else "cold")
+
+    @pytest.mark.parametrize(
+        "selector", [["--k", "1"], ["--k", "2"], ["--k", "inf"], ["--weights", "1,1,0,0"], ["--q", "1", "--rescaled"]]
+    )
+    def test_ruled_out_state_decodes(self, capsys, tmp_path, selector):
+        """State 1 can never be entered and the points fit it alone; its
+        overflowing backward variable made these exit 6, print nan, or write
+        a path through state 1."""
+        model = hr.HmmModel([0.0, 1.0], [[0.5, 0.5], [0.0, 1.0]], hr.DiagonalGaussian([[0.0], [30.0]], [[1.0], [1.0]]))
+        model_path, obs_path, out_path = tmp_path / "m.json", tmp_path / "o.txt", tmp_path / "p.txt"
+        hio.save_model(model, model_path)
+        obs_path.write_text("0\n0\n0\n0\n")
+        code, out, err = run_cli(
+            capsys, "decode", "--model", str(model_path), "--obs", str(obs_path), *selector, "--out", str(out_path)
+        )
+        assert (code, err) == (0, "")
+        assert out_path.read_text() == "2\n2\n2\n2\n"
+        assert "nan" not in out
 
     def test_selector_exclusivity(self, capsys, workdir, tmp_path):
         _, _, _, model_path, obs_path = workdir

@@ -73,6 +73,19 @@ class TestEvaluateRisks:
             else:
                 assert report.rinf_posterior == 1.0
 
+    def test_prior_chain_posterior_risks_are_the_prior_risks(self):
+        """The prior chain is the summary of no observations, so its posterior
+        risks of a path are the prior risks a summary reports, bit for bit."""
+        rng = np.random.default_rng(61)
+        for _ in range(300):
+            model, obs, summary = random_instance(rng, horizon=int(rng.integers(1, 150)), zero_frac=0.3)
+            path = random_path(rng, summary.num_states, summary.horizon)
+            report = hr.evaluate_risks(summary, path)
+            chain = hr.evaluate_risks(hr.PriorChain(model, summary.horizon), path)
+            got = [chain.r1_posterior, chain.rbar1_posterior, chain.rbarinf_posterior, chain.rbarinf_joint]
+            expect = [report.r1_prior, report.rbar1_prior, report.rbarinf_prior, report.rbarinf_prior]
+            assert np.array_equal(np.array(got).view(np.uint64), np.array(expect).view(np.uint64)), (got, expect)
+
     def test_prior_fields(self):
         rng = np.random.default_rng(41)
         model, obs, summary = random_instance(rng, num_states=3, horizon=5)

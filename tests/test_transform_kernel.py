@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hmmrisk as hr
@@ -87,7 +87,8 @@ def reference_tables(model, obs, q, rescaled=False, log_likes=None):
     beta = np.empty((horizon, num_states))
     beta[-1] = 1.0
     for t in range(horizon - 2, -1, -1):
-        numer = _power_sum(model.transition * (likes[t + 1] * beta[t + 1])[None, :], q, axis=1)
+        # a successor the forward pass ruled out adds nothing
+        numer = _power_sum(model.transition * (likes[t + 1] * beta[t + 1] * (alpha[t + 1] > 0))[None, :], q, axis=1)
         beta[t] = numer / denominators[t + 1]
     return alpha, beta
 
@@ -142,7 +143,20 @@ def transform_cases(draw, gaussian=True):
     return hr.HmmModel(initial, base.transition, emission), obs
 
 
+# all initial mass on state 3, which is absorbing and far from the points near 30: the forward pass rules
+# states 1 and 2 out, and their rescaled backward variables overflowed
+ABSORBED = (
+    hr.HmmModel(
+        [0.0, 0.0, 1.0],
+        [[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.0, 0.0, 1.0]],
+        hr.DiagonalGaussian([[30.0], [29.0], [0.0]], [[1.0], [1.0], [1.0]]),
+    ),
+    np.array([30.0, 29.5, 30.5, 30.0, 29.0]),
+)
+
+
 @FAST
+@example(ABSORBED, 1.0, True)
 @given(transform_cases(), st.sampled_from(Q_VALUES), st.booleans())
 def test_kernel_matches_per_step_recursions(case, q, rescaled):
     model, obs = case

@@ -5,8 +5,8 @@ they replaced.
 posterior.  The Rabiner window blocks (``decoders._window_blocks``) call it
 once per block over an open mesh of every k-tuple, and
 ``risk.rabiner_gain_batch`` calls it once per batch of paths;
-``risk.kblock_logrisk`` scores all full windows of a path in one
-``log_window`` call, which calls it for a summary.
+``risk.kblock_logrisk`` scores all full windows of a path in one call, for
+a summary and for a prior chain (the summary of no observations) alike.
 The loops below compute one window start at a time, as the code did before;
 they are kept as references.  The blocks, concatenated, and the k-block
 risks must match them bit for bit and the gains within 1e-12 relative.  The
@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 import hmmrisk as hr
 from hmmrisk import decoders
-from hmmrisk.inference import log_window_posterior
+from hmmrisk.inference import _log, log_window_posterior
 from hmmrisk.lattice import TIE_TOL, rabiner_walk
 from hmmrisk.risk import rabiner_gain_batch
 
@@ -84,9 +84,9 @@ def loop_kblock_logrisk(chain, path, k):
         a, b = max(j + 1, 1), min(j + k, horizon)
         states0 = idx[a - 1 : b]
         if isinstance(chain, hr.PriorChain):
-            v = chain.log_prior[a - 1, states0[0]]
-            if len(states0) > 1:
-                v = v + chain.log_transition[states0[:-1], states0[1:]].sum()
+            v = _log(chain.prior)[a - 1, states0[0]]  # the prior marginal, then the transitions left to right
+            for s, u in zip(states0[:-1], states0[1:]):
+                v = v + chain.log_transition[s, u]
         else:
             v = log_window_posterior(chain, a - 1, states0)
         total += float(v)
