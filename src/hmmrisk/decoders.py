@@ -8,6 +8,7 @@ path.
 
 from __future__ import annotations
 
+import math
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InstanceTooLargeError, KOutOfRangeError
-from .inference import PosteriorSummary, forward_backward, log_window_posterior
+from .inference import PosteriorSummary, SummaryStack, forward_backward, log_window_posterior, stack_of
 from .lattice import TIE_TOL, best_path, rabiner_walk
 from .model import HmmModel
 from .risk import (
@@ -44,17 +45,18 @@ class DecodedPath:
     decoder_tag: str
 
 
-def _finish(summary, idx, objective, tag) -> DecodedPath:
-    """Wrap a decoder's 0-based index array; evaluate_risks checks and scores it once."""
-    path = np.asarray(idx, dtype=int) + 1  # widened first: a uint8 index 255 is state 256
-    risks = evaluate_risks(summary, path)
-    return DecodedPath(
-        path=tuple(path.tolist()),
-        objective=float(objective),
-        risks=risks,
-        admissible=bool(np.isfinite(risks.rbarinf_posterior)),
-        decoder_tag=tag,
-    )
+def _finish(stack, idx, tag: str, objective) -> list[DecodedPath]:
+    """Wrap a decoder's (N, T) block of 0-based paths on a group; one
+    evaluate_risks call checks and scores the block.  ``objective`` holds the
+    N objective values, or names the RiskReport field that holds them."""
+    paths = np.ascontiguousarray(idx, dtype=int) + 1  # widened first: a uint8 index 255 is state 256
+    reports = evaluate_risks(stack, paths)
+    if isinstance(objective, str):
+        objective = [getattr(risks, objective) for risks in reports]
+    return [
+        DecodedPath(tuple(path), float(value), risks, math.isfinite(risks.rbarinf_posterior), tag)
+        for path, value, risks in zip(paths.tolist(), objective, reports)
+    ]
 
 
 @dataclass(frozen=True)
@@ -62,81 +64,92 @@ class _LatticeDecoder:
     """A decoder solved by the max-sum kernel, callable on one summary.
 
     ``gains(summary, at)`` returns the gains at the positions of the slice
-    ``at``, ``scores(summary)`` the initial and transition scores, and
-    ``objective(summary, idx, score)`` the objective of the 0-based path.
+    ``at``, and ``scores(summary)`` the initial and transition scores, of a
+    summary or, with a leading axis, of every summary of a SummaryStack.
+    ``objective`` names the RiskReport field that holds the objective of the
+    decoded path, or is None for the minimized combined risk, -score / T.
     """
 
     tag: str
     gains: Callable
     scores: Callable
-    objective: Callable
+    objective: str | None = None
 
     def __call__(self, summary: PosteriorSummary) -> DecodedPath:
         return next(_decode_lattice([summary], [self]))[0]
 
 
-class _Row:
-    """One decoder's gains on one summary, computed for the slice the kernel reads."""
+@dataclass(frozen=True)
+class _GroupDecoder:
+    """A decoder that the max-sum kernel does not solve: ``many(summaries)``
+    returns one DecodedPath per summary."""
 
-    def __init__(self, decoder: _LatticeDecoder, summary: PosteriorSummary):
-        self.decoder, self.summary = decoder, summary
+    many: Callable
 
-    def __len__(self) -> int:
-        return self.summary.horizon
+    def __call__(self, summary: PosteriorSummary) -> DecodedPath:
+        return self.many([summary])[0]
 
-    def __getitem__(self, at: slice) -> np.ndarray:
-        return self.decoder.gains(self.summary, at)
+
+class _Gains:
+    """One decoder's gains over a group, an (N, T, K) table computed for the
+    window ``[:, lo:hi]`` the kernel reads."""
+
+    def __init__(self, decoder: _LatticeDecoder, stack: SummaryStack):
+        self.decoder, self.stack = decoder, stack
+        self.shape = (len(stack), stack.horizon, stack.num_states)
+
+    def __getitem__(self, key) -> np.ndarray:
+        return self.decoder.gains(self.stack, key[1])
 
 
 def _decode_lattice(summaries, decoders):
     """Decode equal-length summaries with every lattice decoder in one max-sum
-    call, which reads one _Row per decoder and summary; yields one list of
-    DecodedPath per decoder, in summary order, built when it is asked for.
-    Raises ValueError when weights near the float limit overflow a score."""
-    if not summaries:
-        yield from [[] for _ in decoders]
-        return
-    problems = [(d, s) for d in decoders for s in summaries]  # decoder-major, as the kernel sees them
+    call, which reads one _Gains row per decoder over the summaries' stack;
+    yields one list of DecodedPath per decoder, in summary order, built when
+    it is asked for.  Raises ValueError when weights near the float limit
+    overflow a score."""
+    stack = stack_of(summaries)
     try:
         with np.errstate(over="raise"):
-            init_extra, trans = zip(*(d.scores(s) for d, s in problems))
-            idx, scores = best_path([_Row(d, s) for d, s in problems], np.stack(init_extra), np.stack(trans))
+            init_extra, trans = (np.concatenate(scores) for scores in zip(*(d.scores(stack) for d in decoders)))
+            idx, best = best_path([_Gains(d, stack) for d in decoders], init_extra, trans)
     except FloatingPointError as exc:
         try:  # name the overflow raised first when every problem's whole gains come before its scores
             with np.errstate(over="raise"):
-                for d, s in problems:
-                    d.gains(s, slice(None)), d.scores(s)
+                for d in decoders:
+                    for s in summaries:
+                        d.gains(s, slice(None)), d.scores(s)
         except FloatingPointError as first:
             exc = first
         raise ValueError(f"decoder weights too large: the path scores overflow ({exc})") from None
-    for d, paths, best in zip(decoders, np.split(idx, len(decoders)), np.split(scores, len(decoders))):
-        yield [_finish(s, i, d.objective(s, i, sc), d.tag) for s, i, sc in zip(summaries, paths, best)]
+    for d, paths, scores in zip(decoders, np.split(idx, len(decoders)), np.split(best, len(decoders))):
+        yield _finish(stack, paths, d.tag, -scores / stack.horizon if d.objective is None else d.objective)
 
 
 def _same_table(marginals: np.ndarray, beta: float) -> np.ndarray:
     return marginals
 
 
-def _combined_gains(summary: PosteriorSummary, weights: RiskWeights, at=slice(None), pointwise=_same_table):
-    """The combined objective's gains at the positions of the slice ``at``.
-    ``pointwise(marginals, beta)`` maps the smoothed and the prior marginals
-    to the tables the two pointwise terms score."""
-    gains = np.zeros_like(summary.smoothed[at])
+def _combined_gains(summary, weights: RiskWeights, at=slice(None), pointwise=_same_table):
+    """The combined objective's gains at the positions of the slice ``at``,
+    of a summary or of every summary of a stack.  ``pointwise(marginals,
+    beta)`` maps the smoothed and the prior marginals to the tables the two
+    pointwise terms score."""
+    gains = np.zeros_like(summary.smoothed[..., at, :])
     if weights.c1 > 0:
-        gains -= weights.c1 * power_risk(pointwise(summary.smoothed[at], weights.beta1), weights.beta1)
+        gains -= weights.c1 * power_risk(pointwise(summary.smoothed[..., at, :], weights.beta1), weights.beta1)
     if weights.c2 > 0:
-        gains += weights.c2 * summary.log_emission[at]
+        gains += weights.c2 * summary.log_emission[..., at, :]
     if weights.c3 > 0:
-        gains -= weights.c3 * power_risk(pointwise(summary.prior[at], weights.beta3), weights.beta3)
+        gains -= weights.c3 * power_risk(pointwise(summary.prior[..., at, :], weights.beta3), weights.beta3)
     return gains
 
 
-def _combined_scores(summary: PosteriorSummary, weights: RiskWeights):
+def _combined_scores(summary, weights: RiskWeights):
     path_weight = np.float64(weights.c2) + weights.c4  # a numpy sum, so that an overflow raises like the tables
     if path_weight > 0:
         return path_weight * summary.log_initial, path_weight * summary.log_transition
-    num_states = summary.num_states
-    return np.zeros(num_states), np.zeros((num_states, num_states))
+    return np.zeros(np.shape(summary.log_initial)), np.zeros(np.shape(summary.log_transition))
 
 
 def combined_score_tables(summary: PosteriorSummary, weights: RiskWeights):
@@ -151,7 +164,6 @@ def _combined(weights: RiskWeights, tag: str, pointwise=_same_table) -> _Lattice
         tag,
         lambda summary, at: _combined_gains(summary, weights, at, pointwise),
         lambda summary: _combined_scores(summary, weights),
-        lambda summary, idx, score: -score / summary.horizon,
     )
 
 
@@ -182,34 +194,34 @@ def viterbi(model: HmmModel, obs) -> tuple[int, ...]:
     return viterbi_decode(forward_backward(model, obs)).path
 
 
-def _pointwise_objective(summary, idx) -> float:
-    return 1.0 - summary.smoothed[np.arange(summary.horizon), idx].mean()
+def _pmap_many(summaries) -> list[DecodedPath]:
+    stack = stack_of(summaries)
+    return _finish(stack, np.argmax(stack.smoothed, axis=2), "pmap", "r1_posterior")
+
+
+_PMAP = _GroupDecoder(_pmap_many)
 
 
 def pmap_decode(summary: PosteriorSummary) -> DecodedPath:
     """Pointwise argmax of the smoothed marginals; may be inadmissible."""
-    idx = np.argmax(summary.smoothed, axis=1)
-    return _finish(summary, idx, _pointwise_objective(summary, idx), "pmap")
+    return _PMAP(summary)
 
 
-def _support_masks(summary: PosteriorSummary):
-    trans = np.where(summary.model.transition > 0, 0.0, -np.inf)
-    init = np.where(summary.model.initial > 0, 0.0, -np.inf)
+def _support_masks(summary):
+    trans = np.where(summary.log_transition > -np.inf, 0.0, -np.inf)
+    init = np.where(summary.log_initial > -np.inf, 0.0, -np.inf)
     return init, trans
 
 
 _CONSTRAINED_PMAP = _LatticeDecoder(
     "constrained-pmap",
-    lambda summary, at: summary.smoothed[at] + np.where(summary.emission_likelihood[at] > 0, 0.0, -np.inf),
+    lambda summary, at: (
+        summary.smoothed[..., at, :] + np.where(summary.emission_likelihood[..., at, :] > 0, 0.0, -np.inf)
+    ),
     _support_masks,
-    lambda summary, idx, score: _pointwise_objective(summary, idx),
+    "r1_posterior",  # 1 - the mean smoothed marginal along the path
 )
-_PVD = _LatticeDecoder(
-    "pvd",
-    lambda summary, at: summary.log_smoothed[at],
-    _support_masks,
-    lambda summary, idx, score: -summary.log_smoothed[np.arange(summary.horizon), idx].mean(),
-)
+_PVD = _LatticeDecoder("pvd", lambda summary, at: summary.log_smoothed[..., at, :], _support_masks, "rbar1_posterior")
 
 
 def constrained_pmap_decode(summary: PosteriorSummary) -> DecodedPath:
@@ -289,10 +301,11 @@ def rabiner_block_decode(summary: PosteriorSummary, k: int) -> DecodedPath:
     if num_states**k > BLOCK_STATE_CAP:  # every window block and the walk's buffer hold K^k floats per start
         raise KOutOfRangeError(f"K^k exceeds the tabulation cap for k={k}")
     if k == 1:
-        return _finish(summary, np.argmax(summary.smoothed, axis=1), summary.smoothed.max(axis=1).sum(), "rabiner k=1")
-    idx = rabiner_walk(_window_blocks(summary, k), num_states, k)
-    gain = rabiner_gain_batch(summary, idx[None, :] + 1, k)[0]
-    return _finish(summary, idx, gain, f"rabiner k={k}")
+        idx, gain = np.argmax(summary.smoothed, axis=1), summary.smoothed.max(axis=1).sum()
+    else:
+        idx = rabiner_walk(_window_blocks(summary, k), num_states, k)
+        gain = rabiner_gain_batch(summary, idx[None, :] + 1, k)[0]
+    return _finish(stack_of([summary]), [idx], f"rabiner k={k}", [gain])[0]
 
 
 def _objective_values(summary, objective, k):
@@ -347,7 +360,7 @@ def brute_force_decode(summary: PosteriorSummary, objective, k: int | None = Non
         hits = np.flatnonzero(vals <= best + TIE_TOL)
         if len(hits):
             idx = chunk[hits[0]] - 1
-            return _finish(summary, idx, sign * vals[hits[0]], f"brute-force {tag}")
+            return _finish(stack_of([summary]), [idx], f"brute-force {tag}", [sign * vals[hits[0]]])[0]
     raise AssertionError("unreachable: optimum not found on second pass")
 
 
@@ -362,13 +375,13 @@ _FIXED_DECODERS = {
 def _parse_tag(tag: str):
     """Parse a decoder tag.  A lattice tag gives its _LatticeDecoder, which
     decode_many solves together with the other lattice tags; pmap and
-    rabiner:k give a function of one summary."""
+    rabiner:k give a _GroupDecoder."""
     head, _, arg = tag.partition(":")
     if tag == "pmap":
-        return pmap_decode
+        return _PMAP
     if head == "rabiner" and arg:
         k = int(arg)
-        return lambda summary: rabiner_block_decode(summary, k)
+        return _GroupDecoder(lambda summaries: [rabiner_block_decode(s, k) for s in summaries])
     decoder = {"viterbi": _VITERBI, "pvd": _PVD, "constrained-pmap": _CONSTRAINED_PMAP}.get(tag)
     if head == "kblock" and arg:
         decoder = _kblock(int(arg))
@@ -389,7 +402,7 @@ def resolve_decoder(tag: str):
     """Map a decoder tag like "viterbi", "kblock:3", "alpha:0.5", "rabiner:2",
     or "weights:c1/c2/c3/c4[/beta1/beta3]" to a callable over one summary:
     the public decoder function for the four fixed tags, else what
-    ``_parse_tag`` gives (a lattice tag's _LatticeDecoder is callable).
+    ``_parse_tag`` gives (a _LatticeDecoder or _GroupDecoder is callable).
 
     Weight components may be separated by "/" or ","; the slash form survives
     comma-separated tag lists.
@@ -405,13 +418,17 @@ def decode_many(summaries, tags):
     every summary is the one its single-summary decoder returns.  The
     summaries must share one horizon.  Every tag is parsed before anything is
     decoded.  When the first lattice tag's turn comes, all lattice tags are
-    solved in one max-sum call over (lattice tags x summaries) gains rows,
-    each filled window by window as the kernel reads it; tags listed before
-    it run first.  Each tag's DecodedPath list, pmap and rabiner:k included,
-    is built when it is asked for.
+    solved in one max-sum call over one gains row per lattice tag over the
+    summaries' stack, each filled window by window as the kernel reads it;
+    tags listed before it run first.  Each tag's DecodedPath list, pmap and
+    rabiner:k included, is built when it is asked for, and each tag but
+    rabiner:k scores its paths in one evaluate_risks call.
     """
     summaries = list(summaries)
     decoders = [_parse_tag(tag) for tag in tags]
+    if not summaries:
+        yield from ([] for _ in decoders)
+        return
     solved = _decode_lattice(summaries, [d for d in decoders if isinstance(d, _LatticeDecoder)])  # runs at its first next
     for decoder in decoders:
-        yield next(solved) if isinstance(decoder, _LatticeDecoder) else [decoder(s) for s in summaries]
+        yield next(solved) if isinstance(decoder, _LatticeDecoder) else decoder.many(summaries)

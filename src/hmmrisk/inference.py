@@ -1,4 +1,5 @@
-"""Scaled forward-backward smoothing, the prior chain, and window (block) posteriors.
+"""Scaled forward-backward smoothing, the prior chain, the stack that groups
+the summaries of one batch, and window (block) posteriors.
 
 The scaled recursions make four numpy calls per forward step (matmul,
 multiply, add.reduce, divide) and two per backward step (matmul, divide);
@@ -26,6 +27,60 @@ def emission_likelihood(model: HmmModel, obs) -> np.ndarray:
     return model.emission.likelihood(obs)
 
 
+def _rows(tables) -> np.ndarray:
+    """The tables stacked along a new leading axis; one table shared by every row is broadcast, not copied."""
+    if all(table is tables[0] for table in tables):
+        return np.broadcast_to(tables[0], (len(tables),) + np.shape(tables[0]))
+    return np.stack(tables)
+
+
+class SummaryStack:
+    """N equal-length summaries as one group, read by one call where each
+    summary would take one: ``smoothed``, ``emission_likelihood``, ``prior``,
+    ``log_smoothed`` and ``log_emission`` are (N, T, K) tables whose row n is
+    summary n's table, ``log_initial`` is (N, K), ``log_transition``
+    (N, K, K) and ``log_evidence`` (N,).  Row n's prior marginals and log
+    initial and transition tables are those of ``chains[n]`` (a summary, or
+    the prior chain of a ``forward_backward_many`` call); a table every row
+    shares is broadcast, and the prior marginals are stacked on first use.
+    """
+
+    def __init__(self, smoothed: np.ndarray, emission_likelihood: np.ndarray, log_evidence, chains):
+        self.smoothed, self.emission_likelihood, self.chains = smoothed, emission_likelihood, chains
+        self.log_evidence = np.asarray(log_evidence, dtype=float)
+        self.horizon, self.num_states = smoothed.shape[1:]
+        self.log_initial = _rows([chain.log_initial for chain in chains])
+        self.log_transition = _rows([chain.log_transition for chain in chains])
+
+    def __len__(self) -> int:
+        return len(self.smoothed)
+
+    @cached_property
+    def log_emission(self) -> np.ndarray:
+        return _log(self.emission_likelihood)
+
+    @cached_property
+    def log_smoothed(self) -> np.ndarray:
+        return _log(self.smoothed)
+
+    @cached_property
+    def prior(self) -> np.ndarray:
+        return _rows([chain.prior for chain in self.chains])
+
+
+def stack_of(summaries) -> SummaryStack:
+    """The group of equal-length ``summaries``: the stack of their
+    ``forward_backward_many`` call when they are its summaries, in order,
+    else a stack of copies of their tables (a table shared by every summary
+    is broadcast, so one summary, or one summary repeated, copies nothing)."""
+    summaries = list(summaries)
+    stack = summaries[0].stack
+    if stack is not None and [(s.stack, s.row) for s in summaries] == [(stack, n) for n in range(len(stack))]:
+        return stack
+    smoothed, likes = (_rows([getattr(s, name) for s in summaries]) for name in ("smoothed", "emission_likelihood"))
+    return SummaryStack(smoothed, likes, [s.log_evidence for s in summaries], summaries)
+
+
 class PosteriorSummary:
     """Scaled forward/backward tables, smoothed marginals, and log-evidence.
 
@@ -39,19 +94,19 @@ class PosteriorSummary:
     ``prior_chain`` is the summary of no observations over the same horizon
     (a ``PriorChain``); its log initial and transition tables and its
     smoothed table, the prior marginals, are shared by the summaries of one
-    ``forward_backward_many`` call.
+    ``forward_backward_many`` call.  The summary is row ``row`` of that
+    call's ``stack``, and its log smoothed and log emission tables are rows
+    of the stack's, computed once for the call.
     """
 
-    def __init__(
-        self, model, scaled_forward, scaled_backward, scaling, smoothed, log_evidence, emission_likelihood, prior_chain
-    ):
-        self.model = model
+    def __init__(self, model, stack: SummaryStack, row: int, scaled_forward, scaled_backward, scaling, prior_chain):
+        self.model, self.stack, self.row = model, stack, row
         self.scaled_forward = scaled_forward
         self.scaled_backward = scaled_backward
         self.scaling = scaling
-        self.smoothed = smoothed
-        self.log_evidence = log_evidence
-        self.emission_likelihood = emission_likelihood
+        self.smoothed = stack.smoothed[row]
+        self.log_evidence = float(stack.log_evidence[row])
+        self.emission_likelihood = stack.emission_likelihood[row]
         self.prior_chain = prior_chain
         self.log_initial, self.log_transition = prior_chain.log_initial, prior_chain.log_transition
 
@@ -70,11 +125,11 @@ class PosteriorSummary:
 
     @cached_property
     def log_emission(self) -> np.ndarray:
-        return _log(self.emission_likelihood)
+        return _log(self.emission_likelihood) if self.stack is None else self.stack.log_emission[self.row]
 
     @cached_property
     def log_smoothed(self) -> np.ndarray:
-        return _log(self.smoothed)
+        return _log(self.smoothed) if self.stack is None else self.stack.log_smoothed[self.row]
 
     @cached_property
     def log_forward(self) -> np.ndarray:
@@ -97,6 +152,8 @@ class PriorChain(PosteriorSummary):
     windows and posterior risks are those of the chain alone, and they are
     its prior risks too.
     """
+
+    stack = row = None  # no forward_backward_many call made it
 
     def __init__(self, model: HmmModel, horizon: int):
         ones = np.broadcast_to(1.0, (horizon, model.num_states))
@@ -176,22 +233,9 @@ def forward_backward_many(model: HmmModel, observations) -> list[PosteriorSummar
         for weighted_t, beta_next, scale_next, beta_t in block:
             np.matmul(weighted_t, beta_next, out=b)
             np.divide(b_col, scale_next, out=beta_t)
-    smoothed = alpha * beta
-    log_evidence = np.log(scaling).sum(axis=1)
     chain = PriorChain(model, horizon)  # its prior marginals are built when a summary first reads them
-    return [
-        PosteriorSummary(
-            model=model,
-            scaled_forward=alpha[n],
-            scaled_backward=beta[n],
-            scaling=scaling[n],
-            smoothed=smoothed[n],
-            log_evidence=float(log_evidence[n]),
-            emission_likelihood=likes[n],
-            prior_chain=chain,
-        )
-        for n in range(num)
-    ]
+    stack = SummaryStack(alpha * beta, likes, np.log(scaling).sum(axis=1), [chain] * num)
+    return [PosteriorSummary(model, stack, n, alpha[n], beta[n], scaling[n], chain) for n in range(num)]
 
 
 def forward_backward(model: HmmModel, obs) -> PosteriorSummary:

@@ -28,8 +28,8 @@ from .risk import RiskReport
 
 
 def fmt(x) -> str:
-    """Format one number with 12 significant digits."""
-    return f"{float(x):.12g}"
+    """Format one number with 12 significant digits; -0.0 prints as 0."""
+    return f"{float(x) + 0.0:.12g}"  # -0.0 + 0.0 is 0.0, and every other number is itself
 
 
 def path_hash(path) -> str:
@@ -90,7 +90,10 @@ def load_model(path) -> HmmModel:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: not valid JSON: {exc}") from exc
-    model = model_from_dict(data)
+    try:
+        model = model_from_dict(data)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
     violations = validate_model(model)
     if violations:
         raise ParseError(f"{path}: invalid model: " + "; ".join(violations))

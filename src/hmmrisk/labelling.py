@@ -54,17 +54,17 @@ def identity_label_map(num_states: int) -> LabelMap:
 
 
 def _class_means(marginals: np.ndarray, labels: LabelMap, beta: float) -> np.ndarray:
-    """Marginal table averaged within label classes, constant across states
-    sharing a label: the arithmetic class mean, or the geometric one when
-    beta == 0."""
+    """Marginal table averaged within label classes (the last axis), constant
+    across states sharing a label: the arithmetic class mean, or the
+    geometric one when beta == 0."""
     out = np.empty_like(marginals)
     for states in labels.classes():
-        block = marginals[:, states]
+        block = marginals[..., states]
         if beta == 0.0:
-            avg = np.exp(_log(block).mean(axis=1))
+            avg = np.exp(_log(block).mean(axis=-1))
         else:
-            avg = block.mean(axis=1)
-        out[:, states] = avg[:, None]
+            avg = block.mean(axis=-1)
+        out[..., states] = avg[..., None]
     return out
 
 

@@ -10,13 +10,15 @@ over all state sequences.  Scores may be -inf; -inf is absorbing.  Every
 array may carry a leading batch axis of N independent problems of equal
 length, which are solved together; a single problem is the N = 1 case.
 
-The kernel, ``best_path``, reads its gains as a sequence of N per-problem
-(T, K) tables, any objects that return their rows for a slice: the decoders
-pass rows that compute their gains only when sliced.  The cost-to-go lives in
-a window of about ``_BLOCK`` elements that moves down the positions, and each
-window's gains are copied into a block of that size, so memory does not grow
-with T.  ``rabiner_walk``, the overlapping-block decoder's walk over
-(k-1)-tuples of states, streams its window gains in blocks the same way.
+The kernel, ``best_path``, reads its gains as a sequence of tables, each of
+one problem, (T, K), or of a group of problems, (n, T, K): any objects that
+return their rows for a slice of positions.  The decoders pass one row per
+decoder over a group of summaries, which computes every summary's gains only
+when sliced.  The cost-to-go lives in a window of about ``_BLOCK`` elements
+that moves down the positions, and each window's gains are copied into a
+block of that size, one copy per table, so memory does not grow with T.
+``rabiner_walk``, the overlapping-block decoder's walk over (k-1)-tuples of
+states, streams its window gains in blocks the same way.
 
 Tie policy: among all maximizers both walks return the lexicographically
 smallest path.  ``near_max`` owns the rule: the smallest index within
@@ -26,13 +28,16 @@ the sweep has passed a window or block, the near_max successor j of
 w[i, j] + phi[t + 1, j] is tabulated for every (t, i) in it, and each
 successor is stored in the smallest integer dtype that holds the largest
 state or tuple index.  The path is read off that table, in that dtype, by
-``follow``, from the near_max first state, which is the same choice a
-greedy forward selection makes, since it compares the same sums.  The
-tolerance exists because mathematically exact ties can differ by a few ulps
-when the same score is accumulated along different orders.
+``follow``, a blocked scan over the composed successor maps, from the
+near_max first state, which is the same choice a greedy forward selection
+makes, since it compares the same sums.  The tolerance exists because
+mathematically exact ties can differ by a few ulps when the same score is
+accumulated along different orders.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -42,23 +47,53 @@ TIE_TOL = 1e-12
 _BLOCK = 1 << 13  # elements of a block: the tie-break's and forward-backward's (positions, N, K, K) products, and the cost-to-go window
 
 
+def _walk(first: np.ndarray, maps: np.ndarray) -> np.ndarray:
+    """The interpreted walk: ``out[0] = first`` and ``out[b + 1, n] = maps[b, n, out[b, n]]``;
+    ``maps`` is (B, N, width), ``out`` (B + 1, N) in its dtype."""
+    steps, num, width = maps.shape
+    out = np.empty((steps + 1, num), dtype=maps.dtype)
+    out[0] = first
+    table = memoryview(np.ascontiguousarray(maps).reshape(-1))
+    view = memoryview(out.reshape(-1))
+    cur = out[0].tolist()
+    k = num
+    for base in range(0, steps * num * width, num * width):
+        for n in range(num):
+            cur[n] = view[k] = table[base + n * width + cur[n]]
+            k += 1
+    return out
+
+
 def follow(first: np.ndarray, successors: np.ndarray) -> np.ndarray:
     """Chase successor tables: ``paths[n, 0] = first[n]`` and
     ``paths[n, t + 1] = successors[t, n, paths[n, t]]``.
 
     ``successors`` has shape (T - 1, N, K); returns an (N, T) array of its dtype.
+    A blocked scan: the T - 1 steps fall into blocks of L, and L - 1 gathers
+    over every whole block at once compose each block's maps from every
+    state; ``_walk`` chases the composed maps, which gives the state at every
+    multiple of L, and L - 1 gathers over the blocks fill the positions in
+    between.  L is about sqrt((T - 1) N / 16), which balances the walk's
+    (T - 1) N / L interpreted steps against the 2 (L - 1) numpy calls.  The
+    composition gathers K elements per position where the walk takes one
+    step, so L is 1, the plain walk, for K above 64.  Median CPU times
+    (2 shared CPUs, numpy 2.4.6): at N = 4, T = 2000 the blocked scan took
+    1.1, 1.7, 2.5 and 3.1 ms at K = 32, 64, 96 and 128, the plain walk
+    2.4 ms; at N = 1, T = 20000, K = 8, 1.3 ms against 9.3 ms.
     """
     steps, num, width = successors.shape
-    paths = np.empty((steps + 1, num), dtype=successors.dtype)
-    paths[0] = first
-    table = memoryview(np.ascontiguousarray(successors).reshape(-1))
-    out = memoryview(paths.reshape(-1))
-    cur = paths[0].tolist()
-    k = num
-    for base in range(0, steps * num * width, num * width):
-        for n in range(num):
-            cur[n] = out[k] = table[base + n * width + cur[n]]
-            k += 1
+    size = 1 if width > 64 else max(1, math.isqrt(steps * num // 16))
+    table = np.ascontiguousarray(successors)
+    flat, row = table.reshape(-1), num * width
+    offsets = (np.arange(steps // size + 1)[:, None] * (size * num) + np.arange(num)) * width  # [b, n]: map at step b L
+    maps = table[: steps - steps % size : size]  # maps[b, n, i]: the state L steps after state i at position b L
+    for lag in range(1, size):
+        maps = np.take(flat[lag * row :], offsets[:-1, :, None] + maps)
+    paths = np.empty((steps + 1, num), dtype=table.dtype)
+    paths[::size] = cur = _walk(first, maps)
+    for lag in range(1, size):
+        count = (steps - lag) // size + 1  # the blocks that reach position b L + lag
+        cur = paths[lag::size] = np.take(flat[(lag - 1) * row :], offsets[:count] + cur[:count])
     return paths.T
 
 
@@ -72,33 +107,39 @@ def near_max(vals: np.ndarray, axis: int):
 def best_path(gains, init_extra: np.ndarray, trans: np.ndarray):
     """Return (path, score) for the lexicographically smallest maximizer.
 
-    ``gains`` is a sequence of N per-problem (T, K) tables, such as an
-    (N, T, K) array, or one (T, K) array for a single problem; each table is
-    only sliced, ``g[lo:hi]``, once per cost-to-go window.  ``init_extra`` is
-    (K,) or (N, K) and ``trans`` (K, K) or (N, K, K).  For one problem
-    ``path`` holds 0-based state indices of shape (T,) and ``score`` is a
-    float; with a batch axis they are (N, T) and (N,), paths in the smallest
-    unsigned dtype that holds K - 1.  Raises NoFinitePathError when some
-    problem has no path of finite score.  The cost-to-go window and the gains
-    block hold max(step, _BLOCK // (N K)) positions, step = max(1, _BLOCK // (N K K)).
+    ``gains`` is one (T, K) table for a single problem, an (N, T, K) array,
+    or a sequence of tables that each hold one problem, (T, K), or a group of
+    n problems, (n, T, K), such as the decoders' gains rows; each table is
+    only sliced, ``g[lo:hi]`` or ``g[:, lo:hi]``, once per cost-to-go window.
+    ``init_extra`` is (K,) or (N, K) and ``trans`` (K, K) or (N, K, K).  For
+    one problem ``path`` holds 0-based state indices of shape (T,) and
+    ``score`` is a float; with a batch axis they are (N, T) and (N,), paths in
+    the smallest unsigned dtype that holds K - 1.  Raises NoFinitePathError
+    when some problem has no path of finite score.  The cost-to-go window and
+    the gains block hold max(step, _BLOCK // (N K)) positions, step = max(1, _BLOCK // (N K K)).
     """
-    single = getattr(gains, "ndim", None) == 2
-    gains = [gains] if single else gains
-    num, horizon, num_states = len(gains), len(gains[0]), np.shape(trans)[-1]
+    ndim = getattr(gains, "ndim", 0)  # 2: one problem, 3: a batch, 0: a sequence of tables
+    groups = [g if len(g.shape) == 3 else g[None] for g in ([gains] if ndim else gains)]
+    bounds = np.cumsum([0] + [g.shape[0] for g in groups]).tolist()  # group i holds problems bounds[i]..bounds[i + 1] - 1
+    num, horizon, num_states = bounds[-1], groups[0].shape[1], np.shape(trans)[-1]
     trans = np.broadcast_to(trans, (num, num_states, num_states))
     step = max(1, _BLOCK // (num * num_states * num_states))
     size = max(step, _BLOCK // (num * num_states))
     window = np.empty((size + 1, num, num_states))  # window[-1]: the cost-to-go just above the window
-    window[-1] = [table[horizon - 1 : horizon][0] for table in gains]
     block = np.empty((size, num, num_states))  # block[i, n]: problem n's gains at position lo + i
+
+    def fill(out, lo, hi):  # out[i, n] = problem n's gains at position lo + i, one copy per group
+        for g, a, b in zip(groups, bounds[:-1], bounds[1:]):
+            out[:, a:b] = g[:, lo:hi].swapaxes(0, 1)
+
+    fill(window[-1:], horizon - 1, horizon)
     buf = np.empty((num, num_states, num_states))
     add, max_reduce = np.add, np.maximum.reduce  # bound once and called positionally: the sweep is call-bound
     successors = np.empty((horizon - 1, num, num_states), dtype=np.min_scalar_type(num_states - 1))  # [t, n, i] -> j
     for hi in range(horizon - 1, 0, -size):
         lo = max(0, hi - size)
         phi = window[size - (hi - lo) :]  # phi[i] is the cost-to-go at position lo + i
-        for n, table in enumerate(gains):
-            block[: hi - lo, n] = table[lo:hi]
+        fill(block[: hi - lo], lo, hi)
         # cur = max_j (trans[:, :, j] + nxt[:, None, j]) + gains[t]; addition commutes: the bits of gains[t] + max
         for nxt, cur, gain in zip(phi[:0:-1, :, None, :], phi[-2::-1], block[hi - lo - 1 :: -1]):
             add(trans, nxt, buf)
@@ -111,7 +152,7 @@ def best_path(gains, init_extra: np.ndarray, trans: np.ndarray):
     if not np.all(np.isfinite(best)):
         raise NoFinitePathError("all candidate paths have -inf score")
     path = follow(first, successors)
-    return (path[0], float(best[0])) if single else (path, best)
+    return (path[0], float(best[0])) if ndim == 2 else (path, best)
 
 
 def rabiner_walk(blocks, num_states: int, k: int) -> np.ndarray:

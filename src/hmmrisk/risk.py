@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import KOutOfRangeError
-from .inference import PosteriorSummary, _log, log_window_posterior
+from .inference import PosteriorSummary, SummaryStack, _log, log_window_posterior, stack_of
 from .model import check_state_path
 
 
@@ -84,38 +84,43 @@ class RiskReport:
 RiskReport.FIELDS = tuple(f.name for f in fields(RiskReport))
 
 
-def _as_paths0(summary: PosteriorSummary, paths) -> tuple[np.ndarray, bool]:
-    """Validate 1-based path input of the summary's horizon and return it as a
-    0-based (N, T) index matrix, with a flag for single-path input."""
+def _as_paths0(summary, paths) -> tuple[np.ndarray, bool]:
+    """Validate 1-based path input of the summary's (or stack's) horizon and
+    return it as a C-ordered 0-based (N, T) index matrix, with a flag for
+    single-path input.  C order makes a row's reductions add in the order a
+    1-d path's do."""
     arr = check_state_path(paths, summary.num_states)
     if arr.shape[-1] != summary.horizon:
         raise ValueError(f"path length {arr.shape[-1]} does not match horizon {summary.horizon}")
-    return np.atleast_2d(arr) - 1, arr.ndim == 1
+    return np.ascontiguousarray(np.atleast_2d(arr) - 1), arr.ndim == 1
 
 
 def _gather(table: np.ndarray, paths0: np.ndarray) -> np.ndarray:
-    return table[np.arange(paths0.shape[1])[None, :], paths0]
+    """``table[n, t, paths0[n, t]]`` of a stack's (N, T, K) table; a one-row stack serves every path."""
+    return table[np.arange(len(table))[:, None], np.arange(paths0.shape[1]), paths0]
 
 
-def _joint_ll(summary: PosteriorSummary, paths0: np.ndarray) -> np.ndarray:
-    return _prior_ll(summary, paths0) + _gather(summary.log_emission, paths0).sum(axis=1)
+def _joint_ll(stack: SummaryStack, paths0: np.ndarray) -> np.ndarray:
+    return _prior_ll(stack, paths0) + _gather(stack.log_emission, paths0).sum(axis=1)
 
 
-def _prior_ll(summary: PosteriorSummary, paths0: np.ndarray) -> np.ndarray:
-    return summary.log_initial[paths0[:, 0]] + summary.log_transition[paths0[:, :-1], paths0[:, 1:]].sum(axis=1)
+def _prior_ll(stack: SummaryStack, paths0: np.ndarray) -> np.ndarray:
+    rows = np.arange(len(stack))[:, None]
+    first = stack.log_initial[rows[:, 0], paths0[:, 0]]
+    return first + stack.log_transition[rows, paths0[:, :-1], paths0[:, 1:]].sum(axis=1)
 
 
 def joint_log_likelihood(summary: PosteriorSummary, paths):
     """log p(x^T, s^T) for one path or a batch of paths."""
     paths0, single = _as_paths0(summary, paths)
-    out = _joint_ll(summary, paths0)
+    out = _joint_ll(stack_of([summary]), paths0)
     return float(out[0]) if single else out
 
 
 def prior_log_likelihood(summary: PosteriorSummary, paths):
     """log p(s^T) under the hidden chain alone."""
     paths0, single = _as_paths0(summary, paths)
-    out = _prior_ll(summary, paths0)
+    out = _prior_ll(stack_of([summary]), paths0)
     return float(out[0]) if single else out
 
 
@@ -132,43 +137,52 @@ def combined_risk(summary: PosteriorSummary, paths, weights: RiskWeights):
     Terms with zero weight are skipped so that 0 * inf never occurs.
     """
     paths0, single = _as_paths0(summary, paths)
-    horizon = summary.horizon
+    stack, horizon = stack_of([summary]), summary.horizon
     total = np.zeros(len(paths0))
     if weights.c1 > 0:
-        total += weights.c1 * power_risk(_gather(summary.smoothed, paths0), weights.beta1).mean(axis=1)
+        total += weights.c1 * power_risk(_gather(stack.smoothed, paths0), weights.beta1).mean(axis=1)
     if weights.c2 > 0:
-        total += weights.c2 * (-_joint_ll(summary, paths0) / horizon)
+        total += weights.c2 * (-_joint_ll(stack, paths0) / horizon)
     if weights.c3 > 0:
-        total += weights.c3 * power_risk(_gather(summary.prior, paths0), weights.beta3).mean(axis=1)
+        total += weights.c3 * power_risk(_gather(stack.prior, paths0), weights.beta3).mean(axis=1)
     if weights.c4 > 0:
-        total += weights.c4 * (-_prior_ll(summary, paths0) / horizon)
+        total += weights.c4 * (-_prior_ll(stack, paths0) / horizon)
     return float(total[0]) if single else total
 
 
-def evaluate_risks(summary: PosteriorSummary, path) -> RiskReport:
-    """Evaluate every catalogued risk of one path against (model, obs, posterior)."""
-    paths0, single = _as_paths0(summary, path)
-    if not single:
+def evaluate_risks(summary, path):
+    """Evaluate every catalogued risk of one path against (model, obs, posterior).
+
+    ``summary`` may instead be the SummaryStack of a group of N summaries and
+    ``path`` an (N, T) block of paths: row n is scored against summary n, and
+    the N reports come back as a list, from one call.  One path is the
+    one-row case, bit for bit: each table is gathered along the paths and
+    reduced over C-ordered rows before the next is gathered.
+    """
+    group = isinstance(summary, SummaryStack)
+    stack = summary if group else stack_of([summary])
+    paths0, single = _as_paths0(stack, path)
+    if not group and not single:
         raise ValueError("evaluate_risks scores one 1-d path")
-    horizon = summary.horizon
-    sm = _gather(summary.smoothed, paths0)[0]
-    lsm = _gather(summary.log_smoothed, paths0)[0]
-    pm = _gather(summary.prior, paths0)[0]
-    lpm = _log(pm)
-    prior = _prior_ll(summary, paths0)
-    joint_ll = float((prior + _gather(summary.log_emission, paths0).sum(axis=1))[0])  # _joint_ll, prior reused
-    prior_ll = float(prior[0])
-    post_lp = joint_ll - summary.log_evidence
-    return RiskReport(
-        r1_posterior=float(1.0 - sm.mean()),
-        rbar1_posterior=float(-lsm.mean()),
-        rinf_posterior=float(-np.expm1(post_lp)),
-        rbarinf_posterior=float(-post_lp / horizon),
-        rbarinf_joint=float(-joint_ll / horizon),
-        r1_prior=float(1.0 - pm.mean()),
-        rbar1_prior=float(-lpm.mean()),
-        rbarinf_prior=float(-prior_ll / horizon),
+    if group and (single or len(paths0) != len(stack)):
+        raise ValueError(f"a group of {len(stack)} summaries scores a ({len(stack)}, T) block of paths")
+    horizon = stack.horizon
+    prior_ll = _prior_ll(stack, paths0)
+    joint_ll = prior_ll + _gather(stack.log_emission, paths0).sum(axis=1)
+    post_lp = joint_ll - stack.log_evidence
+    prior = _gather(stack.prior, paths0)
+    columns = (
+        1.0 - _gather(stack.smoothed, paths0).mean(axis=1),
+        -_gather(stack.log_smoothed, paths0).mean(axis=1),
+        -np.expm1(post_lp),
+        -post_lp / horizon,
+        -joint_ll / horizon,
+        1.0 - prior.mean(axis=1),
+        -_log(prior).mean(axis=1),
+        -prior_ll / horizon,
     )
+    reports = [RiskReport(*values) for values in zip(*(column.tolist() for column in columns))]
+    return reports if group else reports[0]
 
 
 def kblock_logrisk(chain, path, k: int) -> float:

@@ -9,10 +9,12 @@ Replicates of one horizon are sampled, smoothed and decoded in groups, each
 as one batch.  A group holds at most ``_GROUP_CELLS // (T * K)`` replicates
 (and at least one), which bounds the memory its (replicate, position, state)
 tables take; the results do not depend on the group size.  A group's lattice
-decoders share one max-sum call, which reads their gains window by window.
-``_GROUP_CELLS`` is 1 << 15: a group of 8 at T = 2000, K = 2 and five tags
-peaks at about 2.3 MB of tables (tracemalloc), 9 (T, K) float64 per replicate
-(while paths are scored, over the smoothing and cached log tables).
+decoders share one max-sum call, which reads each decoder's gains over the
+whole group window by window, and each decoder's paths are scored in one
+call.  ``_GROUP_CELLS`` is 1 << 15: a group of 8 at T = 2000, K = 2 and five
+tags peaks at about 2.8 MB of tables (tracemalloc), 11 (T, K) float64 per
+replicate (while a tag's paths are scored as one block, over the smoothing
+and cached log tables).
 Horizons must be at least 1; trajectories need at least 2 replicates (for
 standard deviations) and at least one decoder tag, the gap sweep at least 1
 replicate.
@@ -82,11 +84,11 @@ def _sample_group(model: HmmModel, horizon: int, seeds):
 
 def _record_group(values, model, tags, horizon, seeds, lo) -> None:
     truths, summaries = _sample_group(model, horizon, seeds)
+    rows = slice(lo, lo + len(truths))
     for tag, decoded in zip(tags, decode_many(summaries, tags)):
-        for r, (path, truth) in enumerate(zip(decoded, truths), start=lo):
-            values[tag]["empirical_error"][r] = np.mean(np.asarray(path.path) != truth)
-            for name, value in path.risks.as_dict().items():
-                values[tag][name][r] = value
+        values[tag]["empirical_error"][rows] = (np.array([path.path for path in decoded]) != truths).mean(axis=1)
+        for name in RiskReport.FIELDS:
+            values[tag][name][rows] = [getattr(path.risks, name) for path in decoded]
 
 
 def estimate_risk_trajectories(

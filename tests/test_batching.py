@@ -228,10 +228,10 @@ class TestBestPathBatch:
         rng = np.random.default_rng(seed)
         model = random_categorical_model(rng, num_states=int(rng.integers(1, 4)), zero_frac=zero_frac)
         _, observations = hr.sample_trajectories(model, horizon, range(seed, seed + num))
-        problems = [(decoders._parse_tag(tag), s) for tag in tags for s in hr.forward_backward_many(model, observations)]
-        rows = [decoders._Row(d, s) for d, s in problems]
-        init_extra, trans = (np.stack(scores) for scores in zip(*(d.scores(s) for d, s in problems)))
-        assert_stream_matches(rows, np.stack([row[:] for row in rows]), init_extra, trans, block)
+        stack = inference.stack_of(hr.forward_backward_many(model, observations))
+        rows = [decoders._Gains(decoders._parse_tag(tag), stack) for tag in tags]  # one per decoder, over the group
+        init_extra, trans = (np.concatenate(scores) for scores in zip(*(row.decoder.scores(stack) for row in rows)))
+        assert_stream_matches(rows, np.concatenate([row[:, :] for row in rows]), init_extra, trans, block)
 
     def test_peak_memory_is_a_fraction_of_the_gains(self):
         # the cost-to-go window, the gains block and the tie-break blocks are about _BLOCK elements each; what
@@ -254,6 +254,44 @@ class TestBestPathBatch:
         paths, _ = best_path(gains, np.zeros(300), trans)
         for n in range(3):
             np.testing.assert_array_equal(paths[n], greedy_best_path(gains[n], np.zeros(300), trans)[0])
+
+
+def loop_follow(first, successors):
+    """Reference: the successor tables chased one step at a time."""
+    paths = np.empty((len(successors) + 1, len(first)), dtype=successors.dtype)
+    paths[0] = first
+    for t, step in enumerate(successors):
+        paths[t + 1] = step[np.arange(len(first)), paths[t]]
+    return paths.T
+
+
+@st.composite
+def successor_tables(draw):
+    """(first, successors) of N problems over T positions; widths 65 and 256 take the plain walk, the rest blocks."""
+    width = draw(st.sampled_from([1, 2, 3, 16, 17, 64, 65, 256]))
+    num = draw(st.integers(1, 40))
+    horizon = draw(st.integers(1, min(3000, 1 + 400_000 // (num * width))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    successors = rng.integers(0, width, size=(horizon - 1, num, width)).astype(np.min_scalar_type(width - 1))
+    if draw(st.booleans()):  # drawn to the last state, whose index is 255 at width 256
+        successors[rng.random(successors.shape) < 0.5] = width - 1
+    return rng.integers(0, width, size=num), successors
+
+
+class TestFollow:
+    @FAST
+    @given(successor_tables())
+    def test_blocked_walk_equals_the_step_by_step_walk(self, table):
+        first, successors = table
+        got, expected = lattice.follow(first, successors), loop_follow(first, successors)
+        assert got.dtype == expected.dtype == successors.dtype
+        np.testing.assert_array_equal(got, expected)
+
+    def test_last_block_may_be_partial(self):
+        # 1000 steps of 1 problem fall into blocks of 7; 1000 = 142 * 7 + 6
+        rng = np.random.default_rng(8)
+        successors = rng.integers(0, 3, size=(1000, 1, 3)).astype(np.uint8)
+        np.testing.assert_array_equal(lattice.follow(np.array([2]), successors), loop_follow(np.array([2]), successors))
 
 
 def gaussian_model():
@@ -341,6 +379,50 @@ class TestForwardBackwardBatch:
             hr.forward_backward_many(model, [[0, 0, 0, 0], [0, 0, 1, 1]])
 
 
+def report_bits(reports):
+    return np.array([list(report.as_dict().values()) for report in reports]).tobytes()
+
+
+class TestGroupScoring:
+    @FAST
+    @given(
+        st.integers(1, 6),
+        st.sampled_from([1, 2, 7, 40, 129, 1000, 5000]),
+        st.sampled_from([0.0, 0.3, 0.6]),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_group_reports_equal_row_by_row_reports_bit_for_bit(self, num, horizon, zero_frac, seed, fortran, own):
+        rng = np.random.default_rng(seed)
+        model = random_categorical_model(rng, num_states=int(rng.integers(1, 4)), zero_frac=zero_frac)
+        _, observations = hr.sample_trajectories(model, horizon, range(seed, seed + num))
+        summaries = hr.forward_backward_many(model, observations)
+        if not own:  # not the rows of one call in order: the group stacks copies
+            summaries = summaries[::-1] + summaries[:1]
+        paths = rng.integers(1, model.num_states + 1, size=(len(summaries), horizon))  # impossible ones included
+        group = inference.stack_of(summaries)
+        assert (group is summaries[0].stack) == own
+        reports = hr.evaluate_risks(group, np.asfortranarray(paths) if fortran else paths)
+        singles = [hr.evaluate_risks(summary, path) for summary, path in zip(summaries, paths)]
+        assert report_bits(reports) == report_bits(singles)
+
+    def test_impossible_paths_score_infinite_risks_in_a_group(self):
+        model = hr.HmmModel([0.5, 0.5], [[1.0, 0.0], [0.5, 0.5]], hr.Categorical([[0.9, 0.1], [0.2, 0.8]]))
+        summaries = hr.forward_backward_many(model, [[0, 1, 1, 0]] * 3)
+        paths = np.array([[1, 2, 2, 1], [1, 1, 1, 1], [2, 2, 1, 2]])  # 1 -> 2 is ruled out
+        reports = hr.evaluate_risks(inference.stack_of(summaries), np.asfortranarray(paths))
+        assert [report.rbarinf_posterior == np.inf for report in reports] == [True, False, True]
+        assert report_bits(reports) == report_bits([hr.evaluate_risks(s, p) for s, p in zip(summaries, paths)])
+
+    def test_a_group_scores_one_path_per_summary(self):
+        summaries = hr.forward_backward_many(gaussian_model(), [np.zeros((3, 2))] * 2)
+        with pytest.raises(ValueError, match="scores a \\(2, T\\) block"):
+            hr.evaluate_risks(inference.stack_of(summaries), [1, 2, 1])
+        with pytest.raises(ValueError, match="scores a \\(2, T\\) block"):
+            hr.evaluate_risks(inference.stack_of(summaries), [[1, 2, 1]] * 3)
+
+
 ALL_TAGS = ["viterbi", "pmap", "pvd", "constrained-pmap", "kblock:1", "kblock:3", "alpha:0.25", "rabiner:2", "weights:1/0.5/0.2/0.1/1/0.5"]
 
 
@@ -358,6 +440,18 @@ class TestDecodeMany:
             assert len(decoded) == len(summaries)
             for summary, got in zip(summaries, decoded):
                 assert got == hr.resolve_decoder(tag)(summary)
+
+    def test_summaries_of_other_calls_and_models_match_their_single_summary_decoders(self):
+        # not the rows of one forward_backward_many call in order: the group stacks copies, row by row
+        rng = np.random.default_rng(5)
+        models = [random_categorical_model(rng, num_states=3, zero_frac=0.3) for _ in range(2)]
+        summaries = []
+        for model in models:
+            summaries += hr.forward_backward_many(model, hr.sample_trajectories(model, 15, range(2))[1])
+        summaries = summaries[::-1] + [hr.PriorChain(models[0], 15), summaries[0]]
+        assert inference.stack_of(summaries).smoothed.shape == (6, 15, 3)
+        for tag, decoded in zip(ALL_TAGS, hr.decode_many(summaries, ALL_TAGS)):
+            assert decoded == [hr.resolve_decoder(tag)(summary) for summary in summaries]
 
     @FAST
     @given(
@@ -382,7 +476,7 @@ class TestDecodeMany:
         rows = []
 
         def counting(gains, init_extra, trans):
-            rows.append(len(gains))
+            rows.append(len(init_extra))  # problems: gains holds one row per lattice tag over the group
             return best_path(gains, init_extra, trans)
 
         monkeypatch.setattr(decoders, "best_path", counting)
@@ -413,10 +507,10 @@ class TestDecodeMany:
             model = random_categorical_model(rng, num_states=3, zero_frac=zero_frac)
             _, obs = hr.sample_trajectory(model, 12, int(rng.integers(2**31)))
             summary = hr.forward_backward(model, obs)
-            for _ in range(20):  # arbitrary paths, impossible ones included
-                idx = rng.integers(0, 3, size=12)
-                decoded = decoders._finish(summary, idx, 0.0, "any")
-                assert decoded.path == tuple(int(s) + 1 for s in idx)
+            idx = rng.integers(0, 3, size=(20, 12))  # arbitrary paths, impossible ones included
+            group = inference.stack_of([summary] * len(idx))
+            for decoded, row in zip(decoders._finish(group, idx, "any", [0.0] * len(idx)), idx):
+                assert decoded.path == tuple(int(s) + 1 for s in row)
                 assert decoded.risks == hr.evaluate_risks(summary, decoded.path)
                 assert decoded.admissible == bool(np.isfinite(decoded.risks.rbarinf_posterior))
 

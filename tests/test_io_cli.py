@@ -131,9 +131,17 @@ class TestModelFiles:
         assert code == 3
         assert len(err.splitlines()) == 1 and err.startswith("error: "), err
         if not isinstance(doc["emission"]["type"], str):  # an unknown type is named as every unknown type is
-            assert err == f"error: unknown emission type {doc['emission']['type']!r}\n"
+            assert err == f"error: {model}: unknown emission type {doc['emission']['type']!r}\n"
         else:
             assert err.startswith(f"error: {model}: invalid model: ") and "dimensional, got shape" in err, err
+
+    def test_document_errors_name_the_file(self, tmp_path, capsys):
+        doc = {"num_states": 2, "initial": [0.6, 0.4], "transition": [[0.7, 0.3], [0.25, 0.75]]}
+        model, obs = tmp_path / "model.json", tmp_path / "obs.txt"
+        model.write_text(json.dumps(doc))
+        obs.write_text("0\n1\n0\n")
+        argv = ["decode", "--model", str(model), "--obs", str(obs), "--k", "2", "--out", str(tmp_path / "path.txt")]
+        assert run_cli(capsys, *argv) == (3, "", f"error: {model}: malformed model document: 'emission'\n")
 
     @pytest.mark.parametrize("num_states, initial", [(2.9, [0.6, 0.4]), ("2", [0.6, 0.4]), (2.0, [0.6, 0.4]), (True, [1.0])])
     def test_num_states_must_be_a_json_integer(self, capsys, tmp_path, num_states, initial):
@@ -151,7 +159,7 @@ class TestModelFiles:
         argv = ["decode", "--model", str(model_path), "--obs", str(obs_path), "--k", "2", "--out", str(tmp_path / "p.txt")]
         code, _, err = run_cli(capsys, *argv)
         assert code == 3
-        assert err == f"error: num_states must be an integer, got {json.dumps(num_states)}\n"
+        assert err == f"error: {model_path}: num_states must be an integer, got {json.dumps(num_states)}\n"
 
     def test_invalid_documents_raise_parse_error(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -223,6 +231,20 @@ class TestDecodeAndRisk:
         assert code == 0
         assert decode_out == risk_out
         assert len(risk_out.strip().splitlines()) == 8
+
+    def test_one_state_records_print_zero_not_negative_zero(self, capsys, tmp_path):
+        """The one path of a one-state model has log risks of -0.0, which printed as -0."""
+        model_path, obs_path, out_path = tmp_path / "m.json", tmp_path / "o.txt", str(tmp_path / "p.txt")
+        hio.save_model(hr.HmmModel([1.0], [[1.0]], hr.Categorical([[0.5, 0.5]])), model_path)
+        obs_path.write_text("0\n1\n0\n")
+        record = (
+            "r1_posterior 0\nrbar1_posterior 0\nrinf_posterior 0\nrbarinf_posterior 0\n"
+            "rbarinf_joint 0.69314718056\nr1_prior 0\nrbar1_prior 0\nrbarinf_prior 0\n"
+        )
+        decode = ["decode", "--model", str(model_path), "--obs", str(obs_path), "--k", "2", "--out", out_path]
+        assert run_cli(capsys, *decode) == (0, record, "")
+        assert run_cli(capsys, "risk", "--model", str(model_path), "--obs", str(obs_path), "--path", out_path) == (0, record, "")
+        assert hio.fmt(-0.0) == "0"
 
     def test_k_inf_is_the_viterbi_alias(self, capsys, workdir, tmp_path):
         _, _, _, model_path, obs_path = workdir
