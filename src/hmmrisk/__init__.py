@@ -38,7 +38,6 @@ from .inference import (
     block_posterior,
     forward_backward,
     forward_backward_many,
-    log_block_posterior,
 )
 from .labelling import LabelMap, averaged_label_posterior, identity_label_map, label_decode
 from .model import (
@@ -60,7 +59,6 @@ from .risk import (
     kblock_logrisk,
     posterior_log_probability,
     power_risk,
-    prior_log_likelihood,
     rabiner_block_gain,
 )
 from .sim import RiskTrajectory, estimate_risk_trajectories, sandwich_constant_sweep

@@ -124,6 +124,26 @@ def _emit(lines: list[str], out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _decode_path(args, model, obs, labels):
+    """The path ``decode`` writes, its risk report, and its label names (None
+    without --labels).  The power-transform tables are freed before the
+    forward-backward tables are built, and those when this returns."""
+    if args.q is not None:
+        path = symbol_by_symbol_decode(transformed_forward_backward(model, obs, float(args.q), rescaled=args.rescaled))
+        return path, evaluate_risks(forward_backward(model, obs), path), None
+    summary = forward_backward(model, obs)
+    names = None
+    if labels is not None:
+        decoded, names = label_decode(summary, labels, _parse_weights(args.weights, args.beta1, args.beta3))
+    elif args.weights is not None:
+        decoded = hybrid_decode(summary, _parse_weights(args.weights, args.beta1, args.beta3))
+    elif args.k is not None:
+        decoded = viterbi_decode(summary) if args.k.lower() == "inf" else kblock_pvd_decode(summary, int(args.k))
+    else:
+        decoded = alpha_interpolation_decode(summary, args.alpha)
+    return decoded.path, decoded.risks, names
+
+
 def _cmd_decode(args) -> int:
     model = hio.load_model(args.model)
     obs = hio.load_observations(args.obs, model)
@@ -140,35 +160,8 @@ def _cmd_decode(args) -> int:
     if labels is not None and args.weights is None:
         raise ValueError("--labels needs --weights (label-averaged objective)")
 
-    if args.q is not None:
-        tables = transformed_forward_backward(model, obs, float(args.q), rescaled=args.rescaled)
-        path = symbol_by_symbol_decode(tables)
-        summary = forward_backward(model, obs)
-        report = evaluate_risks(summary, path)
-    else:
-        summary = forward_backward(model, obs)
-        if args.weights is not None:
-            weights = _parse_weights(args.weights, args.beta1, args.beta3)
-            decoded = (
-                label_decode(summary, labels, weights)[0]
-                if labels is not None
-                else hybrid_decode(summary, weights)
-            )
-        elif args.k is not None:
-            if args.k.lower() == "inf":
-                decoded = viterbi_decode(summary)
-            else:
-                decoded = kblock_pvd_decode(summary, int(args.k))
-        else:
-            decoded = alpha_interpolation_decode(summary, args.alpha)
-        path = decoded.path
-        report = decoded.risks
-
-    if labels is not None:
-        names = labels.labels_for(path)
-        _emit([f"{s} {name}" for s, name in zip(path, names)], args.out)
-    else:
-        _emit([str(s) for s in path], args.out)
+    path, report, names = _decode_path(args, model, obs, labels)
+    _emit([str(s) for s in path] if names is None else [f"{s} {name}" for s, name in zip(path, names)], args.out)
     sys.stdout.write("\n".join(hio.risk_record_lines(report)) + "\n")
     return 0
 

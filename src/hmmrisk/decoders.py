@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InstanceTooLargeError, KOutOfRangeError
-from .inference import PosteriorSummary, SummaryStack, forward_backward, log_window_posterior, stack_of
+from .inference import PosteriorSummary, SummaryStack, _log, forward_backward, log_window_posterior, stack_of
 from .lattice import TIE_TOL, best_path, rabiner_walk
 from .model import HmmModel
 from .risk import (
@@ -139,7 +139,7 @@ def _combined_gains(summary, weights: RiskWeights, at=slice(None), pointwise=_sa
     if weights.c1 > 0:
         gains -= weights.c1 * power_risk(pointwise(summary.smoothed[..., at, :], weights.beta1), weights.beta1)
     if weights.c2 > 0:
-        gains += weights.c2 * summary.log_emission[..., at, :]
+        gains += weights.c2 * _log(summary.emission_likelihood[..., at, :])
     if weights.c3 > 0:
         gains -= weights.c3 * power_risk(pointwise(summary.prior[..., at, :], weights.beta3), weights.beta3)
     return gains
@@ -221,7 +221,7 @@ _CONSTRAINED_PMAP = _LatticeDecoder(
     _support_masks,
     "r1_posterior",  # 1 - the mean smoothed marginal along the path
 )
-_PVD = _LatticeDecoder("pvd", lambda summary, at: summary.log_smoothed[..., at, :], _support_masks, "rbar1_posterior")
+_PVD = _LatticeDecoder("pvd", lambda summary, at: _log(summary.smoothed[..., at, :]), _support_masks, "rbar1_posterior")
 
 
 def constrained_pmap_decode(summary: PosteriorSummary) -> DecodedPath:
@@ -322,7 +322,7 @@ def _objective_values(summary, objective, k):
 
     def pointwise(paths):
         if objective == "pvd":
-            return -summary.log_smoothed[rng_t, paths - 1].mean(axis=1)
+            return -_log(summary.smoothed[rng_t, paths - 1]).mean(axis=1)
         return 1.0 - summary.smoothed[rng_t, paths - 1].mean(axis=1)
 
     def admissible_only(paths):

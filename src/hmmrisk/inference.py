@@ -36,13 +36,14 @@ def _rows(tables) -> np.ndarray:
 
 class SummaryStack:
     """N equal-length summaries as one group, read by one call where each
-    summary would take one: ``smoothed``, ``emission_likelihood``, ``prior``,
-    ``log_smoothed`` and ``log_emission`` are (N, T, K) tables whose row n is
-    summary n's table, ``log_initial`` is (N, K), ``log_transition``
-    (N, K, K) and ``log_evidence`` (N,).  Row n's prior marginals and log
-    initial and transition tables are those of ``chains[n]`` (a summary, or
-    the prior chain of a ``forward_backward_many`` call); a table every row
-    shares is broadcast, and the prior marginals are stacked on first use.
+    summary would take one: ``smoothed``, ``emission_likelihood`` and
+    ``prior`` are (N, T, K) tables whose row n is summary n's table,
+    ``log_initial`` is (N, K), ``log_transition`` (N, K, K) and
+    ``log_evidence`` (N,).  Row n's prior marginals and log initial and
+    transition tables are those of ``chains[n]`` (a summary, or the prior
+    chain of a ``forward_backward_many`` call); a table every row shares is
+    broadcast, and the prior marginals are stacked on first use.  No log of a
+    (T, K) table is kept: a reader takes the log of the entries it gathers.
     """
 
     def __init__(self, smoothed: np.ndarray, emission_likelihood: np.ndarray, log_evidence, chains):
@@ -54,14 +55,6 @@ class SummaryStack:
 
     def __len__(self) -> int:
         return len(self.smoothed)
-
-    @cached_property
-    def log_emission(self) -> np.ndarray:
-        return _log(self.emission_likelihood)
-
-    @cached_property
-    def log_smoothed(self) -> np.ndarray:
-        return _log(self.smoothed)
 
     @cached_property
     def prior(self) -> np.ndarray:
@@ -95,8 +88,7 @@ class PosteriorSummary:
     (a ``PriorChain``); its log initial and transition tables and its
     smoothed table, the prior marginals, are shared by the summaries of one
     ``forward_backward_many`` call.  The summary is row ``row`` of that
-    call's ``stack``, and its log smoothed and log emission tables are rows
-    of the stack's, computed once for the call.
+    call's ``stack``.
     """
 
     def __init__(self, model, stack: SummaryStack, row: int, scaled_forward, scaled_backward, scaling, prior_chain):
@@ -122,26 +114,6 @@ class PosteriorSummary:
     def prior(self) -> np.ndarray:
         """The prior marginals, row t-1 the distribution of the state at time t."""
         return self.prior_chain.smoothed
-
-    @cached_property
-    def log_emission(self) -> np.ndarray:
-        return _log(self.emission_likelihood) if self.stack is None else self.stack.log_emission[self.row]
-
-    @cached_property
-    def log_smoothed(self) -> np.ndarray:
-        return _log(self.smoothed) if self.stack is None else self.stack.log_smoothed[self.row]
-
-    @cached_property
-    def log_forward(self) -> np.ndarray:
-        return _log(self.scaled_forward)
-
-    @cached_property
-    def log_backward(self) -> np.ndarray:
-        return _log(self.scaled_backward)
-
-    @cached_property
-    def log_scaling(self) -> np.ndarray:
-        return np.log(self.scaling)
 
 
 class PriorChain(PosteriorSummary):
@@ -254,21 +226,22 @@ def log_window_posterior(summary: PosteriorSummary, starts, states) -> np.ndarra
     arrays along paths gather each window's own states, and an open mesh
     (``np.ix_``) tabulates every k-tuple.  The loop runs only over the k - 1
     steps inside a window; its adds are out of place, as over a mesh the sum
-    outgrows its first term.
+    outgrows its first term.  Logs are taken of the gathered entries only.
     """
     k = len(states)
-    logw = summary.log_forward[starts, states[0]]
+    logw = _log(summary.scaled_forward[starts, states[0]])
     for u in range(1, k):
         logw = logw + (
             summary.log_transition[states[u - 1], states[u]]
-            + summary.log_emission[starts + u, states[u]]
-            - summary.log_scaling[starts + u]
+            + _log(summary.emission_likelihood[starts + u, states[u]])
+            - _log(summary.scaling[starts + u])
         )
-    return logw + summary.log_backward[starts + k - 1, states[-1]]
+    return logw + _log(summary.scaled_backward[starts + k - 1, states[-1]])
 
 
-def log_block_posterior(summary: PosteriorSummary, t: int, block) -> float:
-    """log P(Y_t..Y_{t+k-1} = block | x^T) for a 1-based position t and 1-based block."""
+def block_posterior(summary: PosteriorSummary, t: int, block) -> float:
+    """P(Y_t..Y_{t+k-1} = block | x^T) for a 1-based position t and 1-based
+    block; reduces to the smoothed marginal for k=1."""
     block = check_state_path(block, summary.num_states)
     if block.ndim != 1:
         raise ValueError("a block must be a 1-d sequence of states")
@@ -276,9 +249,4 @@ def log_block_posterior(summary: PosteriorSummary, t: int, block) -> float:
     horizon = summary.horizon
     if t < 1 or t + k - 1 > horizon:
         raise IndexError(f"block [{t}, {t + k - 1}] outside positions 1..{horizon}")
-    return float(log_window_posterior(summary, t - 1, block - 1))
-
-
-def block_posterior(summary: PosteriorSummary, t: int, block) -> float:
-    """P(Y_t..Y_{t+k-1} = block | x^T); reduces to the smoothed marginal for k=1."""
-    return float(np.exp(log_block_posterior(summary, t, block)))
+    return float(np.exp(log_window_posterior(summary, t - 1, block - 1)))

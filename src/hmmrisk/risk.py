@@ -101,7 +101,7 @@ def _gather(table: np.ndarray, paths0: np.ndarray) -> np.ndarray:
 
 
 def _joint_ll(stack: SummaryStack, paths0: np.ndarray) -> np.ndarray:
-    return _prior_ll(stack, paths0) + _gather(stack.log_emission, paths0).sum(axis=1)
+    return _prior_ll(stack, paths0) + _log(_gather(stack.emission_likelihood, paths0)).sum(axis=1)
 
 
 def _prior_ll(stack: SummaryStack, paths0: np.ndarray) -> np.ndarray:
@@ -114,13 +114,6 @@ def joint_log_likelihood(summary: PosteriorSummary, paths):
     """log p(x^T, s^T) for one path or a batch of paths."""
     paths0, single = _as_paths0(summary, paths)
     out = _joint_ll(stack_of([summary]), paths0)
-    return float(out[0]) if single else out
-
-
-def prior_log_likelihood(summary: PosteriorSummary, paths):
-    """log p(s^T) under the hidden chain alone."""
-    paths0, single = _as_paths0(summary, paths)
-    out = _prior_ll(stack_of([summary]), paths0)
     return float(out[0]) if single else out
 
 
@@ -156,8 +149,9 @@ def evaluate_risks(summary, path):
     ``summary`` may instead be the SummaryStack of a group of N summaries and
     ``path`` an (N, T) block of paths: row n is scored against summary n, and
     the N reports come back as a list, from one call.  One path is the
-    one-row case, bit for bit: each table is gathered along the paths and
-    reduced over C-ordered rows before the next is gathered.
+    one-row case, bit for bit: each table is gathered along the paths, the
+    log taken of the gathered entries where a log risk needs it, and reduced
+    over C-ordered rows before the next is gathered.
     """
     group = isinstance(summary, SummaryStack)
     stack = summary if group else stack_of([summary])
@@ -168,12 +162,12 @@ def evaluate_risks(summary, path):
         raise ValueError(f"a group of {len(stack)} summaries scores a ({len(stack)}, T) block of paths")
     horizon = stack.horizon
     prior_ll = _prior_ll(stack, paths0)
-    joint_ll = prior_ll + _gather(stack.log_emission, paths0).sum(axis=1)
+    joint_ll = prior_ll + _log(_gather(stack.emission_likelihood, paths0)).sum(axis=1)
     post_lp = joint_ll - stack.log_evidence
-    prior = _gather(stack.prior, paths0)
+    smoothed, prior = _gather(stack.smoothed, paths0), _gather(stack.prior, paths0)
     columns = (
-        1.0 - _gather(stack.smoothed, paths0).mean(axis=1),
-        -_gather(stack.log_smoothed, paths0).mean(axis=1),
+        1.0 - smoothed.mean(axis=1),
+        -_log(smoothed).mean(axis=1),
         -np.expm1(post_lp),
         -post_lp / horizon,
         -joint_ll / horizon,

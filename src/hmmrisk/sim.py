@@ -12,9 +12,9 @@ tables take; the results do not depend on the group size.  A group's lattice
 decoders share one max-sum call, which reads each decoder's gains over the
 whole group window by window, and each decoder's paths are scored in one
 call.  ``_GROUP_CELLS`` is 1 << 15: a group of 8 at T = 2000, K = 2 and five
-tags peaks at about 2.8 MB of tables (tracemalloc), 11 (T, K) float64 per
-replicate (while a tag's paths are scored as one block, over the smoothing
-and cached log tables).
+tags peaks at about 2.3 MB of tables (tracemalloc), 9 (T, K) float64 per
+replicate (while a tag's paths are scored as one block, beside the smoothing
+tables).
 Horizons must be at least 1; trajectories need at least 2 replicates (for
 standard deviations) and at least one decoder tag, the gap sweep at least 1
 replicate.

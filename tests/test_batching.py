@@ -530,8 +530,8 @@ class TestDecodeMany:
         model, tags = gaussian_model(), ["viterbi", "pvd", "kblock:3", "constrained-pmap"]
         _, observations = hr.sample_trajectories(model, 2000, range(8))
         summaries = hr.forward_backward_many(model, observations)
-        for summary in summaries:  # the summaries' own cached tables, built once whatever decodes them
-            summary.log_emission, summary.log_smoothed, summary.prior
+        for summary in summaries:  # the logs of the linear tables, and the cached prior marginals, built beforehand
+            inference._log(summary.emission_likelihood), inference._log(summary.smoothed), summary.prior
         tracemalloc.start()
         try:
             for decoded in hr.decode_many(summaries, tags):  # one tag at a time, as the Monte Carlo groups read them

@@ -347,6 +347,30 @@ class TestDecodeAndRisk:
         assert code == 4
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("selector", [["--k", "3"], ["--q", "2"]])
+    def test_decode_peaks_below_seven_tables(self, capsys, tmp_path, selector):
+        """Five (T, K) tables hold the smoothing: the emission, scaled forward,
+        scaled backward and smoothed tables and the prior marginals.  No log
+        table is kept, and the power-transform tables are freed before they
+        are built."""
+        horizon, num_states = 4000, 8
+        model = random_categorical_model(np.random.default_rng(4), num_states=num_states, num_symbols=8)
+        _, obs = hr.sample_trajectory(model, horizon, seed=4)
+        hio.save_model(model, tmp_path / "m.json")
+        hio.save_observations(obs, tmp_path / "o.txt")
+        argv = ["decode", "--model", str(tmp_path / "m.json"), "--obs", str(tmp_path / "o.txt"), *selector]
+        argv += ["--out", str(tmp_path / "p.txt")]
+        assert run_cli(capsys, *argv)[0] == 0  # warm: imports and first-call caches stay out of the peak
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code == 0
+        assert peak < 7 * horizon * num_states * 8, peak / (horizon * num_states * 8)
+
 
 class TestSweep:
     def test_k_sweep_monotone_posterior_column(self, capsys, workdir, tmp_path):

@@ -36,21 +36,29 @@ from conftest import random_categorical_model
 FAST = settings(max_examples=80, deadline=None)
 
 
+def _log_tables(summary):
+    """The logs of the whole scaled forward, emission, scaling and scaled
+    backward tables, which the references gather from."""
+    tables = (summary.scaled_forward, summary.emission_likelihood, summary.scaling, summary.scaled_backward)
+    return (_log(table) for table in tables)
+
+
 def loop_window_table(summary, k):
     """Reference: linear-domain block posteriors of every k-tuple, in base-K
     digit order, one window start at a time."""
     s = summary
     digits = np.array(list(itertools.product(range(s.num_states), repeat=k)))
     table = np.empty((s.horizon - k + 1, len(digits)))
+    log_forward, log_emission, log_scaling, log_backward = _log_tables(s)
     for t in range(s.horizon - k + 1):
-        logw = s.log_forward[t, digits[:, 0]].copy()
+        logw = log_forward[t, digits[:, 0]].copy()
         for u in range(k - 1):
             logw += (
                 s.log_transition[digits[:, u], digits[:, u + 1]]
-                + s.log_emission[t + u + 1, digits[:, u + 1]]
-                - s.log_scaling[t + u + 1]
+                + log_emission[t + u + 1, digits[:, u + 1]]
+                - log_scaling[t + u + 1]
             )
-        logw += s.log_backward[t + k - 1, digits[:, k - 1]]
+        logw += log_backward[t + k - 1, digits[:, k - 1]]
         table[t] = np.exp(logw)
     return table
 
@@ -61,15 +69,16 @@ def loop_gain_batch(summary, paths, k):
     s = summary
     paths0 = np.asarray(paths) - 1
     gains = np.zeros(len(paths0))
+    log_forward, log_emission, log_scaling, log_backward = _log_tables(s)
     for t in range(s.horizon - k + 1):
-        logw = s.log_forward[t, paths0[:, t]].copy()
+        logw = log_forward[t, paths0[:, t]].copy()
         for u in range(k - 1):
             logw += (
                 s.log_transition[paths0[:, t + u], paths0[:, t + u + 1]]
-                + s.log_emission[t + u + 1, paths0[:, t + u + 1]]
-                - s.log_scaling[t + u + 1]
+                + log_emission[t + u + 1, paths0[:, t + u + 1]]
+                - log_scaling[t + u + 1]
             )
-        logw += s.log_backward[t + k - 1, paths0[:, t + k - 1]]
+        logw += log_backward[t + k - 1, paths0[:, t + k - 1]]
         gains += np.exp(logw)
     return gains
 
