@@ -45,21 +45,15 @@ from .model import (
     DiagonalGaussian,
     DirectLikelihood,
     HmmModel,
-    prior_marginals,
     sample_trajectories,
     sample_trajectory,
-    validate_model,
 )
 from .risk import (
     RiskReport,
     RiskWeights,
-    combined_risk,
     evaluate_risks,
     joint_log_likelihood,
     kblock_logrisk,
-    posterior_log_probability,
-    power_risk,
-    rabiner_block_gain,
 )
 from .sim import RiskTrajectory, estimate_risk_trajectories, sandwich_constant_sweep
 from .transform import (

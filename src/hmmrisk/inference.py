@@ -82,8 +82,6 @@ class PosteriorSummary:
     log-likelihood is the sum of log scaling factors.  ``smoothed[t, j]`` is
     the posterior marginal of state j+1 at position t+1 given the whole
     sequence.  ``emission_likelihood`` is the table the recursions ran on.
-    The summary keeps a reference to the model it was computed from (not the
-    observations), so downstream decoders only need the summary.
     ``prior_chain`` is the summary of no observations over the same horizon
     (a ``PriorChain``); its log initial and transition tables and its
     smoothed table, the prior marginals, are shared by the summaries of one
@@ -91,8 +89,8 @@ class PosteriorSummary:
     call's ``stack``.
     """
 
-    def __init__(self, model, stack: SummaryStack, row: int, scaled_forward, scaled_backward, scaling, prior_chain):
-        self.model, self.stack, self.row = model, stack, row
+    def __init__(self, stack: SummaryStack, row: int, scaled_forward, scaled_backward, scaling, prior_chain):
+        self.stack, self.row = stack, row
         self.scaled_forward = scaled_forward
         self.scaled_backward = scaled_backward
         self.scaling = scaling
@@ -207,7 +205,7 @@ def forward_backward_many(model: HmmModel, observations) -> list[PosteriorSummar
             np.divide(b_col, scale_next, out=beta_t)
     chain = PriorChain(model, horizon)  # its prior marginals are built when a summary first reads them
     stack = SummaryStack(alpha * beta, likes, np.log(scaling).sum(axis=1), [chain] * num)
-    return [PosteriorSummary(model, stack, n, alpha[n], beta[n], scaling[n], chain) for n in range(num)]
+    return [PosteriorSummary(stack, n, alpha[n], beta[n], scaling[n], chain) for n in range(num)]
 
 
 def forward_backward(model: HmmModel, obs) -> PosteriorSummary:

@@ -74,8 +74,10 @@ def averaged_label_posterior(summary: PosteriorSummary, labels: LabelMap, t: int
     The class average is the arithmetic class mean raised to ``beta`` when
     beta != 0, and the geometric class mean when beta == 0; beta must be
     nonnegative.  The proportionality constant is fixed to 1 since only the
-    argmax matters downstream.
+    argmax matters downstream.  The label map must cover the summary's states.
     """
+    if labels.num_states != summary.num_states:
+        raise ValueError(f"the label map covers {labels.num_states} states, the model has {summary.num_states}")
     if not beta >= 0:
         raise ValueError(f"beta must be nonnegative, got {beta}")
     if not 1 <= t <= summary.horizon:
@@ -95,8 +97,10 @@ def label_decode(
     ``weights.beta1``; when c3 > 0 the prior pointwise term is averaged the
     same way at ``weights.beta3``.  Returns the optimal state path together
     with its induced label sequence.  With c2 > 0 the state path is
-    admissible.
+    admissible.  The label map must cover the summary's states.
     """
+    if labels.num_states != summary.num_states:
+        raise ValueError(f"the label map covers {labels.num_states} states, the model has {summary.num_states}")
     decoded = _combined(
         weights, f"label {weights.tag()}", lambda marginals, beta: _class_means(marginals, labels, beta)
     )(summary)

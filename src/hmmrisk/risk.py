@@ -201,22 +201,16 @@ def kblock_logrisk(chain, path, k: int) -> float:
     return float(-total / horizon)
 
 
-def rabiner_block_gain(summary: PosteriorSummary, path, k: int) -> float:
-    """Expected number of correctly decoded overlapping k-blocks along the path.
-
-    The sum over t of P(Y_t..Y_{t+k-1} = path window | x^T); equivalently
-    T - k + 1 minus the expected block loss.
-    """
-    return float(rabiner_gain_batch(summary, [path], k)[0])
-
-
-def rabiner_gain_batch(summary: PosteriorSummary, paths, k: int) -> np.ndarray:
-    """rabiner_block_gain of every row of an (N, T) batch of paths."""
-    paths0, _ = _as_paths0(summary, paths)
+def rabiner_gain_batch(summary: PosteriorSummary, paths, k: int):
+    """Expected number of correctly decoded overlapping k-blocks of one path (a
+    float) or of each row of an (N, T) batch of paths: the sum over t of
+    P(Y_t..Y_{t+k-1} = path window | x^T), or T - k + 1 minus the expected block loss."""
+    paths0, single = _as_paths0(summary, paths)
     horizon = summary.horizon
     if not 1 <= k <= horizon:
         raise KOutOfRangeError(f"k must lie in 1..{horizon}, got {k}")
     windows = np.lib.stride_tricks.sliding_window_view(paths0, k, axis=1)  # (N, T - k + 1, k)
     probs = np.exp(log_window_posterior(summary, np.arange(horizon - k + 1), np.moveaxis(windows, -1, 0)))
     # cumsum adds the windows left to right, so the total does not depend on how numpy pairs terms
-    return np.cumsum(probs, axis=1)[:, -1]
+    gains = np.cumsum(probs, axis=1)[:, -1]
+    return float(gains[0]) if single else gains

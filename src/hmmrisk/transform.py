@@ -40,20 +40,16 @@ _SMALLEST = np.finfo(float).smallest_subnormal
 class TransformedTables:
     """Power-transformed forward/backward tables.
 
-    Plain tables (``rescaled=False``) are stored as logarithms
-    (``log_domain=True``); renormalized tables are stored linearly.  ``q`` may
-    be any float >= 1 or ``math.inf``, in which case power sums are replaced
-    by maxima (a distinct code path, not a large-q approximation).
+    Plain tables (``rescaled=False``) are stored as logarithms; renormalized
+    tables are stored linearly.  ``q`` may be any float >= 1 or ``math.inf``,
+    in which case power sums are replaced by maxima (a distinct code path,
+    not a large-q approximation).
     """
 
     q: float
     alpha_q: np.ndarray
     beta_q: np.ndarray
     rescaled: bool
-
-    @property
-    def log_domain(self) -> bool:
-        return not self.rescaled
 
 
 def _check_q(q) -> None:
@@ -183,7 +179,7 @@ def symbol_by_symbol_decode(tables: TransformedTables) -> tuple[int, ...]:
     Recovers PMAP at q=1 and, when the max-product optimum is unique, the
     Viterbi path at q=inf; in between there is no admissibility guarantee.
     """
-    scores = tables.alpha_q + tables.beta_q if tables.log_domain else tables.alpha_q * tables.beta_q
+    scores = tables.alpha_q * tables.beta_q if tables.rescaled else tables.alpha_q + tables.beta_q
     return tuple((np.argmax(scores, axis=1) + 1).tolist())
 
 

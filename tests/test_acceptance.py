@@ -38,7 +38,7 @@ def test_acceptance_1_four_state_golden():
 
     rabiner = hr.rabiner_block_decode(summary, 2)
     ok &= rabiner.path == (2, 1, 1, 2)
-    ok &= math.exp(hr.posterior_log_probability(summary, rabiner.path)) == 0.0
+    ok &= math.exp(hr.risk.posterior_log_probability(summary, rabiner.path)) == 0.0
 
     pmap = hr.pmap_decode(summary)
     ok &= pmap.path == (2, 1, 1, 2)

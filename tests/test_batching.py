@@ -357,7 +357,7 @@ class TestForwardBackwardBatch:
 
         def counted(model, horizon):
             calls.append(horizon)
-            return hr.prior_marginals(model, horizon)
+            return hr.model.prior_marginals(model, horizon)
 
         monkeypatch.setattr(inference, "prior_marginals", counted)
         model = gaussian_model()

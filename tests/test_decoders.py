@@ -49,7 +49,7 @@ class TestHybridSpecialCases:
             _, _, summary = random_instance(rng, zero_frac=0.15)
             weights = random_weights(rng)
             decoded = hr.hybrid_decode(summary, weights)
-            expect = hr.combined_risk(summary, decoded.path, weights)
+            expect = hr.risk.combined_risk(summary, decoded.path, weights)
             assert decoded.objective == pytest.approx(expect, abs=1e-9)
 
     def test_oracle_agreement_sample(self):
@@ -153,7 +153,7 @@ class TestKBlockAndAlpha:
             values = []
             for k in range(1, horizon + 2):
                 decoded = hr.kblock_pvd_decode(summary, k)
-                values.append(hr.posterior_log_probability(summary, decoded.path))
+                values.append(hr.risk.posterior_log_probability(summary, decoded.path))
             diffs = np.diff(values)
             assert np.all(diffs >= -1e-9)
 
@@ -278,7 +278,7 @@ class TestAdmissibility:
         rng = np.random.default_rng(179)
         for _ in range(10):
             _, _, summary = random_instance(rng, zero_frac=0.2)
-            best = hr.posterior_log_probability(summary, hr.viterbi_decode(summary).path)
+            best = hr.risk.posterior_log_probability(summary, hr.viterbi_decode(summary).path)
             others = [
                 hr.pmap_decode(summary),
                 hr.constrained_pmap_decode(summary),
@@ -287,7 +287,7 @@ class TestAdmissibility:
                 hr.rabiner_block_decode(summary, 2),
             ]
             for decoded in others:
-                assert best >= hr.posterior_log_probability(summary, decoded.path) - 1e-9
+                assert best >= hr.risk.posterior_log_probability(summary, decoded.path) - 1e-9
 
 
 class TestBridgeInequalities:

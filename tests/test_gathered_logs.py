@@ -57,11 +57,11 @@ def ref_risks(s, path):
 def ref_combined(s, paths0, w):
     total = np.zeros(len(paths0))
     if w.c1 > 0:
-        total += w.c1 * hr.power_risk(ref_gather(s.smoothed, paths0), w.beta1).mean(axis=1)
+        total += w.c1 * hr.risk.power_risk(ref_gather(s.smoothed, paths0), w.beta1).mean(axis=1)
     if w.c2 > 0:
         total += w.c2 * (-ref_joint_ll(s, paths0) / s.horizon)
     if w.c3 > 0:
-        total += w.c3 * hr.power_risk(ref_gather(s.prior, paths0), w.beta3).mean(axis=1)
+        total += w.c3 * hr.risk.power_risk(ref_gather(s.prior, paths0), w.beta3).mean(axis=1)
     if w.c4 > 0:
         total += w.c4 * (-ref_prior_ll(s, paths0) / s.horizon)
     return total
@@ -114,8 +114,8 @@ def test_gathered_logs_match_whole_table_logs(num_states, horizon, zero_frac, nu
         # a batch of paths and a single path
         assert same_bits(hr.joint_log_likelihood(s, paths), ref_joint_ll(s, paths0))
         assert hr.joint_log_likelihood(s, path) == ref_joint_ll(s, row)[0]
-        assert same_bits(hr.combined_risk(s, paths, w), ref_combined(s, paths0, w))
-        assert hr.combined_risk(s, path, w) == ref_combined(s, row, w)[0]
+        assert same_bits(hr.risk.combined_risk(s, paths, w), ref_combined(s, paths0, w))
+        assert hr.risk.combined_risk(s, path, w) == ref_combined(s, row, w)[0]
         for chain in (s, s.prior_chain):
             for k in sorted({1, 2, 3, horizon} & set(range(1, horizon + 1))):
                 starts = np.arange(horizon - k + 1)

@@ -70,6 +70,15 @@ class TestForwardBackward:
         with pytest.raises(ZeroEvidenceError):
             hr.forward_backward(model, np.array([0, 1]))
 
+    def test_no_sequence_and_an_empty_sequence_are_rejected(self):
+        model = hr.HmmModel([0.6, 0.4], [[0.7, 0.3], [0.25, 0.75]], hr.Categorical([[0.8, 0.2], [0.3, 0.7]]))
+        with pytest.raises(ValueError) as info:
+            hr.forward_backward_many(model, [])
+        assert str(info.value) == "at least one observation sequence is needed"
+        with pytest.raises(ValueError) as info:
+            hr.forward_backward(model, [])
+        assert str(info.value) == "observation sequence must be non-empty"
+
     def test_ruled_out_state_keeps_the_backward_pass_finite(self):
         """State 1 has initial probability 0 and no way in, and the points fit
         it alone: the scaled backward variable of the ruled-out state grew by
@@ -278,7 +287,7 @@ class TestBlockPosterior:
         rng = np.random.default_rng(23)
         _, _, summary = random_instance(rng, num_states=2, horizon=21)
         path = rng.integers(1, 3, size=21)
-        expect = np.exp(hr.posterior_log_probability(summary, path))
+        expect = np.exp(hr.risk.posterior_log_probability(summary, path))
         assert hr.block_posterior(summary, 1, path) == pytest.approx(expect, rel=1e-12)
 
 

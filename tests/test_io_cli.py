@@ -135,6 +135,36 @@ class TestModelFiles:
         else:
             assert err.startswith(f"error: {model}: invalid model: ") and "dimensional, got shape" in err, err
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"num_states": 0, "initial": [], "transition": []}, "invalid model: initial distribution is empty"),
+            ({"transition": [[1.0, 0.0]]}, "invalid model: transition matrix shape (1, 2) does not match 2 states"),
+            (
+                {"emission": {"type": "categorical", "params": {"table": [[0.5, 0.5]] * 3}}},
+                "invalid model: emission is specified for 3 states, model has 2",
+            ),
+            (
+                {"emission": {"type": "gaussian", "params": {"means": [[0.0], [1.0]], "variances": [[1.0, 1.0], [1.0, 1.0]]}}},
+                "invalid model: emission means and variances must have matching shapes",
+            ),
+            ({"num_states": 3}, "num_states is 3 but the initial distribution has 2 entries"),
+        ],
+    )
+    def test_models_of_mismatched_sizes_exit_3(self, tmp_path, capsys, change, message):
+        doc = {
+            "num_states": 2,
+            "initial": [0.6, 0.4],
+            "transition": [[0.7, 0.3], [0.25, 0.75]],
+            "emission": {"type": "categorical", "params": {"table": [[0.8, 0.2], [0.3, 0.7]]}},
+            **change,
+        }
+        model, obs = tmp_path / "model.json", tmp_path / "obs.txt"
+        model.write_text(json.dumps(doc))
+        obs.write_text("0\n1\n0\n")
+        argv = ["decode", "--model", str(model), "--obs", str(obs), "--k", "2", "--out", str(tmp_path / "path.txt")]
+        assert run_cli(capsys, *argv) == (3, "", f"error: {model}: {message}\n")
+
     def test_document_errors_name_the_file(self, tmp_path, capsys):
         doc = {"num_states": 2, "initial": [0.6, 0.4], "transition": [[0.7, 0.3], [0.25, 0.75]]}
         model, obs = tmp_path / "model.json", tmp_path / "obs.txt"
@@ -269,6 +299,29 @@ class TestDecodeAndRisk:
         for line in lines:
             state, label = line.split()
             assert label == ("hot" if state == "1" else "cold")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("{not json", "not valid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+            (json.dumps({"labels": ["hot", "cold"]}), "malformed label map: 'list' object has no attribute 'items'"),
+        ],
+    )
+    def test_malformed_label_files_exit_3(self, capsys, workdir, tmp_path, text, message):
+        _, _, _, model_path, obs_path = workdir
+        labels_path = tmp_path / "labels.json"
+        labels_path.write_text(text)
+        argv = ["decode", "--model", model_path, "--obs", obs_path, "--labels", str(labels_path), "--weights", "1,1,0,0"]
+        assert run_cli(capsys, *argv, "--out", str(tmp_path / "p.txt")) == (3, "", f"error: {labels_path}: {message}\n")
+
+    def test_alpha_selector_decodes_the_interpolated_objective(self, capsys, workdir, tmp_path):
+        _, model, obs, model_path, obs_path = workdir
+        out_path = tmp_path / "p.txt"
+        code, out, err = run_cli(capsys, "decode", "--model", model_path, "--obs", obs_path, "--alpha", "0.5", "--out", str(out_path))
+        decoded = hr.alpha_interpolation_decode(hr.forward_backward(model, obs), 0.5)
+        assert (code, err) == (0, "")
+        assert out_path.read_text() == "".join(f"{s}\n" for s in decoded.path)
+        assert out == "\n".join(hio.risk_record_lines(decoded.risks)) + "\n"
 
     @pytest.mark.parametrize(
         "selector", [["--k", "1"], ["--k", "2"], ["--k", "inf"], ["--weights", "1,1,0,0"], ["--q", "1", "--rescaled"]]
@@ -433,6 +486,23 @@ class TestSimulateCommand:
         lines = out.splitlines()
         assert lines[0] == "horizon,k,replicate,gap,bound"
         assert len(lines) == 1 + 3 * 2
+
+    def test_inadmissible_pmap_paths_give_infinite_means(self, capsys, tmp_path):
+        # 1 -> 1 is forbidden, and symbol 0 comes from state 1 only: pmap can pick state 1 twice in a row
+        model = hr.HmmModel(
+            [0.3, 0.4, 0.3],
+            [[0.0, 0.9, 0.1], [0.6, 0.1, 0.3], [0.7, 0.1, 0.2]],
+            hr.Categorical([[0.5, 0.5], [0.0, 1.0], [0.0, 1.0]]),
+        )
+        model_path = tmp_path / "model.json"
+        hio.save_model(model, model_path)
+        argv = ["simulate", "--model", str(model_path), "--horizons", "8", "--replicates", "3", "--seed", "1", "--decoders", "pmap"]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        rows = {line.split(",")[2]: line for line in out.splitlines()[1:]}
+        for metric in ("rbarinf_posterior", "rbarinf_joint", "rbarinf_prior"):
+            assert rows[metric] == f"8,pmap,{metric},inf,inf,3"
+        assert rows["r1_posterior"] == "8,pmap,r1_posterior,0.327145400833,0.246663685134,3"
 
     def test_not_generative_exit_code(self, capsys, tmp_path):
         model_path = tmp_path / "direct.json"

@@ -22,6 +22,17 @@ class TestLabelMap:
         with pytest.raises(ValueError):
             hr.averaged_label_posterior(four_state[2], identity_label_map(4), 1, 1, beta=-1.0)
 
+    @pytest.mark.parametrize("num_states", [2, 5])
+    def test_map_must_cover_the_models_states(self, four_state, num_states):
+        # a smaller map once left class means of the unmapped states unfilled, a larger one raised IndexError
+        summary = four_state[2]
+        labels = hr.LabelMap({s: "ab"[s % 2] for s in range(1, num_states + 1)})
+        message = f"the label map covers {num_states} states, the model has 4"
+        with pytest.raises(ValueError, match=message):
+            hr.label_decode(summary, labels, hr.RiskWeights(1, 1, 0, 0))
+        with pytest.raises(ValueError, match=message):
+            hr.averaged_label_posterior(summary, labels, 2, 4)
+
 
 class TestAveragedLabelPosterior:
     def test_identity_labelling_with_unit_beta(self):

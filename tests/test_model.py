@@ -12,33 +12,33 @@ from conftest import random_categorical_model
 class TestValidateModel:
     def test_single_state_chain_is_valid(self):
         model = hr.HmmModel([1.0], [[1.0]], hr.Categorical([[0.5, 0.5]]))
-        assert hr.validate_model(model) == []
+        assert hr.model.validate_model(model) == []
 
     def test_four_state_example_is_valid(self):
-        assert hr.validate_model(hr.four_state_model(2.0)) == []
+        assert hr.model.validate_model(hr.four_state_model(2.0)) == []
 
     def test_bad_transition_row_is_reported_with_index(self):
         model = hr.HmmModel(
             [1.0, 0.0], [[0.5, 0.6], [0.5, 0.5]], hr.Categorical([[1.0, 0.0], [0.0, 1.0]])
         )
-        report = hr.validate_model(model)
+        report = hr.model.validate_model(model)
         assert any("transition row 1 sums to 1.1" in v for v in report)
 
     def test_negative_entries_and_bad_initial(self):
         model = hr.HmmModel(
             [0.5, 0.4], [[1.0, 0.0], [-0.5, 1.5]], hr.Categorical([[1.0, 0.0], [0.0, 1.0]])
         )
-        report = hr.validate_model(model)
+        report = hr.model.validate_model(model)
         assert any("initial" in v for v in report)
         assert any("negative" in v for v in report)
 
     def test_emission_violations(self):
         bad_cat = hr.HmmModel([1.0], [[1.0]], hr.Categorical([[0.7, 0.7]]))
-        assert any("emission row 1" in v for v in hr.validate_model(bad_cat))
+        assert any("emission row 1" in v for v in hr.model.validate_model(bad_cat))
         bad_var = hr.HmmModel([1.0], [[1.0]], hr.DiagonalGaussian([[0.0]], [[0.0]]))
-        assert any("variance" in v for v in hr.validate_model(bad_var))
+        assert any("variance" in v for v in hr.model.validate_model(bad_var))
         bad_direct = hr.HmmModel([1.0], [[1.0]], hr.DirectLikelihood([[-1.0]]))
-        assert any("negative" in v for v in hr.validate_model(bad_direct))
+        assert any("negative" in v for v in hr.model.validate_model(bad_direct))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_parameters_are_reported_with_field_and_row(self, bad):
@@ -60,7 +60,7 @@ class TestValidateModel:
             ),
         }
         for message, model in cases.items():
-            assert message in hr.validate_model(model)
+            assert message in hr.model.validate_model(model)
 
     def test_arrays_are_frozen(self):
         model = hr.four_state_model(2.0)
@@ -72,19 +72,19 @@ class TestPriorMarginals:
     def test_uniform_initial_doubly_stochastic_stays_uniform(self):
         p = np.array([[0.2, 0.5, 0.3], [0.5, 0.3, 0.2], [0.3, 0.2, 0.5]])
         model = hr.HmmModel(np.full(3, 1 / 3), p, hr.Categorical(np.full((3, 2), 0.5)))
-        marg = hr.prior_marginals(model, 50)
+        marg = hr.model.prior_marginals(model, 50)
         np.testing.assert_allclose(marg, 1 / 3, atol=1e-12)
 
     def test_four_state_first_rows(self, four_state):
         model, _, _ = four_state
-        marg = hr.prior_marginals(model, 2)
+        marg = hr.model.prior_marginals(model, 2)
         np.testing.assert_allclose(marg[0], [0, 1, 0, 0], atol=0)
         np.testing.assert_allclose(marg[1], [4 / 8, 1 / 8, 1 / 8, 2 / 8], atol=1e-15)
 
     def test_rows_remain_stochastic_over_long_horizons(self):
         rng = np.random.default_rng(7)
         model = random_categorical_model(rng, num_states=4)
-        marg = hr.prior_marginals(model, 10_000)
+        marg = hr.model.prior_marginals(model, 10_000)
         np.testing.assert_allclose(marg.sum(axis=1), 1.0, atol=1e-10)
         assert np.all(marg >= 0)
 
@@ -94,7 +94,7 @@ class TestPriorMarginals:
             initial = rng.dirichlet(np.ones(4))
             transition = rng.dirichlet(np.ones(4), size=4)  # strictly positive a.s.
             model = hr.HmmModel(initial, transition, hr.Categorical(np.full((4, 2), 0.5)))
-            marg = hr.prior_marginals(model, 1001)
+            marg = hr.model.prior_marginals(model, 1001)
             assert np.abs(marg[1000] - marg[999]).max() < 1e-8
 
 
@@ -129,14 +129,14 @@ class TestPriorMarginalsFixedPoint:
         base = random_categorical_model(rng, num_states, zero_frac=zero_frac)
         transition = (1 - stay) * base.transition + stay * np.eye(num_states)  # slow chains settle late or not at all
         model = hr.HmmModel(base.initial, transition, base.emission)
-        assert_same_bits(hr.prior_marginals(model, horizon), loop_prior_marginals(model, horizon))
+        assert_same_bits(hr.model.prior_marginals(model, horizon), loop_prior_marginals(model, horizon))
 
     @pytest.mark.parametrize("initial", [[0.5, 0.5], [0.3, 0.7]])
     @pytest.mark.parametrize("horizon", [1, 2, 64, 65, 129, 3000])
     def test_periodic_chain(self, initial, horizon):
         """The flip chain is fixed from a uniform start and alternates forever from any other."""
         model = hr.HmmModel(initial, [[0.0, 1.0], [1.0, 0.0]], hr.Categorical(np.full((2, 2), 0.5)))
-        marg = hr.prior_marginals(model, horizon)
+        marg = hr.model.prior_marginals(model, horizon)
         assert_same_bits(marg, loop_prior_marginals(model, horizon))
         np.testing.assert_array_equal(marg[1::2], np.tile(initial[::-1], (len(marg[1::2]), 1)))
 

@@ -14,20 +14,20 @@ def random_path(rng, num_states, horizon):
 class TestPowerRisk:
     def test_zero_at_p_one_for_any_beta(self):
         for beta in [0.0, 1e-6, 0.5, 1.0, 2.0, 7.3]:
-            assert hr.power_risk(1.0, beta) == pytest.approx(0.0, abs=1e-12)
+            assert hr.risk.power_risk(1.0, beta) == pytest.approx(0.0, abs=1e-12)
 
     def test_beta_one_is_linear_loss(self):
         p = np.linspace(0, 1, 11)
-        np.testing.assert_allclose(hr.power_risk(p, 1.0), 1.0 - p, atol=1e-15)
+        np.testing.assert_allclose(hr.risk.power_risk(p, 1.0), 1.0 - p, atol=1e-15)
 
     def test_continuity_at_beta_zero(self):
-        assert abs(hr.power_risk(0.5, 1e-6) - hr.power_risk(0.5, 0.0)) < 1e-6
+        assert abs(hr.risk.power_risk(0.5, 1e-6) - hr.risk.power_risk(0.5, 0.0)) < 1e-6
 
     def test_monotone_nonincreasing_in_p(self):
         rng = np.random.default_rng(0)
         for beta in [0.0, 0.3, 1.0, 2.5]:
             p = np.sort(rng.random(100))
-            values = hr.power_risk(p, beta)
+            values = hr.risk.power_risk(p, beta)
             assert np.all(np.diff(values) <= 1e-15)
 
 
@@ -91,7 +91,7 @@ class TestEvaluateRisks:
         model, obs, summary = random_instance(rng, num_states=3, horizon=5)
         path = (2, 1, 3, 1, 2)
         prior = path_prior_probs(model, np.array([path]))[0]
-        marg = hr.prior_marginals(model, 5)
+        marg = hr.model.prior_marginals(model, 5)
         report = hr.evaluate_risks(summary, path)
         assert report.rbarinf_prior == pytest.approx(-np.log(prior) / 5, abs=1e-10)
         seq = marg[np.arange(5), np.asarray(path) - 1]
@@ -171,13 +171,13 @@ class TestRabinerBlockGain:
         horizon = summary.horizon
         path = random_path(rng, summary.num_states, horizon)
         report = hr.evaluate_risks(summary, path)
-        gain = hr.rabiner_block_gain(summary, path, 1)
+        gain = hr.risk.rabiner_gain_batch(summary, path, 1)
         assert gain == pytest.approx(horizon * (1 - report.r1_posterior), abs=1e-9)
 
     def test_four_state_gain_ratio(self, four_state):
         _, _, summary = four_state
         a = 2.0
-        ratio = hr.rabiner_block_gain(summary, (2, 1, 1, 2), 2) / hr.rabiner_block_gain(
+        ratio = hr.risk.rabiner_gain_batch(summary, (2, 1, 1, 2), 2) / hr.risk.rabiner_gain_batch(
             summary, (2, 2, 2, 2), 2
         )
         assert ratio == pytest.approx(80 * a / (32 * a + 13), abs=1e-9)
@@ -189,7 +189,7 @@ class TestRabinerBlockGain:
         paths = all_paths(3, 6)
         joint = path_joint_probs(model, obs, paths)
         expect = joint[np.all(paths == path, axis=1)][0] / joint.sum()
-        assert hr.rabiner_block_gain(summary, path, 6) == pytest.approx(expect, abs=1e-10)
+        assert hr.risk.rabiner_gain_batch(summary, path, 6) == pytest.approx(expect, abs=1e-10)
 
     def test_batch_agrees_with_scalar(self):
         rng = np.random.default_rng(71)
@@ -197,7 +197,8 @@ class TestRabinerBlockGain:
         paths = all_paths(3, 5)[:40]
         batch = hr.risk.rabiner_gain_batch(summary, paths, 2)
         for row, expect in zip(paths, batch):
-            assert hr.rabiner_block_gain(summary, tuple(row), 2) == pytest.approx(expect, abs=1e-12)
+            gain = hr.risk.rabiner_gain_batch(summary, tuple(row), 2)
+            assert type(gain) is float and gain == pytest.approx(expect, abs=1e-12)
 
 
 class TestCombinedRisk:
@@ -214,7 +215,7 @@ class TestCombinedRisk:
                 + 0.25 * report.rbar1_prior
                 + 2.0 * report.rbarinf_prior
             )
-            got = hr.combined_risk(summary, path, weights)
+            got = hr.risk.combined_risk(summary, path, weights)
             if np.isfinite(expect):
                 assert got == pytest.approx(expect, abs=1e-9)
             else:
@@ -228,7 +229,7 @@ class TestCombinedRisk:
         sm = summary.smoothed[np.arange(summary.horizon), np.asarray(path) - 1]
         pm = summary.prior[np.arange(summary.horizon), np.asarray(path) - 1]
         expect = 2.0 * (1 - sm).mean() + 1.0 * ((1 - pm**0.5) / 0.5).mean()
-        assert hr.combined_risk(summary, path, weights) == pytest.approx(expect, abs=1e-12)
+        assert hr.risk.combined_risk(summary, path, weights) == pytest.approx(expect, abs=1e-12)
 
 
 class TestRiskWeights:
@@ -259,9 +260,9 @@ class TestStatePathValidation:
         calls = (
             lambda: hr.evaluate_risks(summary, fractional),
             lambda: hr.joint_log_likelihood(summary, fractional),
-            lambda: hr.combined_risk(summary, [(2, 1, 1, 2), fractional], hr.RiskWeights(1, 1, 0, 0)),
+            lambda: hr.risk.combined_risk(summary, [(2, 1, 1, 2), fractional], hr.RiskWeights(1, 1, 0, 0)),
             lambda: hr.risk.rabiner_gain_batch(summary, [fractional], 2),
-            lambda: hr.rabiner_block_gain(summary, fractional, 2),
+            lambda: hr.risk.rabiner_gain_batch(summary, fractional, 2),
             lambda: hr.kblock_logrisk(summary, fractional, 2),
             lambda: hr.kblock_logrisk(hr.PriorChain(model, 4), fractional, 2),
             lambda: hr.block_posterior(summary, 1, [2, 1.5]),
@@ -282,10 +283,20 @@ class TestStatePathValidation:
         with pytest.raises(ValueError, match=r"1\.\.4"):
             hr.evaluate_risks(summary, (2, 5, 1, 2))
         with pytest.raises(ValueError, match="horizon"):
-            hr.rabiner_block_gain(summary, (2, 1, 1), 2)
+            hr.risk.rabiner_gain_batch(summary, (2, 1, 1), 2)
         with pytest.raises(ValueError, match="1-d"):
             hr.block_posterior(summary, 1, [[2, 1]])
         with pytest.raises(ValueError, match="non-empty"):
             hr.evaluate_risks(summary, ())
         with pytest.raises(ValueError, match="one 1-d path"):
             hr.evaluate_risks(summary, [(2, 1, 1, 2), (2, 1, 2, 2)])
+
+    def test_block_length_and_path_length(self, four_state):
+        _, _, summary = four_state
+        for k in (0, 5):
+            with pytest.raises(KOutOfRangeError) as info:
+                hr.risk.rabiner_gain_batch(summary, (2, 1, 1, 2), k)
+            assert str(info.value) == f"k must lie in 1..4, got {k}"
+        with pytest.raises(ValueError) as info:
+            hr.kblock_logrisk(summary, (2, 1, 1), 2)
+        assert str(info.value) == "a path of length 4 is needed, got shape (3,)"

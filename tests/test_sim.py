@@ -57,6 +57,12 @@ class TestRiskTrajectories:
         with pytest.raises(ValueError):
             hr.estimate_risk_trajectories(noisy_two_state_model(), ["pmap"], [10], 1, seed=0)
 
+    def test_stat_of_an_unknown_key(self):
+        trajectory = hr.estimate_risk_trajectories(noisy_two_state_model(), ["pmap"], [10], 2, seed=0)
+        with pytest.raises(KeyError) as info:
+            trajectory.stat(10, "pmap", "no_such_metric")
+        assert info.value.args == ((10, "pmap", "no_such_metric"),)
+
     def test_trajectory_spread_shrinks_with_horizon(self):
         model = noisy_two_state_model()
         smaller = 0

@@ -167,7 +167,10 @@ def test_kernel_matches_per_step_recursions(case, q, rescaled):
     if raised(expect):
         assert got == expect  # same error type and message
         return
-    assert got.rescaled == rescaled and got.log_domain == (not rescaled)
+    assert got.rescaled == rescaled
+    # plain tables are logs and rescaled ones linear: symbol-by-symbol decoding reads the domain off ``rescaled``
+    scores = expect[0] * expect[1] if rescaled else expect[0] + expect[1]
+    assert hr.symbol_by_symbol_decode(got) == tuple((np.argmax(scores, axis=1) + 1).tolist())
     assert_same_bits(got.alpha_q, expect[0])
     assert_same_bits(got.beta_q, expect[1])
     if log_gaussian and np.all(np.exp(log_likes) >= np.finfo(float).tiny):

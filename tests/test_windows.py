@@ -199,7 +199,8 @@ def test_gain_batch_matches_per_start_loop(case):
     summary, k, paths = case
     gains = rabiner_gain_batch(summary, paths, k)
     np.testing.assert_allclose(gains, loop_gain_batch(summary, paths, k), rtol=1e-12, atol=0)
-    assert hr.rabiner_block_gain(summary, paths[-1], k) == gains[-1]
+    last = rabiner_gain_batch(summary, paths[-1], k)  # one 1-d path: its row of the batch, as a float
+    assert type(last) is float and last == gains[-1]
 
 
 @FAST
@@ -207,7 +208,7 @@ def test_gain_batch_matches_per_start_loop(case):
 def test_kblock_logrisk_matches_per_window_loop(case, data):
     summary, _, paths = case
     k = data.draw(st.integers(1, summary.horizon))  # every k up to T: no full window is left out
-    for chain in (summary, hr.PriorChain(summary.model, summary.horizon)):
+    for chain in (summary, hr.PriorChain(summary.prior_chain.model, summary.horizon)):
         for path in paths:
             got = hr.kblock_logrisk(chain, path, k)
             assert type(got) is float
