@@ -198,25 +198,18 @@ def _cmd_sweep(args) -> int:
     if len(grids) != 1:
         raise ValueError("exactly one of --k, --alpha, --q must be given")
     if args.q is not None:
-        rows = rescaling_distortion_probe(model, obs, _parse_float_list(args.q))
-        lines = ["q,plain_path_hash,rescaled_path_hash,agree"]
-        for row in rows:
-            lines.append(
-                hio.csv_line(
-                    [row["q"], hio.path_hash(row["plain_path"]), hio.path_hash(row["rescaled_path"]), row["agree"]]
-                )
-            )
-        _emit(lines, args.out)
+        lines = [
+            hio.csv_line([row["q"], hio.path_hash(row["plain_path"]), hio.path_hash(row["rescaled_path"]), row["agree"]])
+            for row in rescaling_distortion_probe(model, obs, _parse_float_list(args.q))
+        ]
+        _emit(["q,plain_path_hash,rescaled_path_hash,agree"] + lines, args.out)
         return 0
     summary = forward_backward(model, obs)
-    lines = [SWEEP_COLUMNS]
     if args.k is not None:
-        for k in _parse_k_range(args.k, summary.horizon):
-            lines.append(_sweep_row("k", k, kblock_pvd_decode(summary, k)))
+        param, values, decode = "k", _parse_k_range(args.k, summary.horizon), kblock_pvd_decode
     else:
-        for alpha in _parse_float_list(args.alpha):
-            lines.append(_sweep_row("alpha", alpha, alpha_interpolation_decode(summary, alpha)))
-    _emit(lines, args.out)
+        param, values, decode = "alpha", _parse_float_list(args.alpha), alpha_interpolation_decode
+    _emit([SWEEP_COLUMNS] + [_sweep_row(param, value, decode(summary, value)) for value in values], args.out)
     return 0
 
 

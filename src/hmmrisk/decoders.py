@@ -22,6 +22,7 @@ from .model import HmmModel
 from .risk import (
     RiskReport,
     RiskWeights,
+    _check_k,
     combined_risk,
     evaluate_risks,
     joint_log_likelihood,
@@ -77,17 +78,6 @@ class _LatticeDecoder:
 
     def __call__(self, summary: PosteriorSummary) -> DecodedPath:
         return next(_decode_lattice([summary], [self]))[0]
-
-
-@dataclass(frozen=True)
-class _GroupDecoder:
-    """A decoder that the max-sum kernel does not solve: ``many(summaries)``
-    returns one DecodedPath per summary."""
-
-    many: Callable
-
-    def __call__(self, summary: PosteriorSummary) -> DecodedPath:
-        return self.many([summary])[0]
 
 
 class _Gains:
@@ -199,12 +189,9 @@ def _pmap_many(summaries) -> list[DecodedPath]:
     return _finish(stack, np.argmax(stack.smoothed, axis=2), "pmap", "r1_posterior")
 
 
-_PMAP = _GroupDecoder(_pmap_many)
-
-
 def pmap_decode(summary: PosteriorSummary) -> DecodedPath:
     """Pointwise argmax of the smoothed marginals; may be inadmissible."""
-    return _PMAP(summary)
+    return _pmap_many([summary])[0]
 
 
 def _support_masks(summary):
@@ -295,9 +282,8 @@ def rabiner_block_decode(summary: PosteriorSummary, k: int) -> DecodedPath:
     the block posteriors, summed in the linear domain.  Admissibility is not
     guaranteed.  The objective reported is the achieved gain (maximized).
     """
-    horizon, num_states = summary.horizon, summary.num_states
-    if not 1 <= k <= horizon:
-        raise KOutOfRangeError(f"k must lie in 1..{horizon}, got {k}")
+    _check_k(k, summary.horizon)
+    num_states = summary.num_states
     if num_states**k > BLOCK_STATE_CAP:  # every window block and the walk's buffer hold K^k floats per start
         raise KOutOfRangeError(f"K^k exceeds the tabulation cap for k={k}")
     if k == 1:
@@ -375,13 +361,13 @@ _FIXED_DECODERS = {
 def _parse_tag(tag: str):
     """Parse a decoder tag.  A lattice tag gives its _LatticeDecoder, which
     decode_many solves together with the other lattice tags; pmap and
-    rabiner:k give a _GroupDecoder."""
+    rabiner:k give a function from a list of summaries to their paths."""
     head, _, arg = tag.partition(":")
     if tag == "pmap":
-        return _PMAP
+        return _pmap_many
     if head == "rabiner" and arg:
         k = int(arg)
-        return _GroupDecoder(lambda summaries: [rabiner_block_decode(s, k) for s in summaries])
+        return lambda summaries: [rabiner_block_decode(s, k) for s in summaries]
     decoder = {"viterbi": _VITERBI, "pvd": _PVD, "constrained-pmap": _CONSTRAINED_PMAP}.get(tag)
     if head == "kblock" and arg:
         decoder = _kblock(int(arg))
@@ -402,13 +388,16 @@ def resolve_decoder(tag: str):
     """Map a decoder tag like "viterbi", "kblock:3", "alpha:0.5", "rabiner:2",
     or "weights:c1/c2/c3/c4[/beta1/beta3]" to a callable over one summary:
     the public decoder function for the four fixed tags, else what
-    ``_parse_tag`` gives (a _LatticeDecoder or _GroupDecoder is callable).
+    ``_parse_tag`` gives, a group function wrapped for one summary.
 
     Weight components may be separated by "/" or ","; the slash form survives
     comma-separated tag lists.
     """
     # the registry is looked up first only because perfbench/tests pins it (ROADMAP item 1)
-    return _FIXED_DECODERS[tag] if tag in _FIXED_DECODERS else _parse_tag(tag)
+    if tag in _FIXED_DECODERS:
+        return _FIXED_DECODERS[tag]
+    decoder = _parse_tag(tag)
+    return decoder if isinstance(decoder, _LatticeDecoder) else lambda summary: decoder([summary])[0]
 
 
 def decode_many(summaries, tags):
@@ -431,4 +420,4 @@ def decode_many(summaries, tags):
         return
     solved = _decode_lattice(summaries, [d for d in decoders if isinstance(d, _LatticeDecoder)])  # runs at its first next
     for decoder in decoders:
-        yield next(solved) if isinstance(decoder, _LatticeDecoder) else decoder.many(summaries)
+        yield next(solved) if isinstance(decoder, _LatticeDecoder) else decoder(summaries)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ZeroEvidenceError
 from .lattice import _BLOCK
-from .model import HmmModel, _log, check_state_path, prior_marginals
+from .model import HmmModel, _log, check_integer, check_state_path, prior_marginals
 
 
 def emission_likelihood(model: HmmModel, obs) -> np.ndarray:
@@ -70,6 +70,8 @@ def stack_of(summaries) -> SummaryStack:
     stack = summaries[0].stack
     if stack is not None and [(s.stack, s.row) for s in summaries] == [(stack, n) for n in range(len(stack))]:
         return stack
+    if any(s.horizon != summaries[0].horizon for s in summaries):
+        raise ValueError(f"a group's summaries must share one horizon, got {sorted({s.horizon for s in summaries})}")
     smoothed, likes = (_rows([getattr(s, name) for s in summaries]) for name in ("smoothed", "emission_likelihood"))
     return SummaryStack(smoothed, likes, [s.log_evidence for s in summaries], summaries)
 
@@ -243,8 +245,7 @@ def block_posterior(summary: PosteriorSummary, t: int, block) -> float:
     block = check_state_path(block, summary.num_states)
     if block.ndim != 1:
         raise ValueError("a block must be a 1-d sequence of states")
-    k = len(block)
-    horizon = summary.horizon
+    k, horizon, t = len(block), summary.horizon, check_integer(t, "position")
     if t < 1 or t + k - 1 > horizon:
         raise IndexError(f"block [{t}, {t + k - 1}] outside positions 1..{horizon}")
     return float(np.exp(log_window_posterior(summary, t - 1, block - 1)))

@@ -83,13 +83,17 @@ def model_from_dict(data: dict) -> HmmModel:
     return model
 
 
-def load_model(path) -> HmmModel:
-    """Parse and validate a model file; raises ParseError on any violation."""
+def _load_json(path):
     with open(path) as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: not valid JSON: {exc}") from exc
+
+
+def load_model(path) -> HmmModel:
+    """Parse and validate a model file; raises ParseError on any violation."""
+    data = _load_json(path)
     try:
         model = model_from_dict(data)
     except ParseError as exc:
@@ -144,11 +148,7 @@ def save_observations(obs, path) -> None:
 
 
 def load_label_map(path, num_states: int) -> LabelMap:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: not valid JSON: {exc}") from exc
+    data = _load_json(path)
     try:
         raw = data["labels"]
         assignment = {int(k): str(v) for k, v in raw.items()}

@@ -9,6 +9,7 @@ import numpy as np
 
 from .decoders import DecodedPath, _combined
 from .inference import PosteriorSummary, _log
+from .model import check_integer
 from .risk import RiskWeights
 
 
@@ -80,6 +81,7 @@ def averaged_label_posterior(summary: PosteriorSummary, labels: LabelMap, t: int
         raise ValueError(f"the label map covers {labels.num_states} states, the model has {summary.num_states}")
     if not beta >= 0:
         raise ValueError(f"beta must be nonnegative, got {beta}")
+    t, s = check_integer(t, "position"), check_integer(s, "state")
     if not 1 <= t <= summary.horizon:
         raise IndexError(f"position {t} outside 1..{summary.horizon}")
     if not 1 <= s <= summary.num_states:

@@ -185,11 +185,6 @@ class DirectLikelihood:
     def log_likelihood(self, obs) -> np.ndarray:
         return _log(self.likelihood(obs))
 
-    def sample(self, state_indices, rng):
-        raise DirectLikelihoodNotGenerativeError(
-            "direct-likelihood emissions attach to a fixed observation sequence and cannot be sampled"
-        )
-
 
 Emission = Categorical | DiagonalGaussian | DirectLikelihood
 
@@ -278,6 +273,13 @@ def check_state_path(path, num_states: int) -> np.ndarray:
     if np.any(labels < 1) or np.any(labels > num_states):
         raise ValueError(f"state labels must lie in 1..{num_states}")
     return labels
+
+
+def check_integer(value, what: str) -> int:
+    """A 1-based position or state, by the rule state labels follow: an integral value (2 or 2.0) as an int."""
+    if value % 1 != 0:  # NaN and inf fail it too
+        raise ValueError(f"{what} must be an integer, got {value}")
+    return int(value)
 
 
 def sample_trajectories(model: HmmModel, horizon: int, seeds):

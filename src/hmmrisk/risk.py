@@ -95,6 +95,12 @@ def _as_paths0(summary, paths) -> tuple[np.ndarray, bool]:
     return np.ascontiguousarray(np.atleast_2d(arr) - 1), arr.ndim == 1
 
 
+def _check_k(k, horizon: int) -> None:
+    """The window rule of every k-block scorer and decoder: 1 <= k <= T."""
+    if not 1 <= k <= horizon:
+        raise KOutOfRangeError(f"k must lie in 1..{horizon}, got {k}")
+
+
 def _gather(table: np.ndarray, paths0: np.ndarray) -> np.ndarray:
     """``table[n, t, paths0[n, t]]`` of a stack's (N, T, K) table; a one-row stack serves every path."""
     return table[np.arange(len(table))[:, None], np.arange(paths0.shape[1]), paths0]
@@ -188,11 +194,11 @@ def kblock_logrisk(chain, path, k: int) -> float:
     alone).  k=1 collapses to the pointwise log risk of the same chain.
     """
     horizon = chain.horizon
-    if not 1 <= k <= horizon:
-        raise KOutOfRangeError(f"k must lie in 1..{horizon}, got {k}")
-    idx = check_state_path(path, chain.num_states) - 1
-    if idx.shape != (horizon,):
-        raise ValueError(f"a path of length {horizon} is needed, got shape {idx.shape}")
+    _check_k(k, horizon)
+    paths0, single = _as_paths0(chain, path)
+    if not single:
+        raise ValueError("kblock_logrisk scores one 1-d path")
+    idx = paths0[0]
     full = log_window_posterior(chain, np.arange(horizon - k + 1), np.lib.stride_tricks.sliding_window_view(idx, k).T)
     head = [log_window_posterior(chain, 0, idx[:b]) for b in range(1, k)]
     tail = [log_window_posterior(chain, a, idx[a:]) for a in range(horizon - k + 1, horizon)]
@@ -207,8 +213,7 @@ def rabiner_gain_batch(summary: PosteriorSummary, paths, k: int):
     P(Y_t..Y_{t+k-1} = path window | x^T), or T - k + 1 minus the expected block loss."""
     paths0, single = _as_paths0(summary, paths)
     horizon = summary.horizon
-    if not 1 <= k <= horizon:
-        raise KOutOfRangeError(f"k must lie in 1..{horizon}, got {k}")
+    _check_k(k, horizon)
     windows = np.lib.stride_tricks.sliding_window_view(paths0, k, axis=1)  # (N, T - k + 1, k)
     probs = np.exp(log_window_posterior(summary, np.arange(horizon - k + 1), np.moveaxis(windows, -1, 0)))
     # cumsum adds the windows left to right, so the total does not depend on how numpy pairs terms

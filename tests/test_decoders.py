@@ -348,6 +348,12 @@ class TestBruteForce:
         with pytest.raises(ValueError):
             hr.brute_force_decode(summary, "nonsense")
 
+    def test_rabiner_objective_needs_k(self, four_state):
+        _, _, summary = four_state
+        with pytest.raises(ValueError) as info:
+            hr.brute_force_decode(summary, "rabiner")
+        assert str(info.value) == "the rabiner objective needs k"
+
 
 class TestResolveDecoder:
     def test_known_tags(self, four_state):
@@ -381,3 +387,11 @@ class TestResolveDecoder:
                 decode()
             errors.append((type(info.value), str(info.value)))
         assert errors[0] == errors[1]
+
+    @pytest.mark.parametrize("tag", ["viterbi", "pmap", "kblock:2"])
+    def test_a_group_of_two_horizons_is_refused(self, four_state, tag):
+        model, obs, summary = four_state
+        shorter = hr.forward_backward(model, obs[:3])
+        with pytest.raises(ValueError) as info:
+            list(hr.decode_many([summary, shorter], [tag]))
+        assert str(info.value) == "a group's summaries must share one horizon, got [3, 4]"

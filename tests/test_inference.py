@@ -282,6 +282,18 @@ class TestBlockPosterior:
         big_summary = hr.forward_backward(big, np.zeros(8, dtype=int))
         assert hr.block_posterior(big_summary, 1, [1] * 5) == pytest.approx((1 / 40) ** 5)
 
+    def test_positions_follow_the_rule_of_state_labels(self, four_state):
+        _, _, summary = four_state
+        assert hr.block_posterior(summary, 2.0, [1]) == hr.block_posterior(summary, 2, [1])
+        assert hr.block_posterior(summary, np.float64(3.0), [1, 2]) == hr.block_posterior(summary, 3, [1, 2])
+        for t in (1.5, np.nan, np.inf):
+            with pytest.raises(ValueError) as info:
+                hr.block_posterior(summary, t, [1])
+            assert str(info.value) == f"position must be an integer, got {t}"
+        with pytest.raises(IndexError) as info:  # out-of-range positions keep their error
+            hr.block_posterior(summary, 4, [1, 2])
+        assert str(info.value) == "block [4, 5] outside positions 1..4"
+
     def test_whole_path_block(self):
         # one block over all T = 21 positions: K^(k-1) = 2^20 states, evaluated in k gathers
         rng = np.random.default_rng(23)

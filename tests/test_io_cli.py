@@ -230,6 +230,16 @@ class TestModelFiles:
         with pytest.raises(ParseError):
             hio.load_observations(ragged, model)
 
+    @pytest.mark.parametrize("means", [[[0.0], [1.0]], [[0.0, 0.0], [1.0, 1.0]]])
+    def test_gaussian_observations_round_trip_bit_for_bit(self, tmp_path, means):
+        model = hr.HmmModel([0.5, 0.5], [[0.9, 0.1], [0.1, 0.9]], hr.DiagonalGaussian(means, np.ones_like(means)))
+        _, obs = hr.sample_trajectory(model, 20, seed=3)
+        obs[:3] = [1 / 3, -0.0, 5e-324] if obs.ndim == 1 else [[1 / 3, 1e300], [-0.0, 0.1], [5e-324, -2.5]]
+        path = tmp_path / "obs.txt"
+        hio.save_observations(obs, path)
+        loaded = hio.load_observations(path, model)
+        assert loaded.shape == obs.shape and loaded.tobytes() == obs.tobytes()
+
     def test_label_file(self, tmp_path):
         path = tmp_path / "labels.json"
         path.write_text(json.dumps({"labels": {"1": "A", "2": "B"}, "beta": 0.0}))  # the unread beta key still loads
@@ -350,6 +360,24 @@ class TestDecodeAndRisk:
         assert code == 10
         assert "exactly one" in err
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--weights", "1,2,3"], "--weights needs 4 comma-separated values, got 3"),
+            (["--weights", "1,0,0,0,1"], "--weights needs 4 comma-separated values, got 5"),
+            (["--q", "2", "--labels", "{labels}"], "--labels cannot be combined with --q"),
+        ],
+    )
+    def test_bad_option_combinations_exit_10(self, capsys, workdir, tmp_path, extra, message):
+        _, _, _, model_path, obs_path = workdir
+        labels = tmp_path / "labels.json"
+        labels.write_text(json.dumps({"labels": {"1": "A", "2": "B"}}))
+        extra = [arg.format(labels=labels) for arg in extra]
+        code, out, err = run_cli(
+            capsys, "decode", "--model", model_path, "--obs", obs_path, *extra, "--out", str(tmp_path / "x.txt")
+        )
+        assert (code, out, err) == (10, "", f"error: {message}\n")
+
     def test_transform_selector(self, capsys, workdir, tmp_path):
         _, model, obs, model_path, obs_path = workdir
         out_path = str(tmp_path / "q.txt")
@@ -448,6 +476,12 @@ class TestSweep:
         assert code == 0
         assert out.splitlines()[0].startswith("param,value,path,")
         assert len(out.splitlines()) == 4
+
+    @pytest.mark.parametrize("grids", [[], ["--k", "1..2", "--alpha", "0.5"], ["--alpha", "0.5", "--q", "2"]])
+    def test_exactly_one_grid(self, capsys, workdir, grids):
+        _, _, _, model_path, obs_path = workdir
+        code, out, err = run_cli(capsys, "sweep", "--model", model_path, "--obs", obs_path, *grids)
+        assert (code, out, err) == (10, "", "error: exactly one of --k, --alpha, --q must be given\n")
 
     def test_q_sweep_probe_columns(self, capsys, workdir):
         _, _, _, model_path, obs_path = workdir

@@ -87,6 +87,21 @@ class TestAveragedLabelPosterior:
         with pytest.raises(IndexError):
             hr.averaged_label_posterior(summary, labels, 1, 5)
 
+    def test_integral_positions_and_states_are_accepted(self, four_state):
+        _, _, summary = four_state
+        labels = identity_label_map(4)
+        expect = hr.averaged_label_posterior(summary, labels, 2, 1)
+        assert hr.averaged_label_posterior(summary, labels, 2.0, 1) == expect
+        assert hr.averaged_label_posterior(summary, labels, 2, 1.0) == expect
+        for t, s, message in ((1.5, 1, "position must be an integer, got 1.5"), (2, 1.5, "state must be an integer, got 1.5")):
+            with pytest.raises(ValueError) as info:
+                hr.averaged_label_posterior(summary, labels, t, s)
+            assert str(info.value) == message
+        for t, s, message in ((0, 1, "position 0 outside 1..4"), (1, 5.0, "state 5 outside 1..4")):
+            with pytest.raises(IndexError) as info:
+                hr.averaged_label_posterior(summary, labels, t, s)
+            assert str(info.value) == message
+
 
 class TestLabelDecode:
     def test_identity_labelling_reduces_to_hybrid(self):

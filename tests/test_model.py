@@ -189,3 +189,10 @@ class TestSampleTrajectory:
         model, _, _ = four_state
         with pytest.raises(DirectLikelihoodNotGenerativeError):
             hr.sample_trajectory(model, 4, seed=0)
+
+    def test_horizon_zero_is_refused(self):
+        model = hr.HmmModel([0.5, 0.5], [[0.9, 0.1], [0.1, 0.9]], hr.Categorical([[0.8, 0.2], [0.3, 0.7]]))
+        for call in (lambda: hr.model.prior_marginals(model, 0), lambda: hr.sample_trajectories(model, 0, [1, 2])):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == "horizon must be at least 1"

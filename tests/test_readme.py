@@ -1,7 +1,10 @@
-"""The README's python examples run as written, and every function the
-package exports is one that the README or a demo calls."""
+"""The README's python examples run as written, every function the
+package exports is one that the README or a demo calls, and every module
+member the README names exists."""
 
+import importlib
 import inspect
+import pkgutil
 import re
 from pathlib import Path
 
@@ -9,6 +12,8 @@ import hmmrisk as hr
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
+MODULES = [importlib.import_module(f"hmmrisk.{info.name}") for info in pkgutil.iter_modules(hr.__path__)
+           if not info.name.startswith("_")]
 
 
 def test_readme_python_blocks_run():
@@ -28,3 +33,21 @@ def test_every_exported_function_appears_in_the_readme_or_a_demo():
     ]
     assert exported
     assert [name for name in exported if not re.search(rf"\b{name}\b", text)] == []
+
+
+def test_readme_module_references_resolve():
+    # `module.name` (or `hmmrisk.module.name`) for a module of the package
+    modules = {module.__name__.rpartition(".")[2]: module for module in MODULES}
+    cited = {
+        (module, name)
+        for module, name in re.findall(r"`(?:hmmrisk\.)?(\w+)\.(\w+)`", README.read_text())
+        if module in modules
+    }
+    assert cited
+    assert sorted(f"{module}.{name}" for module, name in cited if not hasattr(modules[module], name)) == []
+
+
+def test_readme_private_names_resolve():
+    private = set(re.findall(r"`(_\w+)", README.read_text()))
+    assert private
+    assert sorted(name for name in private if not any(hasattr(module, name) for module in MODULES)) == []

@@ -299,4 +299,20 @@ class TestStatePathValidation:
             assert str(info.value) == f"k must lie in 1..4, got {k}"
         with pytest.raises(ValueError) as info:
             hr.kblock_logrisk(summary, (2, 1, 1), 2)
-        assert str(info.value) == "a path of length 4 is needed, got shape (3,)"
+        assert str(info.value) == "path length 3 does not match horizon 4"
+
+    def test_window_scorers_share_one_k_rule_and_one_path_check(self, four_state):
+        _, _, summary = four_state
+        calls = (
+            lambda k: hr.kblock_logrisk(summary, (2, 1, 1), k),  # k is checked before the path
+            lambda k: hr.risk.rabiner_gain_batch(summary, (2, 1, 1, 2), k),
+            lambda k: hr.rabiner_block_decode(summary, k),
+        )
+        for call in calls:
+            for k in (0, 5):
+                with pytest.raises(KOutOfRangeError) as info:
+                    call(k)
+                assert str(info.value) == f"k must lie in 1..4, got {k}"
+        with pytest.raises(ValueError) as info:
+            hr.kblock_logrisk(summary, [(2, 1, 1, 2), (2, 1, 2, 2)], 2)
+        assert str(info.value) == "kblock_logrisk scores one 1-d path"
