@@ -259,11 +259,8 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except tuple(cls for cls, _ in _ERROR_CODES) as exc:
-        for cls, code in _ERROR_CODES:
-            if isinstance(exc, cls):
-                print(f"error: {exc}", file=sys.stderr)
-                return code
-        raise AssertionError("unreachable")
+        print(f"error: {exc}", file=sys.stderr)
+        return next(code for cls, code in _ERROR_CODES if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

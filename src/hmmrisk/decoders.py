@@ -282,7 +282,7 @@ def rabiner_block_decode(summary: PosteriorSummary, k: int) -> DecodedPath:
     the block posteriors, summed in the linear domain.  Admissibility is not
     guaranteed.  The objective reported is the achieved gain (maximized).
     """
-    _check_k(k, summary.horizon)
+    k = _check_k(k, summary.horizon)
     num_states = summary.num_states
     if num_states**k > BLOCK_STATE_CAP:  # every window block and the walk's buffer hold K^k floats per start
         raise KOutOfRangeError(f"K^k exceeds the tabulation cap for k={k}")
@@ -418,6 +418,7 @@ def decode_many(summaries, tags):
     if not summaries:
         yield from ([] for _ in decoders)
         return
+    stack_of(summaries)  # the one-horizon rule, which rabiner:k alone, decoding summary by summary, would not apply
     solved = _decode_lattice(summaries, [d for d in decoders if isinstance(d, _LatticeDecoder)])  # runs at its first next
     for decoder in decoders:
         yield next(solved) if isinstance(decoder, _LatticeDecoder) else decoder(summaries)

@@ -57,7 +57,9 @@ def identity_label_map(num_states: int) -> LabelMap:
 def _class_means(marginals: np.ndarray, labels: LabelMap, beta: float) -> np.ndarray:
     """Marginal table averaged within label classes (the last axis), constant
     across states sharing a label: the arithmetic class mean, or the
-    geometric one when beta == 0."""
+    geometric one when beta == 0.  The label map must cover the table's states."""
+    if labels.num_states != marginals.shape[-1]:
+        raise ValueError(f"the label map covers {labels.num_states} states, the model has {marginals.shape[-1]}")
     out = np.empty_like(marginals)
     for states in labels.classes():
         block = marginals[..., states]
@@ -77,8 +79,7 @@ def averaged_label_posterior(summary: PosteriorSummary, labels: LabelMap, t: int
     nonnegative.  The proportionality constant is fixed to 1 since only the
     argmax matters downstream.  The label map must cover the summary's states.
     """
-    if labels.num_states != summary.num_states:
-        raise ValueError(f"the label map covers {labels.num_states} states, the model has {summary.num_states}")
+    table = _class_means(summary.smoothed, labels, beta)
     if not beta >= 0:
         raise ValueError(f"beta must be nonnegative, got {beta}")
     t, s = check_integer(t, "position"), check_integer(s, "state")
@@ -86,7 +87,6 @@ def averaged_label_posterior(summary: PosteriorSummary, labels: LabelMap, t: int
         raise IndexError(f"position {t} outside 1..{summary.horizon}")
     if not 1 <= s <= summary.num_states:
         raise IndexError(f"state {s} outside 1..{summary.num_states}")
-    table = _class_means(summary.smoothed, labels, beta)
     return float((table if beta == 0.0 else table**beta)[t - 1, s - 1])
 
 
@@ -101,9 +101,7 @@ def label_decode(
     with its induced label sequence.  With c2 > 0 the state path is
     admissible.  The label map must cover the summary's states.
     """
-    if labels.num_states != summary.num_states:
-        raise ValueError(f"the label map covers {labels.num_states} states, the model has {summary.num_states}")
-    decoded = _combined(
-        weights, f"label {weights.tag()}", lambda marginals, beta: _class_means(marginals, labels, beta)
-    )(summary)
+    class_means = lambda marginals, beta: _class_means(marginals, labels, beta)
+    class_means(summary.smoothed[:0], 1.0)  # checks the map when c1 = c3 = 0 too, where no pointwise term reads it
+    decoded = _combined(weights, f"label {weights.tag()}", class_means)(summary)
     return decoded, labels.labels_for(decoded.path)

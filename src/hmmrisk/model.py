@@ -30,17 +30,25 @@ def _readonly(a) -> np.ndarray:
     return out
 
 
+def _integers(values, low, high, integer_error: str, range_error: str) -> np.ndarray:
+    """``values`` as an array, not yet cast, after checking the integer rule: every
+    entry is a number with no fractional part (2 or 2.0; NaN and inf fail, with
+    no warning), and then every entry lies in low..high."""
+    values = np.asarray(values)
+    with np.errstate(invalid="ignore"):  # inf % 1 is NaN, which fails the test
+        if values.dtype.kind in "SU" or not np.all(values % 1 == 0):
+            raise ValueError(integer_error)
+    if np.any(values < low) or np.any(values > high):
+        raise ValueError(range_error)
+    return values
+
+
 def _checked_indices(obs, size: int, kind: str, what: str, range_error: str) -> np.ndarray:
     """``obs`` as an int array, after checking it is a 1-d sequence of integers in 0..size-1."""
     obs = np.asarray(obs)
     if obs.ndim != 1:
         raise ValueError(f"{kind} observations must be a 1-d sequence of {what}")
-    indices = obs.astype(int)
-    if np.any(indices != obs):
-        raise ValueError(f"{kind} observations must be integer {what}")
-    if np.any(indices < 0) or np.any(indices >= size):
-        raise ValueError(range_error)
-    return indices
+    return _integers(obs, 0, size - 1, f"{kind} observations must be integer {what}", range_error).astype(int)
 
 
 def _table_violations(table: np.ndarray, row: str, distributions: bool = True) -> list[str]:
@@ -61,13 +69,21 @@ def _table_violations(table: np.ndarray, row: str, distributions: bool = True) -
 
 
 @dataclass
-class Categorical:
-    """Finite-alphabet emissions: ``table[s, m]`` is the probability of symbol m in state s."""
+class _TableEmission:
+    """An emission given by one read-only table, whose log-likelihood is the log of its likelihood."""
 
     table: np.ndarray
 
     def __post_init__(self):
         self.table = _readonly(self.table)
+
+    def log_likelihood(self, obs) -> np.ndarray:
+        return _log(self.likelihood(obs))
+
+
+@dataclass
+class Categorical(_TableEmission):
+    """Finite-alphabet emissions: ``table[s, m]`` is the probability of symbol m in state s."""
 
     @property
     def num_states(self) -> int:
@@ -85,9 +101,6 @@ class Categorical:
         m = self.table.shape[1]
         symbols = _checked_indices(obs, m, "categorical", "symbol indices", f"symbol index outside alphabet of size {m}")
         return self.table[:, symbols].T.copy()
-
-    def log_likelihood(self, obs) -> np.ndarray:
-        return _log(self.likelihood(obs))
 
     def sample(self, state_indices, rng) -> np.ndarray:
         cdf = np.cumsum(self.table, axis=1)
@@ -150,18 +163,13 @@ class DiagonalGaussian:
 
 
 @dataclass
-class DirectLikelihood:
+class DirectLikelihood(_TableEmission):
     """Explicit per-position density values ``table[t, s]`` for one fixed observation sequence.
 
     Observations under this mode are row positions into the table.  The mode
     exists so instances given only through density values at a handful of
     points are representable verbatim; it is not generative.
     """
-
-    table: np.ndarray
-
-    def __post_init__(self):
-        self.table = _readonly(self.table)
 
     @property
     def num_states(self) -> int:
@@ -181,9 +189,6 @@ class DirectLikelihood:
             obs, n, "direct-likelihood", "row positions", f"position index outside likelihood table of length {n}"
         )
         return self.table[positions]
-
-    def log_likelihood(self, obs) -> np.ndarray:
-        return _log(self.likelihood(obs))
 
 
 Emission = Categorical | DiagonalGaussian | DirectLikelihood
@@ -267,19 +272,13 @@ def check_state_path(path, num_states: int) -> np.ndarray:
     arr = np.asarray(path)
     if arr.ndim not in (1, 2) or arr.size == 0:
         raise ValueError("a state path must be a non-empty 1-d sequence (or an (N, T) matrix of paths)")
-    labels = arr.astype(int)
-    if np.any(labels != arr):
-        raise ValueError("state labels must be integers")
-    if np.any(labels < 1) or np.any(labels > num_states):
-        raise ValueError(f"state labels must lie in 1..{num_states}")
-    return labels
+    return _integers(arr, 1, num_states, "state labels must be integers", f"state labels must lie in 1..{num_states}").astype(int)
 
 
 def check_integer(value, what: str) -> int:
-    """A 1-based position or state, by the rule state labels follow: an integral value (2 or 2.0) as an int."""
-    if value % 1 != 0:  # NaN and inf fail it too
-        raise ValueError(f"{what} must be an integer, got {value}")
-    return int(value)
+    """A 1-based position or state, or a window length, by the integer rule: an integral value (2 or 2.0) as an int."""
+    message = f"{what} must be an integer, got {value}"
+    return int(_integers(value, -np.inf, np.inf, message, message))
 
 
 def sample_trajectories(model: HmmModel, horizon: int, seeds):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import KOutOfRangeError
 from .inference import PosteriorSummary, SummaryStack, _log, log_window_posterior, stack_of
-from .model import check_state_path
+from .model import check_integer, check_state_path
 
 
 def power_risk(p, beta: float):
@@ -95,10 +95,12 @@ def _as_paths0(summary, paths) -> tuple[np.ndarray, bool]:
     return np.ascontiguousarray(np.atleast_2d(arr) - 1), arr.ndim == 1
 
 
-def _check_k(k, horizon: int) -> None:
-    """The window rule of every k-block scorer and decoder: 1 <= k <= T."""
-    if not 1 <= k <= horizon:
+def _check_k(k, horizon: int) -> int:
+    """The window rule of every k-block scorer and decoder: k is an integer
+    (by the integer rule, 2.0 is 2) with 1 <= k <= T; returns k as an int."""
+    if not 1 <= check_integer(k, "k") <= horizon:
         raise KOutOfRangeError(f"k must lie in 1..{horizon}, got {k}")
+    return int(k)
 
 
 def _gather(table: np.ndarray, paths0: np.ndarray) -> np.ndarray:
@@ -194,7 +196,7 @@ def kblock_logrisk(chain, path, k: int) -> float:
     alone).  k=1 collapses to the pointwise log risk of the same chain.
     """
     horizon = chain.horizon
-    _check_k(k, horizon)
+    k = _check_k(k, horizon)
     paths0, single = _as_paths0(chain, path)
     if not single:
         raise ValueError("kblock_logrisk scores one 1-d path")
@@ -213,7 +215,7 @@ def rabiner_gain_batch(summary: PosteriorSummary, paths, k: int):
     P(Y_t..Y_{t+k-1} = path window | x^T), or T - k + 1 minus the expected block loss."""
     paths0, single = _as_paths0(summary, paths)
     horizon = summary.horizon
-    _check_k(k, horizon)
+    k = _check_k(k, horizon)
     windows = np.lib.stride_tricks.sliding_window_view(paths0, k, axis=1)  # (N, T - k + 1, k)
     probs = np.exp(log_window_posterior(summary, np.arange(horizon - k + 1), np.moveaxis(windows, -1, 0)))
     # cumsum adds the windows left to right, so the total does not depend on how numpy pairs terms

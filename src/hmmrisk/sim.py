@@ -46,10 +46,7 @@ def _mean_sd(values: np.ndarray) -> tuple[float, float]:
 class RiskTrajectory:
     """Per-horizon, per-decoder sample means and standard deviations."""
 
-    horizons: tuple[int, ...]
-    decoders: tuple[str, ...]
     replicates: int
-    seed: int
     records: list[dict]
 
     def stat(self, horizon: int, decoder: str, metric: str) -> tuple[float, float]:
@@ -127,9 +124,7 @@ def estimate_risk_trajectories(
                         "replicates": replicates,
                     }
                 )
-    return RiskTrajectory(
-        horizons=horizons, decoders=tags, replicates=replicates, seed=seed, records=records
-    )
+    return RiskTrajectory(replicates, records)
 
 
 def _gap_rows(model, horizon, ks, seeds, lo) -> list[dict]:

@@ -388,7 +388,7 @@ class TestResolveDecoder:
             errors.append((type(info.value), str(info.value)))
         assert errors[0] == errors[1]
 
-    @pytest.mark.parametrize("tag", ["viterbi", "pmap", "kblock:2"])
+    @pytest.mark.parametrize("tag", ["viterbi", "pmap", "kblock:2", "rabiner:2"])
     def test_a_group_of_two_horizons_is_refused(self, four_state, tag):
         model, obs, summary = four_state
         shorter = hr.forward_backward(model, obs[:3])

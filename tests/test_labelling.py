@@ -28,8 +28,9 @@ class TestLabelMap:
         summary = four_state[2]
         labels = hr.LabelMap({s: "ab"[s % 2] for s in range(1, num_states + 1)})
         message = f"the label map covers {num_states} states, the model has 4"
-        with pytest.raises(ValueError, match=message):
-            hr.label_decode(summary, labels, hr.RiskWeights(1, 1, 0, 0))
+        for weights in (hr.RiskWeights(1, 1, 0, 0), hr.RiskWeights(0, 1, 0, 0)):  # the second weighs no pointwise term
+            with pytest.raises(ValueError, match=message):
+                hr.label_decode(summary, labels, weights)
         with pytest.raises(ValueError, match=message):
             hr.averaged_label_posterior(summary, labels, 2, 4)
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -196,3 +198,58 @@ class TestSampleTrajectory:
             with pytest.raises(ValueError) as info:
                 call()
             assert str(info.value) == "horizon must be at least 1"
+
+
+_CATEGORICAL = hr.HmmModel([0.5, 0.5], [[0.9, 0.1], [0.2, 0.8]], hr.Categorical([[0.2, 0.3, 0.5], [0.6, 0.3, 0.1]]))
+_LABELS = "state labels must be integers"
+
+# entry point -> (a call whose integer argument is v, where v = 2 is valid, and the ValueError message for a bad v)
+_INTEGER_SLOTS = {
+    "evaluate_risks": (lambda m, s, v: hr.evaluate_risks(s, (2, v, 1, 2)), lambda v: _LABELS),
+    "joint_log_likelihood": (lambda m, s, v: hr.joint_log_likelihood(s, (2, v, 1, 2)), lambda v: _LABELS),
+    "kblock_logrisk path": (lambda m, s, v: hr.kblock_logrisk(s, (2, v, 1, 2), 2), lambda v: _LABELS),
+    "kblock_logrisk k": (lambda m, s, v: hr.kblock_logrisk(s, (2, 1, 1, 2), v), lambda v: f"k must be an integer, got {v}"),
+    "rabiner_gain_batch path": (lambda m, s, v: hr.risk.rabiner_gain_batch(s, (2, v, 1, 2), 2), lambda v: _LABELS),
+    "rabiner_gain_batch k": (
+        lambda m, s, v: hr.risk.rabiner_gain_batch(s, (2, 1, 1, 2), v),
+        lambda v: f"k must be an integer, got {v}",
+    ),
+    "rabiner_block_decode k": (lambda m, s, v: hr.rabiner_block_decode(s, v), lambda v: f"k must be an integer, got {v}"),
+    "block_posterior block": (lambda m, s, v: hr.block_posterior(s, 1, [v, 1]), lambda v: _LABELS),
+    "block_posterior t": (lambda m, s, v: hr.block_posterior(s, v, [1]), lambda v: f"position must be an integer, got {v}"),
+    "averaged_label_posterior t": (
+        lambda m, s, v: hr.averaged_label_posterior(s, hr.LabelMap({1: "a", 2: "a", 3: "b", 4: "b"}), v, 1),
+        lambda v: f"position must be an integer, got {v}",
+    ),
+    "averaged_label_posterior s": (
+        lambda m, s, v: hr.averaged_label_posterior(s, hr.LabelMap({1: "a", 2: "a", 3: "b", 4: "b"}), 1, v),
+        lambda v: f"state must be an integer, got {v}",
+    ),
+    "forward_backward categorical": (
+        lambda m, s, v: hr.forward_backward(_CATEGORICAL, [0, v, 1]).smoothed.tolist(),
+        lambda v: "categorical observations must be integer symbol indices",
+    ),
+    "forward_backward direct": (
+        lambda m, s, v: hr.forward_backward(m, [0, 1, v, 3]).smoothed.tolist(),
+        lambda v: "direct-likelihood observations must be integer row positions",
+    ),
+}
+
+
+class TestIntegerRule:
+    """Symbols, row positions, state labels, positions, states and window
+    lengths follow one rule: an integral value (2 or 2.0) is that integer, and
+    anything else, NaN and inf included, raises ValueError without a warning."""
+
+    @pytest.mark.parametrize("entry", sorted(_INTEGER_SLOTS))
+    def test_one_rule_at_every_entry_point(self, four_state, entry):
+        model, _, summary = four_state
+        call, message = _INTEGER_SLOTS[entry]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert call(model, summary, 2.0) == call(model, summary, 2)
+            for bad in (np.nan, np.inf, np.float64(-np.inf), 1.5):
+                with pytest.raises(ValueError) as info:
+                    call(model, summary, bad)
+                assert type(info.value) is ValueError
+                assert str(info.value) == message(bad)

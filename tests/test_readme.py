@@ -1,6 +1,7 @@
 """The README's python examples run as written, every function the
-package exports is one that the README or a demo calls, and every module
-member the README names exists."""
+package exports is one that the README or a demo calls, every module
+member the README names exists, and the README states the exit codes the
+command line returns."""
 
 import importlib
 import inspect
@@ -9,6 +10,7 @@ import re
 from pathlib import Path
 
 import hmmrisk as hr
+import hmmrisk.cli
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -51,3 +53,14 @@ def test_readme_private_names_resolve():
     private = set(re.findall(r"`(_\w+)", README.read_text()))
     assert private
     assert sorted(name for name in private if not any(hasattr(module, name) for module in MODULES)) == []
+
+
+def test_exit_codes_are_documented_once_and_returned():
+    def sentence(text):
+        return " ".join(re.search(r"Exit codes:.*?\.(?=\s)", text, flags=re.S).group().split())
+
+    documented = sentence(README.read_text())
+    assert documented == sentence(hmmrisk.cli.__doc__)
+    named = [int(code) for code in re.findall(r"(\d+) [a-z]", documented)]
+    assert named == [0, 2, *range(3, 11)]  # 0 success and 2 usage come from argparse, the rest from _ERROR_CODES
+    assert sorted(code for _, code in hmmrisk.cli._ERROR_CODES) == list(range(3, 11))

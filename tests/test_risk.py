@@ -309,7 +309,7 @@ class TestStatePathValidation:
             lambda k: hr.rabiner_block_decode(summary, k),
         )
         for call in calls:
-            for k in (0, 5):
+            for k in (0, 5, 5.0):  # an integral float out of range keeps the range message
                 with pytest.raises(KOutOfRangeError) as info:
                     call(k)
                 assert str(info.value) == f"k must lie in 1..4, got {k}"
