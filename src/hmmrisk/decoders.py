@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InstanceTooLargeError, KOutOfRangeError
 from .inference import PosteriorSummary, SummaryStack, _log, forward_backward, log_window_posterior, stack_of
-from .lattice import TIE_TOL, best_path, rabiner_walk
+from .lattice import TIE_TOL, best_path, near_max, rabiner_walk
 from .model import HmmModel
 from .risk import (
     RiskReport,
@@ -77,7 +77,7 @@ class _LatticeDecoder:
     objective: str | None = None
 
     def __call__(self, summary: PosteriorSummary) -> DecodedPath:
-        return next(_decode_lattice([summary], [self]))[0]
+        return next(_decode_lattice([summary], [self], stack_of([summary])))[0]
 
 
 class _Gains:
@@ -92,13 +92,12 @@ class _Gains:
         return self.decoder.gains(self.stack, key[1])
 
 
-def _decode_lattice(summaries, decoders):
+def _decode_lattice(summaries, decoders, stack: SummaryStack):
     """Decode equal-length summaries with every lattice decoder in one max-sum
-    call, which reads one _Gains row per decoder over the summaries' stack;
-    yields one list of DecodedPath per decoder, in summary order, built when
-    it is asked for.  Raises ValueError when weights near the float limit
-    overflow a score."""
-    stack = stack_of(summaries)
+    call, which reads one _Gains row per decoder over ``stack``, the
+    summaries' stack; yields one list of DecodedPath per decoder, in summary
+    order, built when it is asked for.  Raises ValueError when weights near
+    the float limit overflow a score."""
     try:
         with np.errstate(over="raise"):
             init_extra, trans = (np.concatenate(scores) for scores in zip(*(d.scores(stack) for d in decoders)))
@@ -184,14 +183,13 @@ def viterbi(model: HmmModel, obs) -> tuple[int, ...]:
     return viterbi_decode(forward_backward(model, obs)).path
 
 
-def _pmap_many(summaries) -> list[DecodedPath]:
-    stack = stack_of(summaries)
-    return _finish(stack, np.argmax(stack.smoothed, axis=2), "pmap", "r1_posterior")
+def _pmap_many(summaries, stack: SummaryStack) -> list[DecodedPath]:
+    return _finish(stack, near_max(stack.smoothed, 2)[1], "pmap", "r1_posterior")
 
 
 def pmap_decode(summary: PosteriorSummary) -> DecodedPath:
     """Pointwise argmax of the smoothed marginals; may be inadmissible."""
-    return _pmap_many([summary])[0]
+    return _pmap_many([summary], stack_of([summary]))[0]
 
 
 def _support_masks(summary):
@@ -287,7 +285,8 @@ def rabiner_block_decode(summary: PosteriorSummary, k: int) -> DecodedPath:
     if num_states**k > BLOCK_STATE_CAP:  # every window block and the walk's buffer hold K^k floats per start
         raise KOutOfRangeError(f"K^k exceeds the tabulation cap for k={k}")
     if k == 1:
-        idx, gain = np.argmax(summary.smoothed, axis=1), summary.smoothed.max(axis=1).sum()
+        best, idx = near_max(summary.smoothed, 1)
+        gain = best.sum()
     else:
         idx = rabiner_walk(_window_blocks(summary, k), num_states, k)
         gain = rabiner_gain_batch(summary, idx[None, :] + 1, k)[0]
@@ -361,13 +360,14 @@ _FIXED_DECODERS = {
 def _parse_tag(tag: str):
     """Parse a decoder tag.  A lattice tag gives its _LatticeDecoder, which
     decode_many solves together with the other lattice tags; pmap and
-    rabiner:k give a function from a list of summaries to their paths."""
+    rabiner:k give a function from a list of summaries and their stack to
+    their paths."""
     head, _, arg = tag.partition(":")
     if tag == "pmap":
         return _pmap_many
     if head == "rabiner" and arg:
         k = int(arg)
-        return lambda summaries: [rabiner_block_decode(s, k) for s in summaries]
+        return lambda summaries, stack: [rabiner_block_decode(s, k) for s in summaries]
     decoder = {"viterbi": _VITERBI, "pvd": _PVD, "constrained-pmap": _CONSTRAINED_PMAP}.get(tag)
     if head == "kblock" and arg:
         decoder = _kblock(int(arg))
@@ -397,7 +397,7 @@ def resolve_decoder(tag: str):
     if tag in _FIXED_DECODERS:
         return _FIXED_DECODERS[tag]
     decoder = _parse_tag(tag)
-    return decoder if isinstance(decoder, _LatticeDecoder) else lambda summary: decoder([summary])[0]
+    return decoder if isinstance(decoder, _LatticeDecoder) else lambda summary: decoder([summary], stack_of([summary]))[0]
 
 
 def decode_many(summaries, tags):
@@ -405,10 +405,11 @@ def decode_many(summaries, tags):
 
     Yields one list of DecodedPath per tag, in summary order; the result for
     every summary is the one its single-summary decoder returns.  The
-    summaries must share one horizon.  Every tag is parsed before anything is
-    decoded.  When the first lattice tag's turn comes, all lattice tags are
-    solved in one max-sum call over one gains row per lattice tag over the
-    summaries' stack, each filled window by window as the kernel reads it;
+    summaries must share one horizon, and their stack is built once, for
+    every tag.  Every tag is parsed before anything is decoded.  When the
+    first lattice tag's turn comes, all lattice tags are solved in one
+    max-sum call over one gains row per lattice tag over the summaries'
+    stack, each filled window by window as the kernel reads it;
     tags listed before it run first.  Each tag's DecodedPath list, pmap and
     rabiner:k included, is built when it is asked for, and each tag but
     rabiner:k scores its paths in one evaluate_risks call.
@@ -418,7 +419,7 @@ def decode_many(summaries, tags):
     if not summaries:
         yield from ([] for _ in decoders)
         return
-    stack_of(summaries)  # the one-horizon rule, which rabiner:k alone, decoding summary by summary, would not apply
-    solved = _decode_lattice(summaries, [d for d in decoders if isinstance(d, _LatticeDecoder)])  # runs at its first next
+    stack = stack_of(summaries)  # and the one-horizon rule, which rabiner:k alone, summary by summary, would not apply
+    solved = _decode_lattice(summaries, [d for d in decoders if isinstance(d, _LatticeDecoder)], stack)  # runs at first next
     for decoder in decoders:
-        yield next(solved) if isinstance(decoder, _LatticeDecoder) else decoder(summaries)
+        yield next(solved) if isinstance(decoder, _LatticeDecoder) else decoder(summaries, stack)

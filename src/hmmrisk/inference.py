@@ -1,10 +1,12 @@
 """Scaled forward-backward smoothing, the prior chain, the stack that groups
 the summaries of one batch, and window (block) posteriors.
 
-The scaled recursions make four numpy calls per forward step (matmul,
-multiply, add.reduce, divide) and two per backward step (matmul, divide);
+The scaled recursions make four numpy calls per forward step (a gemv,
+multiply, add.reduce, divide) and two per backward step (a gemv, divide);
 the backward products transition * f_{t+1} do not depend on the recursion
 and are tabulated in blocks of at most about ``lattice._BLOCK`` elements.
+The gemv is np.matmul on a batch's (N, 1, K) and (N, K, 1) views and np.dot
+on the 1-d rows of a batch of one: both reach the same BLAS gemv per row.
 """
 
 from __future__ import annotations
@@ -147,10 +149,14 @@ def forward_backward_many(model: HmmModel, observations) -> list[PosteriorSummar
 
     Each step does the same arithmetic per sequence as a single-sequence run,
     so every summary is bit-identical to ``forward_backward`` on its sequence.
-    A forward step makes 4 numpy calls and a backward step 2; the backward
-    pass reads the products transition * f_{t+1} from a (positions, N, K, K)
-    buffer that one multiply fills for max(1, _BLOCK // (N K K)) positions at
-    a time, so its memory does not grow with T.  Raises ZeroEvidenceError
+    A forward step makes 4 numpy calls (a gemv, multiply, add.reduce, divide)
+    and a backward step 2 (a gemv, divide).  The gemv is np.matmul on a
+    batch's (N, 1, K) alpha rows and (N, K, 1) beta columns, and np.dot on a
+    batch of one's 1-d alpha, likelihood and beta rows and (K, K) entries W_t.
+    The backward pass reads W_t = transition * f_{t+1} from a (positions, N,
+    K, K) buffer, with no N axis for a batch of one, that one multiply fills
+    for max(1, _BLOCK // (N K K)) positions at a time, so its memory does not
+    grow with T.  Raises ZeroEvidenceError
     when some sequence has probability zero under the model (some scaling
     factor vanishes).
     """
@@ -166,45 +172,44 @@ def forward_backward_many(model: HmmModel, observations) -> list[PosteriorSummar
     likes = np.empty((num, horizon, num_states))
     for row, obs in zip(likes, observations):
         row[...] = emission_likelihood(model, obs)
-    alpha = np.empty((num, horizon, num_states))
+    alpha, beta = np.empty((2, num, horizon, num_states))
     scaling = np.empty((num, horizon))
-    # time-major views: rows[t] is the (N, ...) slice of every sequence at position t
-    alpha_rows, like_rows, scale_rows = alpha.transpose(1, 0, 2), likes.transpose(1, 0, 2), scaling.T[:, :, None]
-    a = np.empty((num, 1, num_states))
-    a_row = a[:, 0]
+    # time-major views: rows[t] is the slice of every sequence at position t; a batch of one drops its N axis, and
+    # [as_row], [as_col] give a batch its (N, 1, K) rows and (N, K, 1) columns for np.matmul
+    one = num == 1
+    mul, as_row, as_col = (np.dot, ..., ...) if one else (np.matmul, (..., None, slice(None)), (..., None))
+    alpha_rows, like_rows, beta_rows, scale_rows = (
+        x[0] if one else x.swapaxes(0, 1) for x in (alpha, likes, beta, scaling[..., None])
+    )
+    a_row, b_col = np.empty((2, *alpha_rows.shape[1:]))
+    a, b = a_row[as_row], b_col[as_col]
     with np.errstate(divide="ignore", invalid="ignore"):  # a vanishing factor is reported below
-        np.multiply(model.initial, like_rows[0], out=a_row)
-        np.add.reduce(a, axis=2, out=scale_rows[0])
-        np.divide(a_row, scale_rows[0], out=alpha_rows[0])
-        forward = zip(alpha_rows[:-1, :, None, :], like_rows[1:], scale_rows[1:], alpha_rows[1:])
+        np.multiply(model.initial, like_rows[0], a_row)
+        np.add.reduce(a_row, -1, None, scale_rows[0], True)
+        np.divide(a_row, scale_rows[0], alpha_rows[0])
+        forward = zip(alpha_rows[:-1][as_row], like_rows[1:], scale_rows[1:], alpha_rows[1:])
         for alpha_prev, likes_t, scale_t, alpha_t in forward:
-            # (N, 1, K) @ (K, K) multiplies row by row, exactly as a single sequence does
-            np.matmul(alpha_prev, model.transition, out=a)
-            np.multiply(a_row, likes_t, out=a_row)
-            np.add.reduce(a, axis=2, out=scale_t)
-            np.divide(a_row, scale_t, out=alpha_t)
+            mul(alpha_prev, model.transition, a)  # row by row, exactly as a single sequence does
+            np.multiply(a_row, likes_t, a_row)
+            np.add.reduce(a_row, -1, None, scale_t, True)
+            np.divide(a_row, scale_t, alpha_t)
     impossible = np.flatnonzero((scaling <= 0).any(axis=0))
     if len(impossible):
         raise ZeroEvidenceError(f"observation sequence impossible under the model at t={impossible[0] + 1}")
-    beta = np.empty((num, horizon, num_states))
-    beta[:, -1] = 1.0
-    beta_rows = beta.transpose(1, 0, 2)
-    beta_cols = beta_rows[:, :, :, None]
+    beta_rows[-1] = 1.0
     step = max(1, _BLOCK // (num * num_states * num_states))
-    weighted = np.empty((step, num, num_states, num_states))
-    b = np.empty((num, num_states, 1))
-    b_col = b[..., 0]
+    weighted = np.empty((step, *alpha_rows.shape[1:], num_states))
     # a block holds positions lo..hi-1: w[t - lo] = transition * f_{t+1}
     for hi in range(horizon - 1, 0, -step):
         lo = max(hi - step, 0)
         w = weighted[: hi - lo]
-        np.multiply(model.transition, like_rows[lo + 1 : hi + 1, :, None, :], out=w)
+        np.multiply(model.transition, like_rows[lo + 1 : hi + 1, ..., None, :], w)
         # a successor the forward pass ruled out adds nothing, as its beta can overflow
-        w *= alpha_rows[lo + 1 : hi + 1, :, None, :] > 0
-        block = zip(w[::-1], beta_cols[hi:lo:-1], scale_rows[hi:lo:-1], beta_rows[lo:hi][::-1])
+        w *= alpha_rows[lo + 1 : hi + 1, ..., None, :] > 0
+        block = zip(w[::-1], beta_rows[hi:lo:-1][as_col], scale_rows[hi:lo:-1], beta_rows[lo:hi][::-1])
         for weighted_t, beta_next, scale_next, beta_t in block:
-            np.matmul(weighted_t, beta_next, out=b)
-            np.divide(b_col, scale_next, out=beta_t)
+            mul(weighted_t, beta_next, b)
+            np.divide(b_col, scale_next, beta_t)
     chain = PriorChain(model, horizon)  # its prior marginals are built when a summary first reads them
     stack = SummaryStack(alpha * beta, likes, np.log(scaling).sum(axis=1), [chain] * num)
     return [PosteriorSummary(stack, n, alpha[n], beta[n], scaling[n], chain) for n in range(num)]

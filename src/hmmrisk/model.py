@@ -7,6 +7,7 @@ direct-likelihood row positions are 0-based.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -32,12 +33,13 @@ def _readonly(a) -> np.ndarray:
 
 def _integers(values, low, high, integer_error: str, range_error: str) -> np.ndarray:
     """``values`` as an array, not yet cast, after checking the integer rule: every
-    entry is a number with no fractional part (2 or 2.0; NaN and inf fail, with
-    no warning), and then every entry lies in low..high."""
-    values = np.asarray(values)
-    with np.errstate(invalid="ignore"):  # inf % 1 is NaN, which fails the test
-        if values.dtype.kind in "SU" or not np.all(values % 1 == 0):
-            raise ValueError(integer_error)
+    entry is a number with no fractional part (2 or 2.0; NaN, inf and None fail,
+    with no warning), and then every entry lies in low..high."""
+    values, integral = np.asarray(values), False
+    with np.errstate(invalid="ignore"), contextlib.suppress(TypeError):  # inf % 1 is NaN; None % 1 raises
+        integral = values.dtype.kind not in "SU" and np.all(values % 1 == 0)
+    if not integral:
+        raise ValueError(integer_error)
     if np.any(values < low) or np.any(values > high):
         raise ValueError(range_error)
     return values
@@ -256,7 +258,7 @@ def prior_marginals(model: HmmModel, horizon: int) -> np.ndarray:
     out[0] = model.initial
     bits = out.view(np.uint64)
     for t in range(1, horizon):
-        out[t] = out[t - 1] @ model.transition
+        np.dot(out[t - 1], model.transition, out[t])
         if t % _SETTLE_CHECK == 0 and np.array_equal(bits[t], bits[t - 1]):
             out[t + 1 :] = out[t]
             break

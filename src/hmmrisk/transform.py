@@ -7,20 +7,24 @@ in the log domain so that no rescaling is ever needed, and the per-step
 renormalized recursions computed in the linear domain.
 
 Both variants run through one kernel, ``_recursions``, which steps a leading
-row axis of exponents through preallocated buffers: a
-``transformed_forward_backward`` call is its one-row case, and
-``rescaling_distortion_probe`` steps every q of its grid in one time loop per
-variant.  Rows with q = inf take the maximum only.  Each row does the same
-arithmetic as when it runs alone, so its tables are bit-identical.  Vanishing
-evidence is absorbing (an all ``-inf`` log row, or a zero normalizer, stays
-so), so it is looked for once, after the recursions, and reported at the
-position where a check after every step would find it.
+row axis of exponents through preallocated buffers, calling every ufunc
+positionally: ``rescaling_distortion_probe`` steps every q of its grid in one
+time loop per variant, on (rows, K, K) scores, and a
+``transformed_forward_backward`` call, with one exponent, steps without the
+rows axis, on (K, K) scores and 1-d rows.  Its reductions run over axes -2
+and -1, so one loop body serves both.  Rows with q = inf take the maximum
+only.  Each row does the same arithmetic as when it runs alone, so its tables
+are bit-identical.  Vanishing evidence is absorbing (an all ``-inf`` log row,
+or a zero normalizer, stays so), so it is looked for once, after the
+recursions, and reported at the position where a check after every step
+would find it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,73 +78,80 @@ def _recursions(model: HmmModel, obs, qs: np.ndarray, rescaled: bool):
         times, over, floor = np.add, np.subtract, _LOWEST
     horizon, num_states = emission.shape
     rows, finite = len(qs), int(np.isfinite(qs).sum())
-    scores = np.empty((rows, num_states, num_states))
-    fin_scores, inf_scores, q_list = scores[:finite], scores[finite:], qs[:finite].tolist()
-    fin_peak, sums = np.empty((finite, num_states)), np.empty((finite, num_states))
-    # one call per row with a scalar exponent, spelled as the per-step code spelled it (np.power, then **):
-    # numpy's exact shortcuts for the exponents 0.5, 1 and 2 (sqrt, copy, square) apply only to a scalar
-    # exponent, and pow can differ from them in the last bit
-    raise_rows = list(zip(fin_scores, q_list))
-    lower_rows = list(zip(sums, [1.0 / q for q in q_list] if rescaled else q_list))
-
-    def power_mean(axis, factor, out):
-        """out[r] = (sum over ``axis`` of scores[r]**q_r)**(1/q_r) in the variant's domain, the max where
-        q_r = inf; ``factor`` is the view of the finite rows' maxima that broadcasts against their scores."""
-        if finite < rows:
-            np.maximum.reduce(inf_scores, axis=axis, out=out[finite:])
-        if not finite:
-            return
-        np.maximum.reduce(fin_scores, axis=axis, out=fin_peak, initial=floor)
-        over(fin_scores, factor, out=fin_scores)
-        if rescaled:
-            for row, q_r in raise_rows:
-                np.power(row, q_r, out=row)
-            np.add.reduce(fin_scores, axis=axis, out=sums)
-            for row, inv_q in lower_rows:
-                row **= inv_q
-        else:
-            for row, q_r in raise_rows:
-                np.multiply(row, q_r, out=row)
-            np.exp(fin_scores, out=fin_scores)
-            np.add.reduce(fin_scores, axis=axis, out=sums)
-            np.log(sums, out=sums)
-            for row, q_r in lower_rows:
-                np.divide(row, q_r, out=row)
-        times(fin_peak, sums, out=out[:finite])
-
-    alpha = np.empty((rows, horizon, num_states))
-    beta = np.empty((rows, horizon, num_states))
-    norms = np.empty((horizon, rows, 1))  # rescaled: norms[t] normalizes step t
-    # time-major views: alpha_rows[t] is the (rows, K) slice of every row at position t
-    alpha_rows, beta_rows = alpha.transpose(1, 0, 2), beta.transpose(1, 0, 2)
-    later = np.empty((rows, 1, num_states))  # later[r, 0, j]: f_{t+1}(j) * beta_{t+1}(j) in the variant's domain
-    # the forward step sums over axis 1 (the previous state), the backward step over axis 2 (the next one)
-    forward_factor, backward_factor, later_rows = fin_peak[:, None, :], fin_peak[:, :, None], later[:, 0]
+    # a run with one exponent steps without its rows axis; the finite rows come first, and [fin_at], [inf_at] pick them
+    lead = () if rows == 1 else (rows,)
+    fin_at, inf_at = (slice(None, finite), slice(finite, None)) if lead else (..., ...)
+    scores, peak = np.empty((*lead, num_states, num_states)), np.empty((*lead, num_states))
+    sums = np.full((*lead, num_states), 1.0 if rescaled else -0.0)  # a q = inf row's peak times sums is its peak, bit for bit
+    fin_scores, inf_scores, fin_peak, inf_peak = scores[fin_at], scores[inf_at], peak[fin_at], peak[inf_at]
+    # one call per row with a scalar exponent, a 0-d array, which numpy broadcasts fastest; the rescaled variant
+    # lowers with **= and a Python float, as the per-step code did: numpy's exact shortcut for the exponent 0.5
+    # (sqrt) applies only to that, and pow can differ from it in the last bit
+    q_list, fin_sums = qs[:finite].tolist(), sums[fin_at]
+    raise_rows = list(zip(fin_scores.reshape(-1, num_states, num_states), map(np.array, q_list)))
+    lower_rows = list(zip(fin_sums.reshape(-1, num_states), [1.0 / q for q in q_list] if rescaled else map(np.array, q_list)))
+    raise_, lower = (np.power, operator.ipow) if rescaled else (np.multiply, operator.itruediv)
+    alpha, beta = np.empty((2, rows, horizon, num_states))
+    norms = np.empty((horizon, *lead, 1))  # rescaled: norms[t] normalizes step t
+    # time-major views: alpha_rows[t] is the (rows, K) slice of every row at position t, or one row's K entries
+    alpha_rows, beta_rows = (alpha.swapaxes(0, 1), beta.swapaxes(0, 1)) if lead else (alpha[0], beta[0])
+    later = np.empty((*lead, num_states))  # later[..., j]: f_{t+1}(j) * beta_{t+1}(j) in the variant's domain
+    # the forward step reduces axis -2 (the previous state), the backward step axis -1 (the next one); each takes
+    # the power mean (sum over the axis of scores**q)**(1/q), in the variant's domain, of the scores over the peak
+    forward_factor, backward_factor, later_row = fin_peak[..., None, :], fin_peak[..., None], later[..., None, :]
     with np.errstate(divide="ignore", invalid="ignore"):  # vanishing evidence is reported below
         alpha_rows[0] = first
         if rescaled:
             norms[0] = first.sum()
-            np.divide(alpha_rows[0], norms[0], out=alpha_rows[0])
-        for prev, cur, f, norm in zip(alpha_rows[:-1, :, :, None], alpha_rows[1:], emission[1:], norms[1:]):
-            times(prev, trans, out=scores)
-            power_mean(1, forward_factor, cur)
-            times(cur, f, out=cur)
+            np.divide(alpha_rows[0], norms[0], alpha_rows[0])
+        for prev, cur, f, norm in zip(alpha_rows[:-1][..., None], alpha_rows[1:], emission[1:], norms[1:]):
+            times(prev, trans, scores)
+            if finite < rows:
+                np.maximum.reduce(inf_scores, -2, None, inf_peak)
+            if finite:
+                np.maximum.reduce(fin_scores, -2, None, fin_peak, False, floor)
+                over(fin_scores, forward_factor, fin_scores)
+                for row, q_r in raise_rows:
+                    raise_(row, q_r, row)
+                if not rescaled:
+                    np.exp(fin_scores, fin_scores)
+                np.add.reduce(fin_scores, -2, None, fin_sums)
+                if not rescaled:
+                    np.log(fin_sums, fin_sums)
+                for row, x in lower_rows:
+                    lower(row, x)
+            times(peak, sums, cur)
+            times(cur, f, cur)
             if rescaled:
-                np.add.reduce(cur, axis=1, keepdims=True, out=norm)
-                np.divide(cur, norm, out=cur)
+                np.add.reduce(cur, -1, None, norm, True)
+                np.divide(cur, norm, cur)
         beta_rows[-1] = 1.0 if rescaled else 0.0
         # rescaled: a successor the forward pass ruled out adds nothing, as its beta can overflow
         live = alpha_rows[:0:-1] > 0 if rescaled else [None] * horizon
         for cur, nxt, f, norm, keep in zip(beta_rows[-2::-1], beta_rows[:0:-1], emission[:0:-1], norms[:0:-1], live):
-            times(f, nxt, out=later_rows)
+            times(f, nxt, later)
             if rescaled:
-                np.multiply(later_rows, keep, out=later_rows)
-            times(trans, later, out=scores)
-            power_mean(2, backward_factor, cur)
+                np.multiply(later, keep, later)
+            times(trans, later_row, scores)
+            if finite < rows:
+                np.maximum.reduce(inf_scores, -1, None, inf_peak)
+            if finite:
+                np.maximum.reduce(fin_scores, -1, None, fin_peak, False, floor)
+                over(fin_scores, backward_factor, fin_scores)
+                for row, q_r in raise_rows:
+                    raise_(row, q_r, row)
+                if not rescaled:
+                    np.exp(fin_scores, fin_scores)
+                np.add.reduce(fin_scores, -1, None, fin_sums)
+                if not rescaled:
+                    np.log(fin_sums, fin_sums)
+                for row, x in lower_rows:
+                    lower(row, x)
+            times(peak, sums, cur)
             if rescaled:
-                np.divide(cur, norm, out=cur)
+                np.divide(cur, norm, cur)
     if rescaled:
-        failed = norms[:, :, 0].T <= 0
+        failed = norms.reshape(horizon, rows).T <= 0
     else:
         failed = np.isneginf(alpha).all(axis=2)
         failed[:, 0] &= horizon == 1  # a dead first row shows at t=2 once there is a second

@@ -345,6 +345,22 @@ class TestForwardBackwardBatch:
                 np.testing.assert_allclose(getattr(summary, name), getattr(single, name), rtol=0, atol=1e-12)
             assert summary.log_evidence == pytest.approx(single.log_evidence, rel=0, abs=1e-12)
 
+    @pytest.mark.parametrize("num_states", [1, 2, 3, 8, 17, 32, 64])
+    def test_rows_equal_single_sequences_bit_for_bit_at_scale(self, num_states):
+        """A batch steps through np.matmul and a batch of one through np.dot,
+        which reach one gemv per row: at T = 2e4 every table is the same bit
+        for bit.  The model's zeros rule successors out, so the backward mask
+        runs."""
+        rng = np.random.default_rng(num_states)
+        model = random_categorical_model(rng, num_states, num_symbols=5, zero_frac=0.3)
+        _, observations = hr.sample_trajectories(model, 20000, [11, 12])
+        for obs, row in zip(observations, hr.forward_backward_many(model, observations)):
+            single = hr.forward_backward(model, obs)
+            for name in ("scaled_forward", "scaled_backward", "scaling", "smoothed"):
+                assert getattr(row, name).tobytes() == getattr(single, name).tobytes(), name
+            assert row.log_evidence == single.log_evidence
+            assert num_states == 1 or not single.scaled_forward.all()
+
     def test_model_tables_are_shared_within_a_batch(self):
         model = gaussian_model()
         _, observations = hr.sample_trajectories(model, 20, range(3))
@@ -541,6 +557,26 @@ class TestDecodeMany:
         finally:
             tracemalloc.stop()
         assert peak < len(tags) * len(summaries) * 2000 * 2 * 8, peak
+
+    def test_one_stack_per_call(self, monkeypatch):
+        """The horizon check, pmap and the lattice tags read one stack: one of
+        copies for summaries that are not one batch in order, and none built
+        for a batch, whose own stack they read."""
+        model = gaussian_model()
+        summaries = hr.forward_backward_many(model, hr.sample_trajectories(model, 10, range(3))[1])
+        built = []
+
+        class CountedStack(inference.SummaryStack):
+            def __init__(self, *args):
+                built.append(self)
+                super().__init__(*args)
+
+        monkeypatch.setattr(inference, "SummaryStack", CountedStack)
+        for group, stacks in ((summaries[::-1], 1), (summaries, 0)):
+            built.clear()
+            decoded = list(hr.decode_many(group, ["pmap", "pvd"]))
+            assert len(built) == stacks
+            assert decoded == [[hr.resolve_decoder(tag)(summary) for summary in group] for tag in ("pmap", "pvd")]
 
     def test_no_summaries_give_empty_lists(self):
         assert list(hr.decode_many([], ["viterbi", "pmap", "rabiner:2"])) == [[], [], []]

@@ -248,8 +248,21 @@ class TestIntegerRule:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert call(model, summary, 2.0) == call(model, summary, 2)
-            for bad in (np.nan, np.inf, np.float64(-np.inf), 1.5):
+            for bad in (np.nan, np.inf, np.float64(-np.inf), 1.5, None):  # None makes an object array, or is one
                 with pytest.raises(ValueError) as info:
                     call(model, summary, bad)
                 assert type(info.value) is ValueError
                 assert str(info.value) == message(bad)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: hr.model.check_state_path([1, None], 2), _LABELS),
+            (lambda: _CATEGORICAL.emission.likelihood([0, None]), "categorical observations must be integer symbol indices"),
+        ],
+    )
+    def test_a_non_number_in_an_object_array_is_a_value_error(self, call, message):
+        """numpy's % has no loop for None, so its TypeError must not get through."""
+        with pytest.raises(ValueError) as info:
+            call()
+        assert type(info.value) is ValueError and str(info.value) == message

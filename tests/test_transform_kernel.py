@@ -217,6 +217,22 @@ def test_wide_models_match_bit_for_bit(num_states, rescaled):
         assert_same_bits(b, ref_b)
 
 
+@pytest.mark.parametrize("num_states", [1, 2, 3, 8, 17, 32, 64])
+def test_one_exponent_runs_equal_their_rows_of_a_q_grid(num_states):
+    """A run with one exponent steps without its rows axis, a q grid with it:
+    each row is the same bit for bit, plain and rescaled, q = inf included."""
+    rng = np.random.default_rng(num_states)
+    model = random_categorical_model(rng, num_states, num_symbols=5, zero_frac=0.3)
+    _, obs = hr.sample_trajectory(model, 200, 7)
+    for rescaled in (False, True):
+        alpha, beta, errors = _recursions(model, obs, np.array(Q_VALUES), rescaled)
+        assert errors == [None] * len(Q_VALUES)
+        for q, a, b in zip(Q_VALUES, alpha, beta):
+            single = hr.transformed_forward_backward(model, obs, q, rescaled)
+            assert_same_bits(single.alpha_q, a)
+            assert_same_bits(single.beta_q, b)
+
+
 def test_far_gaussian_point_has_finite_plain_tables():
     """N(0,1)/N(1,1) at x = 40: both log-densities are finite (about -800.9 and
     -761.4), but their exponentials underflow to 0, so a plain table built from
