@@ -152,7 +152,9 @@ def forward_backward_many(model: HmmModel, observations) -> list[PosteriorSummar
     A forward step makes 4 numpy calls (a gemv, multiply, add.reduce, divide)
     and a backward step 2 (a gemv, divide).  The gemv is np.matmul on a
     batch's (N, 1, K) alpha rows and (N, K, 1) beta columns, and np.dot on a
-    batch of one's 1-d alpha, likelihood and beta rows and (K, K) entries W_t.
+    batch of one's 1-d alpha, likelihood and beta rows and (K, K) entries W_t;
+    a batch of one reduces into and divides by 0-d views of its scaling
+    factors, which an np.nditer hands out one per step.
     The backward pass reads W_t = transition * f_{t+1} from a (positions, N,
     K, K) buffer, with no N axis for a batch of one, that one multiply fills
     for max(1, _BLOCK // (N K K)) positions at a time, so its memory does not
@@ -181,17 +183,20 @@ def forward_backward_many(model: HmmModel, observations) -> list[PosteriorSummar
     alpha_rows, like_rows, beta_rows, scale_rows = (
         x[0] if one else x.swapaxes(0, 1) for x in (alpha, likes, beta, scaling[..., None])
     )
+    # the scaling factors a loop steps over: 0-d views for a batch of one, as numpy divides by those about twice as
+    # fast as by (1,) views, and (N, 1) views for a batch
+    each = (lambda rows: np.nditer(rows[:, 0], ["zerosize_ok"], [["readwrite"]], order="C")) if one else iter
     a_row, b_col = np.empty((2, *alpha_rows.shape[1:]))
     a, b = a_row[as_row], b_col[as_col]
     with np.errstate(divide="ignore", invalid="ignore"):  # a vanishing factor is reported below
         np.multiply(model.initial, like_rows[0], a_row)
         np.add.reduce(a_row, -1, None, scale_rows[0], True)
         np.divide(a_row, scale_rows[0], alpha_rows[0])
-        forward = zip(alpha_rows[:-1][as_row], like_rows[1:], scale_rows[1:], alpha_rows[1:])
+        forward = zip(alpha_rows[:-1][as_row], like_rows[1:], each(scale_rows[1:]), alpha_rows[1:])
         for alpha_prev, likes_t, scale_t, alpha_t in forward:
             mul(alpha_prev, model.transition, a)  # row by row, exactly as a single sequence does
             np.multiply(a_row, likes_t, a_row)
-            np.add.reduce(a_row, -1, None, scale_t, True)
+            np.add.reduce(a_row, -1, None, scale_t, not one)
             np.divide(a_row, scale_t, alpha_t)
     impossible = np.flatnonzero((scaling <= 0).any(axis=0))
     if len(impossible):
@@ -206,7 +211,7 @@ def forward_backward_many(model: HmmModel, observations) -> list[PosteriorSummar
         np.multiply(model.transition, like_rows[lo + 1 : hi + 1, ..., None, :], w)
         # a successor the forward pass ruled out adds nothing, as its beta can overflow
         w *= alpha_rows[lo + 1 : hi + 1, ..., None, :] > 0
-        block = zip(w[::-1], beta_rows[hi:lo:-1][as_col], scale_rows[hi:lo:-1], beta_rows[lo:hi][::-1])
+        block = zip(w[::-1], beta_rows[hi:lo:-1][as_col], each(scale_rows[hi:lo:-1]), beta_rows[lo:hi][::-1])
         for weighted_t, beta_next, scale_next, beta_t in block:
             mul(weighted_t, beta_next, b)
             np.divide(b_col, scale_next, beta_t)

@@ -262,10 +262,11 @@ def test_acceptance_9_cli_determinism(tmp_path):
     hio.save_model(model, model_path)
     hio.save_observations(obs, obs_path)
 
+    out = str(tmp_path / "p.txt")
     commands = [
         ["paper-example", "--A", "2"],
         ["decode", "--model", str(model_path), "--obs", str(obs_path), "--weights", "1,2,0.5,0",
-         "--beta1", "1", "--out", str(tmp_path / "p.txt")],
+         "--beta1", "1", "--out", out],
         ["sweep", "--model", str(model_path), "--obs", str(obs_path), "--k", "1..T"],
         ["sweep", "--model", str(model_path), "--obs", str(obs_path), "--q", "1,4,inf"],
         ["simulate", "--model", str(model_path), "--horizons", "30,60", "--replicates", "4",
@@ -273,16 +274,17 @@ def test_acceptance_9_cli_determinism(tmp_path):
     ]
     identical = True
     for command in commands:
+        # a command's two runs start together, each writing its own output file; they stay separate processes
+        runs = []
+        for run in range(2):
+            target = tmp_path / f"p{run}.txt"
+            argv = [str(target) if arg == out else arg for arg in command]
+            proc = subprocess.Popen([sys.executable, "-m", "hmmrisk", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+            runs.append((proc, target))
         outputs = []
-        for _ in range(2):
-            proc = subprocess.run(
-                [sys.executable, "-m", "hmmrisk", *command], capture_output=True, check=True
-            )
-            files = b""
-            for name in ("p.txt",):
-                target = tmp_path / name
-                if target.exists():
-                    files += target.read_bytes()
-            outputs.append(proc.stdout + b"|" + files)
+        for proc, (stdout, stderr), target in [(proc, proc.communicate(), target) for proc, target in runs]:
+            if proc.returncode:
+                raise subprocess.CalledProcessError(proc.returncode, proc.args, stdout, stderr)
+            outputs.append(stdout + b"|" + (target.read_bytes() if target.exists() else b""))
         identical &= outputs[0] == outputs[1]
     _report(9, "CLI determinism", identical)
