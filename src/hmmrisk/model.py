@@ -37,7 +37,7 @@ def _integers(values, low, high, integer_error: str, range_error: str) -> np.nda
     with no warning), and then every entry lies in low..high."""
     values, integral = np.asarray(values), False
     with np.errstate(invalid="ignore"), contextlib.suppress(TypeError):  # inf % 1 is NaN; None % 1 raises
-        integral = values.dtype.kind in "iub" or (values.dtype.kind not in "SU" and np.all(values % 1 == 0))
+        integral = values.dtype.kind not in "SU" and np.all(values % 1 == 0)
     if not integral:
         raise ValueError(integer_error)
     if np.any(values < low) or np.any(values > high):
@@ -50,7 +50,7 @@ def _checked_indices(obs, size: int, kind: str, what: str, range_error: str) -> 
     obs = np.asarray(obs)
     if obs.ndim != 1:
         raise ValueError(f"{kind} observations must be a 1-d sequence of {what}")
-    return _integers(obs, 0, size - 1, f"{kind} observations must be integer {what}", range_error).astype(int, copy=False)
+    return _integers(obs, 0, size - 1, f"{kind} observations must be integer {what}", range_error).astype(int)
 
 
 def _table_violations(table: np.ndarray, row: str, distributions: bool = True) -> list[str]:
@@ -274,7 +274,7 @@ def check_state_path(path, num_states: int) -> np.ndarray:
     arr = np.asarray(path)
     if arr.ndim not in (1, 2) or arr.size == 0:
         raise ValueError("a state path must be a non-empty 1-d sequence (or an (N, T) matrix of paths)")
-    return _integers(arr, 1, num_states, "state labels must be integers", f"state labels must lie in 1..{num_states}").astype(int, copy=False)
+    return _integers(arr, 1, num_states, "state labels must be integers", f"state labels must lie in 1..{num_states}").astype(int)
 
 
 def check_integer(value, what: str) -> int:

@@ -6,17 +6,15 @@ uses seed ``seed + r``, so runs are reproducible and horizons share common
 random numbers.
 
 Replicates of one horizon are sampled, smoothed and decoded in groups, each
-as one batch.  A group holds at most cap = ``_GROUP_CELLS // (T * K)``
-replicates (and at least one), which bounds the memory its (replicate,
-position, state) tables take; R replicates are split evenly, into
-g = ceil(R / cap) groups of ceil(R / g) and the remainder.  The results do
-not depend on the group size.  A group's lattice decoders share one max-sum
-call, which reads each decoder's gains over the whole group window by window,
-and each decoder's paths are scored in one call.  ``_GROUP_CELLS`` is 40,000:
-at T = 2000, K = 2 the cap is 10, and a group of 10 with five tags peaks at
-about 2.7 MB of tables (tracemalloc), 8.5 (T, K) float64 per replicate (while
-a tag's paths are scored as one block, beside the smoothing tables); at
-T = 2000, K = 32 a group holds one replicate.
+as one batch.  A group holds at most ``_GROUP_CELLS // (T * K)`` replicates
+(and at least one), which bounds the memory its (replicate, position, state)
+tables take; the results do not depend on the group size.  A group's lattice
+decoders share one max-sum call, which reads each decoder's gains over the
+whole group window by window, and each decoder's paths are scored in one
+call.  ``_GROUP_CELLS`` is 40,000: a group of 10 at T = 2000, K = 2 and five
+tags peaks at about 2.6 MB of tables (tracemalloc), 8 (T, K) float64 per
+replicate (while a tag's paths are scored as one block, beside the smoothing
+tables); at T = 2000, K = 32 a group holds one replicate.
 Horizons must be at least 1; trajectories need at least 2 replicates (for
 standard deviations) and at least one decoder tag, the gap sweep at least 1
 replicate.
@@ -71,9 +69,7 @@ def _groups(model: HmmModel, horizon: int, replicates: int, seed: int):
     Callers build a group's tables inside one function call per group, so
     they are freed before the next group is built.
     """
-    cap = max(1, _GROUP_CELLS // (horizon * model.num_states))
-    groups = -(-replicates // cap)
-    size = -(-replicates // groups)  # an even split: 20 at cap 8 is 7, 7, 6, not 8, 8, 4
+    size = max(1, _GROUP_CELLS // (horizon * model.num_states))
     for lo in range(0, replicates, size):
         yield lo, range(seed + lo, seed + min(lo + size, replicates))
 
@@ -88,11 +84,13 @@ def _sample_group(model: HmmModel, horizon: int, seeds):
 def _record_group(values, model, tags, horizon, seeds, lo) -> None:
     truths, summaries = _sample_group(model, horizon, seeds)
     rows = slice(lo, lo + len(truths))
-    for tag, decoded in zip(tags, decode_many(summaries, tags)):
+    per_tag = decode_many(summaries, tags)
+    for tag in tags:
+        decoded = next(per_tag)  # the previous tag's list is dropped first; zip would hold it until this call returns
         values[tag]["empirical_error"][rows] = (np.array([path.path for path in decoded]) != truths).mean(axis=1)
         for name in RiskReport.FIELDS:
             values[tag][name][rows] = [getattr(path.risks, name) for path in decoded]
-        del decoded  # freed before the next tag's paths are built
+        del decoded
 
 
 def estimate_risk_trajectories(

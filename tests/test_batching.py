@@ -588,12 +588,9 @@ class TestDecodeMany:
 
 
 class TestGroupedStudies:
-    @pytest.mark.parametrize(
-        "cap, replicates, sizes",
-        [(8, 20, [7, 7, 6]), (10, 20, [10, 10]), (8, 1, [1]), (3, 10, [3, 3, 3, 1]), (8, 8, [8]), (25, 20, [20])],
-    )
-    def test_groups_split_evenly(self, monkeypatch, cap, replicates, sizes):
-        """ceil(R / cap) groups of ceil(R / g) replicates, the last one the remainder, with seeds in order."""
+    @pytest.mark.parametrize("cap, replicates, sizes", [(10, 20, [10, 10]), (8, 20, [8, 8, 4]), (8, 1, [1]), (25, 20, [20])])
+    def test_groups_hold_at_most_the_cap(self, monkeypatch, cap, replicates, sizes):
+        """Groups of cap replicates and the remainder, with seeds in order."""
         monkeypatch.setattr(sim, "_GROUP_CELLS", cap * 2000 * 2)
         groups = list(sim._groups(gaussian_model(), 2000, replicates, 5))
         assert [len(seeds) for _, seeds in groups] == sizes
@@ -607,9 +604,9 @@ class TestGroupedStudies:
         assert [len(seeds) for _, seeds in sim._groups(gaussian_model(), 2000, 20, 0)] == [10, 10]
         assert [len(seeds) for _, seeds in sim._groups(wide, 2000, 4, 0)] == [1, 1, 1, 1]
 
-    def test_a_group_of_ten_peaks_below_nine_and_a_half_tables_per_replicate(self):
+    def test_a_group_of_ten_peaks_below_nine_tables_per_replicate(self):
         """One group of 10 at T = 2000, K = 2 with five tags, sampled, smoothed, decoded and scored, peaks below
-        9.5 (T, K) float64 tables per replicate (tracemalloc): forward-backward's likelihood, forward, backward
+        9 (T, K) float64 tables per replicate (tracemalloc): forward-backward's likelihood, forward, backward
         and smoothed tables, and a tag's (N, T) paths and gathered entries while they are scored."""
         model = hr.HmmModel([0.4, 0.6], [[0.8, 0.2], [0.3, 0.7]], hr.DiagonalGaussian([[0.0], [1.5]], [[1.0], [0.8]]))
         tags, num, horizon = ("viterbi", "pmap", "pvd", "kblock:3", "alpha:0.5"), 10, 2000
@@ -621,9 +618,9 @@ class TestGroupedStudies:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 9.5 * num * horizon * 2 * 8, peak
+        assert peak < 9 * num * horizon * 2 * 8, peak
 
-    @pytest.mark.parametrize("cells", [1, 300, 600])  # 300: groups of 4 and 3 at T = 30
+    @pytest.mark.parametrize("cells", [1, 300, 600])  # 300: groups of 5 and 2 at T = 30
     def test_trajectories_do_not_depend_on_group_size(self, monkeypatch, cells):
         model = random_categorical_model(np.random.default_rng(3), num_states=2)
         args = (model, ["viterbi", "pmap", "pvd", "kblock:3", "alpha:0.5", "rabiner:2"], [30, 120], 7, 41)
@@ -631,7 +628,7 @@ class TestGroupedStudies:
         monkeypatch.setattr(sim, "_GROUP_CELLS", cells)
         assert hr.estimate_risk_trajectories(*args).records == default.records
 
-    @pytest.mark.parametrize("cells", [1, 300, 600])  # 300: groups of 4 and 3 at T = 30
+    @pytest.mark.parametrize("cells", [1, 300, 600])  # 300: groups of 5 and 2 at T = 30
     def test_gap_sweep_does_not_depend_on_group_size(self, monkeypatch, cells):
         args = (gaussian_model(), [30, 120], [2, 3, 5], 7, 43)
         default = hr.sandwich_constant_sweep(*args)
