@@ -14,9 +14,14 @@ The kernel, ``best_path``, reads its gains as a sequence of tables, each of
 one problem, (T, K), or of a group of problems, (n, T, K): any objects that
 return their rows for a slice of positions.  The decoders pass one row per
 decoder over a group of summaries, which computes every summary's gains only
-when sliced.  The cost-to-go lives in a window of about ``_BLOCK`` elements
-that moves down the positions, and each window's gains are copied into a
-block of that size, one copy per table, so memory does not grow with T.
+when sliced.  The successor state j comes first and the problem axis last:
+the transition scores are copied once as tj[j, i, n] = w_n[i, j] (N K^2
+elements), so each step's max over j reduces a leading axis over rows of
+K N elements (a last axis of K takes one inner-loop call per output
+element).  The cost-to-go lives in a (positions, K, N) window of about
+``_BLOCK`` elements that moves down the positions, and each window's gains
+are copied into a block of that layout and size, one copy per table, so
+memory does not grow with T.  A single problem has no N axis.
 ``rabiner_walk``, the overlapping-block decoder's walk over (k-1)-tuples of
 states, streams its window gains in blocks the same way.
 
@@ -44,7 +49,7 @@ import numpy as np
 from .errors import NoFinitePathError
 
 TIE_TOL = 1e-12
-_BLOCK = 1 << 13  # elements of a block: the tie-break's and forward-backward's (positions, N, K, K) products, and the cost-to-go window
+_BLOCK = 1 << 13  # elements of a block: the tie-break's and forward-backward's products over N K K, and the cost-to-go window
 
 
 def _walk(first: np.ndarray, maps: np.ndarray) -> np.ndarray:
@@ -99,9 +104,17 @@ def follow(first: np.ndarray, successors: np.ndarray) -> np.ndarray:
 
 def near_max(vals: np.ndarray, axis: int):
     """The tie rule: the max of ``vals`` along ``axis`` and the smallest index
-    whose value is within ``TIE_TOL`` of it."""
+    whose value is within ``TIE_TOL`` of it, or 0 where none is (a NaN max).
+    Off the last axis, which numpy's argmax would first copy to the end, the
+    index is width minus the largest rank (width down to 1) of a hit, mod
+    width: a max, which numpy reduces in place over long rows."""
     best = vals.max(axis=axis, keepdims=True)
-    return best.squeeze(axis), np.argmax(vals >= best - TIE_TOL, axis=axis)
+    hit, axis = vals >= best - TIE_TOL, axis % vals.ndim
+    if axis == vals.ndim - 1:
+        return best.squeeze(axis), np.argmax(hit, axis=axis)
+    width = vals.shape[axis]
+    ranks = np.arange(width, 0, -1, dtype=np.min_scalar_type(width)).reshape(-1, *[1] * (vals.ndim - 1 - axis))
+    return best.squeeze(axis), (width - np.maximum.reduce(hit * ranks, axis)) % width
 
 
 def best_path(gains, init_extra: np.ndarray, trans: np.ndarray):
@@ -115,40 +128,47 @@ def best_path(gains, init_extra: np.ndarray, trans: np.ndarray):
     one problem ``path`` holds 0-based state indices of shape (T,) and
     ``score`` is a float; with a batch axis they are (N, T) and (N,), paths in
     the smallest unsigned dtype that holds K - 1.  Raises NoFinitePathError
-    when some problem has no path of finite score.  The cost-to-go window and
-    the gains block hold max(step, _BLOCK // (N K)) positions, step = max(1, _BLOCK // (N K K)).
+    when some problem has no path of finite score.  Memory: the scores copied
+    successor first, tj[j, i, n] = trans[n, i, j], are N K^2 floats; the
+    cost-to-go window is (size + 1, K, N) and the gains block (size, K, N),
+    size = max(step, _BLOCK // (N K)), step = max(1, _BLOCK // (N K K)).
     """
     ndim = getattr(gains, "ndim", 0)  # 2: one problem, 3: a batch, 0: a sequence of tables
     groups = [g if len(g.shape) == 3 else g[None] for g in ([gains] if ndim else gains)]
     bounds = np.cumsum([0] + [g.shape[0] for g in groups]).tolist()  # group i holds problems bounds[i]..bounds[i + 1] - 1
     num, horizon, num_states = bounds[-1], groups[0].shape[1], np.shape(trans)[-1]
-    trans = np.broadcast_to(trans, (num, num_states, num_states))
+    # successor first, problems last: tj[j, i, n] = trans[n, i, j]; a single problem has no N axis, and [pick] drops it
+    tail, pick = ((), 0) if num == 1 else ((num,), slice(None))
+    tj = np.ascontiguousarray(np.broadcast_to(trans, (num, num_states, num_states)).transpose(2, 1, 0))[..., pick]
     step = max(1, _BLOCK // (num * num_states * num_states))
     size = max(step, _BLOCK // (num * num_states))
-    window = np.empty((size + 1, num, num_states))  # window[-1]: the cost-to-go just above the window
-    block = np.empty((size, num, num_states))  # block[i, n]: problem n's gains at position lo + i
+    window = np.empty((size + 1, num_states, *tail))  # window[-1]: the cost-to-go just above the window
+    block = np.empty((size, num_states, *tail))  # block[i, :, n]: problem n's gains at position lo + i
 
-    def fill(out, lo, hi):  # out[i, n] = problem n's gains at position lo + i, one copy per group
+    def fill(out, lo, hi):  # out[i, :, n] = problem n's gains at position lo + i, one copy per group
+        out = out.reshape(hi - lo, num_states, num)
         for g, a, b in zip(groups, bounds[:-1], bounds[1:]):
-            out[:, a:b] = g[:, lo:hi].swapaxes(0, 1)
+            out[:, :, a:b] = g[:, lo:hi].transpose(1, 2, 0)
 
     fill(window[-1:], horizon - 1, horizon)
-    buf = np.empty((num, num_states, num_states))
+    buf = np.empty((num_states, num_states, *tail))
     add, max_reduce = np.add, np.maximum.reduce  # bound once and called positionally: the sweep is call-bound
     successors = np.empty((horizon - 1, num, num_states), dtype=np.min_scalar_type(num_states - 1))  # [t, n, i] -> j
+    ties = successors.transpose(0, 2, 1)[..., pick]  # ties[t, i, n] = successors[t, n, i]
     for hi in range(horizon - 1, 0, -size):
         lo = max(0, hi - size)
         phi = window[size - (hi - lo) :]  # phi[i] is the cost-to-go at position lo + i
         fill(block[: hi - lo], lo, hi)
-        # cur = max_j (trans[:, :, j] + nxt[:, None, j]) + gains[t]; addition commutes: the bits of gains[t] + max
-        for nxt, cur, gain in zip(phi[:0:-1, :, None, :], phi[-2::-1], block[hi - lo - 1 :: -1]):
-            add(trans, nxt, buf)
-            max_reduce(buf, 2, None, cur)  # (array, axis, dtype, out)
+        # cur[i, n] = max_j (tj[j, i, n] + nxt[j, 0, n]) + gain[i, n]; addition commutes: the bits of gain + max
+        for nxt, cur, gain in zip(phi[:0:-1, :, None], phi[-2::-1], block[hi - lo - 1 :: -1]):
+            add(tj, nxt, buf)
+            max_reduce(buf, 0, None, cur)  # (array, axis, dtype, out)
             cur += gain
         for a in range(0, hi - lo, step):
-            successors[lo + a : min(lo + a + step, hi)] = near_max(trans + phi[a + 1 : a + step + 1, :, None, :], axis=3)[1]
+            ties[lo + a : min(lo + a + step, hi)] = near_max(tj + phi[a + 1 : a + step + 1, :, None], axis=1)[1]
         window[-1] = phi[0]
-    best, first = near_max(init_extra + window[-1], axis=1)
+    start = np.broadcast_to(init_extra, (num, num_states)).T + window[-1].reshape(num_states, num)  # start[i, n]
+    best, first = near_max(start, axis=0)
     if not np.all(np.isfinite(best)):
         raise NoFinitePathError("all candidate paths have -inf score")
     path = follow(first, successors)

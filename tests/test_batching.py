@@ -67,9 +67,9 @@ TIED = st.sampled_from([-np.inf, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0])
 
 @st.composite
 def lattice_batches(draw, max_horizon=9):
-    num = draw(st.integers(1, 4))
+    num = draw(st.integers(1, 6))
     horizon = draw(st.integers(1, max_horizon))
-    states = draw(st.integers(1, 4))
+    states = draw(st.integers(1, 9))
     if draw(st.booleans()):
 
         def values(shape):
@@ -254,6 +254,66 @@ class TestBestPathBatch:
         paths, _ = best_path(gains, np.zeros(300), trans)
         for n in range(3):
             np.testing.assert_array_equal(paths[n], greedy_best_path(gains[n], np.zeros(300), trans)[0])
+
+
+# Values tied exactly, tied within TIE_TOL of 0.5 (and one just outside), -inf and NaN.
+NEAR = st.sampled_from([-np.inf, np.nan, 0.0, 0.5, 0.5 - TIE_TOL / 2, 0.5 + TIE_TOL / 2, 0.5 + 3 * TIE_TOL, 1.0])
+
+
+def first_hits(vals, axis):
+    """Reference for the tie rule: the max and the first index within TIE_TOL of it (0 if none)."""
+    best = vals.max(axis=axis, keepdims=True)
+    return best.squeeze(axis), np.argmax(vals >= best - TIE_TOL, axis)
+
+
+class TestTieRule:
+    @FAST
+    @given(st.lists(st.integers(1, 5), min_size=1, max_size=4), st.data())
+    def test_near_max_is_the_first_hit_on_every_axis(self, shape, data):
+        size = int(np.prod(shape))
+        vals = np.array(data.draw(st.lists(NEAR, min_size=size, max_size=size))).reshape(shape)
+        for axis in range(-len(shape), len(shape)):
+            best, idx = lattice.near_max(vals, axis)
+            ref_best, ref_idx = first_hits(vals, axis)
+            np.testing.assert_array_equal(best, ref_best)
+            np.testing.assert_array_equal(idx, ref_idx)
+
+    @pytest.mark.parametrize("width", [1, 2, 255, 256, 257])
+    def test_near_max_on_rows_of_ties_inf_and_nan(self, width):
+        vals = np.zeros((width, 6, 2))
+        vals[:, 0] = -np.inf  # every entry is a hit
+        vals[:, 1] = np.nan  # no entry is a hit
+        vals[width // 2, 2] = np.nan  # the max is NaN, so no entry is a hit
+        vals[-1, 3] = 1.0  # the last entry is the only hit
+        vals[:, 4] = 1.0 - TIE_TOL / 2
+        vals[-1, 4] = 1.0  # every entry is a hit inside TIE_TOL
+        vals[-1, 5], vals[0, 5] = 1.0, 1.0 - 2 * TIE_TOL  # only the last entry is a hit
+        for axis in range(-3, 3):
+            best, idx = lattice.near_max(vals, axis)
+            ref_best, ref_idx = first_hits(vals, axis)
+            np.testing.assert_array_equal(best, ref_best)
+            np.testing.assert_array_equal(idx, ref_idx)
+        last = 0 if width == 1 else width - 1
+        np.testing.assert_array_equal(lattice.near_max(vals, 0)[1][:, 0], [0, 0, 0, last, 0, last])
+
+    @pytest.mark.parametrize("states", [255, 256, 257])
+    def test_best_path_past_uint8_states_matches_greedy(self, states):
+        rng = np.random.default_rng(states)
+        gains = rng.choice([-np.inf, -1.0, 0.0, 0.5], size=(2, 7, states))
+        gains[:, ::2, -1] = 3.0  # the last state wins every other position
+        trans = rng.choice([-np.inf, -1.0, 0.0], p=[0.1, 0.45, 0.45], size=(states, states))
+        trans[:, -1] = trans[-1] = 0.0
+        init_extra = rng.choice([-1.0, 0.0], size=(2, states))
+        paths, scores = best_path(gains, init_extra, trans)
+        assert paths.dtype == np.min_scalar_type(states - 1)
+        for n in range(2):
+            path, score = greedy_best_path(gains[n], init_extra[n], trans)
+            assert path[0::2].tolist() == [states - 1] * 4
+            np.testing.assert_array_equal(paths[n], path)
+            assert scores[n] == score
+            single = best_path(gains[n], init_extra[n], trans)
+            np.testing.assert_array_equal(single[0], path)
+            assert single[1] == score
 
 
 def loop_follow(first, successors):
