@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InstanceTooLargeError, KOutOfRangeError
 from .inference import PosteriorSummary, SummaryStack, _log, forward_backward, log_window_posterior, stack_of
 from .lattice import TIE_TOL, best_path, near_max, rabiner_walk
-from .model import HmmModel
+from .model import HmmModel, check_integer
 from .risk import (
     RiskReport,
     RiskWeights,
@@ -46,7 +46,7 @@ class DecodedPath:
     decoder_tag: str
 
 
-def _finish(stack, idx, tag: str, objective) -> list[DecodedPath]:
+def _finish(stack, tag: str, idx, objective) -> list[DecodedPath]:
     """Wrap a decoder's (N, T) block of 0-based paths on a group; one
     evaluate_risks call checks and scores the block.  ``objective`` holds the
     N objective values, or names the RiskReport field that holds them."""
@@ -61,30 +61,34 @@ def _finish(stack, idx, tag: str, objective) -> list[DecodedPath]:
 
 
 @dataclass(frozen=True)
-class _LatticeDecoder:
-    """A decoder solved by the max-sum kernel, callable on one summary.
-
-    ``gains(summary, at)`` returns the gains at the positions of the slice
-    ``at``, and ``scores(summary)`` the initial and transition scores, of a
-    summary or, with a leading axis, of every summary of a SummaryStack.
-    ``objective`` names the RiskReport field that holds the objective of the
-    decoded path, or is None for the minimized combined risk, -score / T.
+class _Decoder:
+    """A decoder of the risk-based class, callable on one summary, the group
+    of one.  ``solve(summaries, stack, lattice)`` returns the group's (N, T)
+    block of 0-based paths and their N objective values, or the name of the
+    RiskReport field that holds them.  A lattice decoder's solve takes its
+    block from ``lattice``, the group's one max-sum generator, which reads
+    its ``gains(summary, at)``, the gains at the positions of the slice
+    ``at``, and ``scores(summary)``, the initial and transition scores, of a
+    summary or, with a leading axis, of a SummaryStack; ``objective`` names
+    the RiskReport field that holds its objective, or is None for the
+    minimized combined risk, -score / T.
     """
 
     tag: str
-    gains: Callable
-    scores: Callable
+    gains: Callable | None = None
+    scores: Callable | None = None
     objective: str | None = None
+    solve: Callable = lambda summaries, stack, lattice: next(lattice)
 
     def __call__(self, summary: PosteriorSummary) -> DecodedPath:
-        return next(_decode_lattice([summary], [self], stack_of([summary])))[0]
+        return next(_decode_group([summary], [self]))[0]
 
 
 class _Gains:
     """One decoder's gains over a group, an (N, T, K) table computed for the
     window ``[:, lo:hi]`` the kernel reads."""
 
-    def __init__(self, decoder: _LatticeDecoder, stack: SummaryStack):
+    def __init__(self, decoder: _Decoder, stack: SummaryStack):
         self.decoder, self.stack = decoder, stack
         self.shape = (len(stack), stack.horizon, stack.num_states)
 
@@ -92,12 +96,12 @@ class _Gains:
         return self.decoder.gains(self.stack, key[1])
 
 
-def _decode_lattice(summaries, decoders, stack: SummaryStack):
-    """Decode equal-length summaries with every lattice decoder in one max-sum
+def _lattice(summaries, decoders, stack: SummaryStack):
+    """Solve equal-length summaries with every lattice decoder in one max-sum
     call, which reads one _Gains row per decoder over ``stack``, the
-    summaries' stack; yields one list of DecodedPath per decoder, in summary
-    order, built when it is asked for.  Raises ValueError when weights near
-    the float limit overflow a score."""
+    summaries' stack; yields each decoder's (N, T) block of paths and its
+    objective, in decoder order.  Raises ValueError when weights near the
+    float limit overflow a score."""
     try:
         with np.errstate(over="raise"):
             init_extra, trans = (np.concatenate(scores) for scores in zip(*(d.scores(stack) for d in decoders)))
@@ -112,7 +116,7 @@ def _decode_lattice(summaries, decoders, stack: SummaryStack):
             exc = first
         raise ValueError(f"decoder weights too large: the path scores overflow ({exc})") from None
     for d, paths, scores in zip(decoders, np.split(idx, len(decoders)), np.split(best, len(decoders))):
-        yield _finish(stack, paths, d.tag, -scores / stack.horizon if d.objective is None else d.objective)
+        yield paths, -scores / stack.horizon if d.objective is None else d.objective
 
 
 def _same_table(marginals: np.ndarray, beta: float) -> np.ndarray:
@@ -148,8 +152,8 @@ def combined_score_tables(summary: PosteriorSummary, weights: RiskWeights):
     return (_combined_gains(summary, weights), *_combined_scores(summary, weights))
 
 
-def _combined(weights: RiskWeights, tag: str, pointwise=_same_table) -> _LatticeDecoder:
-    return _LatticeDecoder(
+def _combined(weights: RiskWeights, tag: str, pointwise=_same_table) -> _Decoder:
+    return _Decoder(
         tag,
         lambda summary, at: _combined_gains(summary, weights, at, pointwise),
         lambda summary: _combined_scores(summary, weights),
@@ -183,13 +187,12 @@ def viterbi(model: HmmModel, obs) -> tuple[int, ...]:
     return viterbi_decode(forward_backward(model, obs)).path
 
 
-def _pmap_many(summaries, stack: SummaryStack) -> list[DecodedPath]:
-    return _finish(stack, near_max(stack.smoothed, 2)[1], "pmap", "r1_posterior")
+_PMAP = _Decoder("pmap", solve=lambda summaries, stack, lattice: (near_max(stack.smoothed, 2)[1], "r1_posterior"))
 
 
 def pmap_decode(summary: PosteriorSummary) -> DecodedPath:
     """Pointwise argmax of the smoothed marginals; may be inadmissible."""
-    return _pmap_many([summary], stack_of([summary]))[0]
+    return _PMAP(summary)
 
 
 def _support_masks(summary):
@@ -198,7 +201,7 @@ def _support_masks(summary):
     return init, trans
 
 
-_CONSTRAINED_PMAP = _LatticeDecoder(
+_CONSTRAINED_PMAP = _Decoder(
     "constrained-pmap",
     lambda summary, at: (
         summary.smoothed[..., at, :] + np.where(summary.emission_likelihood[..., at, :] > 0, 0.0, -np.inf)
@@ -206,7 +209,7 @@ _CONSTRAINED_PMAP = _LatticeDecoder(
     _support_masks,
     "r1_posterior",  # 1 - the mean smoothed marginal along the path
 )
-_PVD = _LatticeDecoder("pvd", lambda summary, at: _log(summary.smoothed[..., at, :]), _support_masks, "rbar1_posterior")
+_PVD = _Decoder("pvd", lambda summary, at: _log(summary.smoothed[..., at, :]), _support_masks, "rbar1_posterior")
 
 
 def constrained_pmap_decode(summary: PosteriorSummary) -> DecodedPath:
@@ -223,10 +226,10 @@ def pvd_decode(summary: PosteriorSummary) -> DecodedPath:
     return _PVD(summary)
 
 
-def _kblock(k: int) -> _LatticeDecoder:
-    if not 1 <= k <= sys.float_info.max:  # k - 1 weighs the joint term, so it must be a float
+def _kblock(k: int) -> _Decoder:
+    if not 1 <= check_integer(k, "k") <= sys.float_info.max:  # k - 1 weighs the joint term, so it must be a float
         raise KOutOfRangeError(f"k must be at least 1 and at most {sys.float_info.max!r}, got {k}")
-    return _combined(RiskWeights(1.0, float(k - 1), 0.0, 0.0, beta1=0.0), f"kblock k={k}")
+    return _combined(RiskWeights(1.0, float(int(k) - 1), 0.0, 0.0, beta1=0.0), f"kblock k={int(k)}")
 
 
 def kblock_pvd_decode(summary: PosteriorSummary, k: int) -> DecodedPath:
@@ -236,7 +239,7 @@ def kblock_pvd_decode(summary: PosteriorSummary, k: int) -> DecodedPath:
     return _kblock(k)(summary)
 
 
-def _alpha(alpha: float) -> _LatticeDecoder:
+def _alpha(alpha: float) -> _Decoder:
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     return _combined(RiskWeights(alpha, 1.0 - alpha, 0.0, 0.0, beta1=0.0), f"alpha={alpha:g}")
@@ -273,6 +276,20 @@ def _window_blocks(summary: PosteriorSummary, k: int):
         yield np.exp(logw, out=logw).reshape(len(logw), -1)
 
 
+def _rabiner(k: int) -> _Decoder:
+    def solve(summaries, stack: SummaryStack, lattice):
+        width = _check_k(k, stack.horizon)
+        if stack.num_states**width > BLOCK_STATE_CAP:  # a window block and the walk buffer hold K^k floats per start
+            raise KOutOfRangeError(f"K^k exceeds the tabulation cap for k={width}")
+        if width == 1:
+            best, idx = near_max(stack.smoothed, 2)
+            return idx, best.sum(axis=1)
+        idx = np.array([rabiner_walk(_window_blocks(s, width), stack.num_states, width) for s in summaries])
+        return idx, [rabiner_gain_batch(s, path + 1, width) for s, path in zip(summaries, idx)]
+
+    return _Decoder(f"rabiner k={check_integer(k, 'k')}", solve=solve)
+
+
 def rabiner_block_decode(summary: PosteriorSummary, k: int) -> DecodedPath:
     """Maximize the expected number of correctly decoded overlapping k-blocks.
 
@@ -280,17 +297,7 @@ def rabiner_block_decode(summary: PosteriorSummary, k: int) -> DecodedPath:
     the block posteriors, summed in the linear domain.  Admissibility is not
     guaranteed.  The objective reported is the achieved gain (maximized).
     """
-    k = _check_k(k, summary.horizon)
-    num_states = summary.num_states
-    if num_states**k > BLOCK_STATE_CAP:  # every window block and the walk's buffer hold K^k floats per start
-        raise KOutOfRangeError(f"K^k exceeds the tabulation cap for k={k}")
-    if k == 1:
-        best, idx = near_max(summary.smoothed, 1)
-        gain = best.sum()
-    else:
-        idx = rabiner_walk(_window_blocks(summary, k), num_states, k)
-        gain = rabiner_gain_batch(summary, idx[None, :] + 1, k)[0]
-    return _finish(stack_of([summary]), [idx], f"rabiner k={k}", [gain])[0]
+    return _rabiner(k)(summary)
 
 
 def _objective_values(summary, objective, k):
@@ -345,7 +352,7 @@ def brute_force_decode(summary: PosteriorSummary, objective, k: int | None = Non
         hits = np.flatnonzero(vals <= best + TIE_TOL)
         if len(hits):
             idx = chunk[hits[0]] - 1
-            return _finish(stack_of([summary]), [idx], f"brute-force {tag}", [sign * vals[hits[0]]])[0]
+            return _finish(stack_of([summary]), f"brute-force {tag}", [idx], [sign * vals[hits[0]]])[0]
     raise AssertionError("unreachable: optimum not found on second pass")
 
 
@@ -357,20 +364,14 @@ _FIXED_DECODERS = {
 }
 
 
-def _parse_tag(tag: str):
-    """Parse a decoder tag.  A lattice tag gives its _LatticeDecoder, which
-    decode_many solves together with the other lattice tags; pmap and
-    rabiner:k give a function from a list of summaries and their stack to
-    their paths."""
+def _parse_tag(tag: str) -> _Decoder:
+    """Parse a decoder tag into its _Decoder."""
     head, _, arg = tag.partition(":")
-    if tag == "pmap":
-        return _pmap_many
-    if head == "rabiner" and arg:
-        k = int(arg)
-        return lambda summaries, stack: [rabiner_block_decode(s, k) for s in summaries]
-    decoder = {"viterbi": _VITERBI, "pvd": _PVD, "constrained-pmap": _CONSTRAINED_PMAP}.get(tag)
+    decoder = {"viterbi": _VITERBI, "pmap": _PMAP, "pvd": _PVD, "constrained-pmap": _CONSTRAINED_PMAP}.get(tag)
     if head == "kblock" and arg:
         decoder = _kblock(int(arg))
+    elif head == "rabiner" and arg:
+        decoder = _rabiner(int(arg))
     elif head == "alpha" and arg:
         decoder = _alpha(float(arg))
     elif head == "weights" and arg:
@@ -386,9 +387,8 @@ def _parse_tag(tag: str):
 
 def resolve_decoder(tag: str):
     """Map a decoder tag like "viterbi", "kblock:3", "alpha:0.5", "rabiner:2",
-    or "weights:c1/c2/c3/c4[/beta1/beta3]" to a callable over one summary:
-    the public decoder function for the four fixed tags, else what
-    ``_parse_tag`` gives, a group function wrapped for one summary.
+    or "weights:c1/c2/c3/c4[/beta1/beta3]" to a callable over one summary,
+    the tag's _Decoder (the public decoder function for the four fixed tags).
 
     Weight components may be separated by "/" or ","; the slash form survives
     comma-separated tag lists.
@@ -396,8 +396,7 @@ def resolve_decoder(tag: str):
     # the registry is looked up first only because perfbench/tests pins it (ROADMAP item 1)
     if tag in _FIXED_DECODERS:
         return _FIXED_DECODERS[tag]
-    decoder = _parse_tag(tag)
-    return decoder if isinstance(decoder, _LatticeDecoder) else lambda summary: decoder([summary], stack_of([summary]))[0]
+    return _parse_tag(tag)
 
 
 def decode_many(summaries, tags):
@@ -405,21 +404,22 @@ def decode_many(summaries, tags):
 
     Yields one list of DecodedPath per tag, in summary order; the result for
     every summary is the one its single-summary decoder returns.  The
-    summaries must share one horizon, and their stack is built once, for
-    every tag.  Every tag is parsed before anything is decoded.  When the
-    first lattice tag's turn comes, all lattice tags are solved in one
-    max-sum call over one gains row per lattice tag over the summaries'
-    stack, each filled window by window as the kernel reads it;
-    tags listed before it run first.  Each tag's DecodedPath list, pmap and
-    rabiner:k included, is built when it is asked for, and each tag but
-    rabiner:k scores its paths in one evaluate_risks call.
+    summaries must share one horizon.  Every tag is parsed before anything is
+    decoded, and the group's stack is built once, for every tag.  Each tag's
+    _Decoder then solves the group in turn, and its (N, T) block of paths is
+    scored in one evaluate_risks call when its list is asked for.  All
+    lattice tags are solved in one max-sum call, at the first lattice tag's
+    turn, over one gains row per lattice tag over the summaries' stack, each
+    filled window by window as the kernel reads it; pmap is one near_max over
+    the stack, and rabiner:k walks the summaries one by one.
     """
-    summaries = list(summaries)
-    decoders = [_parse_tag(tag) for tag in tags]
-    if not summaries:
-        yield from ([] for _ in decoders)
-        return
-    stack = stack_of(summaries)  # and the one-horizon rule, which rabiner:k alone, summary by summary, would not apply
-    solved = _decode_lattice(summaries, [d for d in decoders if isinstance(d, _LatticeDecoder)], stack)  # runs at first next
+    summaries, decoders = list(summaries), [_parse_tag(tag) for tag in tags]
+    yield from _decode_group(summaries, decoders) if summaries else ([] for _ in decoders)
+
+
+def _decode_group(summaries, decoders):
+    """decode_many's loop over parsed decoders; a _Decoder called on one summary runs it on the group of one."""
+    stack = stack_of(summaries)  # which applies the one-horizon rule
+    lattice = _lattice(summaries, [d for d in decoders if d.gains], stack)  # runs at its first next
     for decoder in decoders:
-        yield next(solved) if isinstance(decoder, _LatticeDecoder) else decoder(summaries, stack)
+        yield _finish(stack, decoder.tag, *decoder.solve(summaries, stack, lattice))

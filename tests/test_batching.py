@@ -585,7 +585,7 @@ class TestDecodeMany:
             summary = hr.forward_backward(model, obs)
             idx = rng.integers(0, 3, size=(20, 12))  # arbitrary paths, impossible ones included
             group = inference.stack_of([summary] * len(idx))
-            for decoded, row in zip(decoders._finish(group, idx, "any", [0.0] * len(idx)), idx):
+            for decoded, row in zip(decoders._finish(group, "any", idx, [0.0] * len(idx)), idx):
                 assert decoded.path == tuple(int(s) + 1 for s in row)
                 assert decoded.risks == hr.evaluate_risks(summary, decoded.path)
                 assert decoded.admissible == bool(np.isfinite(decoded.risks.rbarinf_posterior))
@@ -637,6 +637,43 @@ class TestDecodeMany:
             decoded = list(hr.decode_many(group, ["pmap", "pvd"]))
             assert len(built) == stacks
             assert decoded == [[hr.resolve_decoder(tag)(summary) for summary in group] for tag in ("pmap", "pvd")]
+
+    def test_one_evaluate_risks_call_per_tag(self, monkeypatch):
+        """Every tag, rabiner:k included, scores a group's (N, T) block of paths in one call."""
+        model = gaussian_model()
+        summaries = hr.forward_backward_many(model, hr.sample_trajectories(model, 10, range(3))[1])
+        calls = []
+
+        def counting(stack, paths):
+            calls.append(len(paths))
+            return hr.evaluate_risks(stack, paths)
+
+        monkeypatch.setattr(decoders, "evaluate_risks", counting)
+        for tag in ("pmap", "pvd", "rabiner:1", "rabiner:2"):
+            calls.clear()
+            (decoded,) = hr.decode_many(summaries, [tag])
+            assert len(decoded) == 3 and calls == [3], tag
+
+    @FAST
+    @given(
+        st.sampled_from(["pmap", "rabiner:1", "rabiner:2"]),
+        st.integers(1, 4),
+        st.integers(2, 6),
+        st.sampled_from([0.0, 0.3, 0.6]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_group_rows_match_the_oracle(self, tag, num, horizon, zero_frac, seed):
+        """Each row of a group equals the exhaustive oracle's path, and its objective within the oracle's TIE_TOL."""
+        rng = np.random.default_rng(seed)
+        model = random_categorical_model(rng, num_states=int(rng.integers(1, 4)), zero_frac=zero_frac)
+        _, observations = hr.sample_trajectories(model, horizon, range(seed, seed + num))
+        summaries = hr.forward_backward_many(model, observations)
+        objective, _, k = tag.partition(":")
+        (decoded,) = hr.decode_many(summaries, [tag])
+        for summary, got in zip(summaries, decoded):
+            oracle = hr.brute_force_decode(summary, objective, int(k) if k else None)
+            assert got.path == oracle.path
+            assert abs(got.objective - oracle.objective) <= TIE_TOL
 
     def test_no_summaries_give_empty_lists(self):
         assert list(hr.decode_many([], ["viterbi", "pmap", "rabiner:2"])) == [[], [], []]

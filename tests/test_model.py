@@ -215,6 +215,7 @@ _INTEGER_SLOTS = {
         lambda v: f"k must be an integer, got {v}",
     ),
     "rabiner_block_decode k": (lambda m, s, v: hr.rabiner_block_decode(s, v), lambda v: f"k must be an integer, got {v}"),
+    "kblock_pvd_decode k": (lambda m, s, v: hr.kblock_pvd_decode(s, v), lambda v: f"k must be an integer, got {v}"),
     "block_posterior block": (lambda m, s, v: hr.block_posterior(s, 1, [v, 1]), lambda v: _LABELS),
     "block_posterior t": (lambda m, s, v: hr.block_posterior(s, v, [1]), lambda v: f"position must be an integer, got {v}"),
     "averaged_label_posterior t": (
