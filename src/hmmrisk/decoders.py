@@ -48,9 +48,10 @@ class DecodedPath:
 
 def _finish(stack, tag: str, idx, objective) -> list[DecodedPath]:
     """Wrap a decoder's (N, T) block of 0-based paths on a group; one
-    evaluate_risks call checks and scores the block.  ``objective`` holds the
-    N objective values, or names the RiskReport field that holds them."""
-    paths = np.ascontiguousarray(idx, dtype=int) + 1  # widened first: a uint8 index 255 is state 256
+    evaluate_risks call checks and scores the block, as labels in the
+    smallest unsigned dtype that holds K (state 256 is uint16).  ``objective``
+    holds the N objective values, or names the RiskReport field that holds them."""
+    paths = np.add(idx, 1, dtype=np.min_scalar_type(stack.num_states), casting="unsafe")  # every index is < K
     reports = evaluate_risks(stack, paths)
     if isinstance(objective, str):
         objective = [getattr(risks, objective) for risks in reports]
@@ -71,7 +72,8 @@ class _Decoder:
     ``at``, and ``scores(summary)``, the initial and transition scores, of a
     summary or, with a leading axis, of a SummaryStack; ``objective`` names
     the RiskReport field that holds its objective, or is None for the
-    minimized combined risk, -score / T.
+    minimized combined risk, -score / T.  ``windows`` is true when solve reads
+    window posteriors, which need the summaries' forward and backward tables.
     """
 
     tag: str
@@ -79,6 +81,7 @@ class _Decoder:
     scores: Callable | None = None
     objective: str | None = None
     solve: Callable = lambda summaries, stack, lattice: next(lattice)
+    windows: bool = False
 
     def __call__(self, summary: PosteriorSummary) -> DecodedPath:
         return next(_decode_group([summary], [self]))[0]
@@ -268,9 +271,13 @@ def _window_blocks(summary: PosteriorSummary, k: int):
     """Linear-domain block posteriors of every k-tuple (column, in base-K digit
     order) at the window starts (rows), in blocks of about ``_CHUNK`` elements,
     the last block first: one ``log_window_posterior`` call per block, over an
-    open mesh of the starts and the k state axes."""
+    open mesh of the starts and the k state axes, or, for one state, whose
+    mesh passes numpy's axis limit at large k, k (1, 1) zero arrays."""
     num_states, step = summary.num_states, max(1, _CHUNK // summary.num_states**k)
-    starts, *states = np.ix_(np.arange(summary.horizon - k + 1), *[np.arange(num_states)] * k)
+    if num_states == 1:
+        starts, states = np.arange(summary.horizon - k + 1)[:, None], np.zeros((k, 1, 1), dtype=int)
+    else:
+        starts, *states = np.ix_(np.arange(summary.horizon - k + 1), *[np.arange(num_states)] * k)
     for hi in range(len(starts), 0, -step):
         logw = log_window_posterior(summary, starts[max(0, hi - step) : hi], states)
         yield np.exp(logw, out=logw).reshape(len(logw), -1)
@@ -287,7 +294,7 @@ def _rabiner(k: int) -> _Decoder:
         idx = np.array([rabiner_walk(_window_blocks(s, width), stack.num_states, width) for s in summaries])
         return idx, [rabiner_gain_batch(s, path + 1, width) for s, path in zip(summaries, idx)]
 
-    return _Decoder(f"rabiner k={check_integer(k, 'k')}", solve=solve)
+    return _Decoder(f"rabiner k={check_integer(k, 'k')}", solve=solve, windows=int(k) >= 2)
 
 
 def rabiner_block_decode(summary: PosteriorSummary, k: int) -> DecodedPath:
@@ -397,6 +404,11 @@ def resolve_decoder(tag: str):
     if tag in _FIXED_DECODERS:
         return _FIXED_DECODERS[tag]
     return _parse_tag(tag)
+
+
+def _reads_windows(tags) -> bool:
+    """Whether any of ``tags`` reads window posteriors (``rabiner:k``, k >= 2)."""
+    return any(_parse_tag(tag).windows for tag in tags)
 
 
 def decode_many(summaries, tags):

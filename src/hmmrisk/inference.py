@@ -7,6 +7,10 @@ the backward products transition * f_{t+1} do not depend on the recursion
 and are tabulated in blocks of at most about ``lattice._BLOCK`` elements.
 The gemv is np.matmul on a batch's (N, 1, K) and (N, K, 1) views and np.dot
 on the 1-d rows of a batch of one: both reach the same BLAS gemv per row.
+Smoothed rows are written block by block as the backward pass leaves them.
+Summaries keep the forward and backward tables and the scaling rows only
+for window posteriors: smoothed for decoders that read none, a batch keeps
+two (T, K) tables per sequence, the likelihood and smoothed ones, not four.
 """
 
 from __future__ import annotations
@@ -90,7 +94,8 @@ class PosteriorSummary:
     (a ``PriorChain``); its log initial and transition tables and its
     smoothed table, the prior marginals, are shared by the summaries of one
     ``forward_backward_many`` call.  The summary is row ``row`` of that
-    call's ``stack``.
+    call's ``stack``.  A summary smoothed for decoders that read no window
+    posteriors keeps None for its forward and backward tables and scaling.
     """
 
     def __init__(self, stack: SummaryStack, row: int, scaled_forward, scaled_backward, scaling, prior_chain):
@@ -158,10 +163,20 @@ def forward_backward_many(model: HmmModel, observations) -> list[PosteriorSummar
     The backward pass reads W_t = transition * f_{t+1} from a (positions, N,
     K, K) buffer, with no N axis for a batch of one, that one multiply fills
     for max(1, _BLOCK // (N K K)) positions at a time, so its memory does not
-    grow with T.  Raises ZeroEvidenceError
+    grow with T; each block's smoothed rows are written as the pass leaves
+    them.  Raises ZeroEvidenceError
     when some sequence has probability zero under the model (some scaling
     factor vanishes).
     """
+    return _forward_backward(model, observations, windows=True)
+
+
+def _forward_backward(model: HmmModel, observations, windows: bool) -> list[PosteriorSummary]:
+    """``forward_backward_many``, whose summaries keep the forward and
+    backward tables and scaling rows that window posteriors read only with
+    ``windows``.  Else the smoothed rows overwrite the forward table, the
+    backward rows live in a one-block buffer, and the summaries keep None
+    for the three, with the same smoothed, likelihood and log-evidence bits."""
     observations = list(observations)
     if not observations:
         raise ValueError("at least one observation sequence is needed")
@@ -174,7 +189,11 @@ def forward_backward_many(model: HmmModel, observations) -> list[PosteriorSummar
     likes = np.empty((num, horizon, num_states))
     for row, obs in zip(likes, observations):
         row[...] = emission_likelihood(model, obs)
-    alpha, beta = np.empty((2, num, horizon, num_states))
+    step = max(1, _BLOCK // (num * num_states * num_states))
+    if windows:  # both tables in one allocation
+        alpha, beta = np.empty((2, num, horizon, num_states))
+    else:  # the backward rows in a buffer of one block's positions and the row above them
+        alpha, beta = np.empty((num, horizon, num_states)), np.empty((num, min(step, horizon - 1) + 1, num_states))
     scaling = np.empty((num, horizon))
     # time-major views: rows[t] is the slice of every sequence at position t; a batch of one drops its N axis, and
     # [as_row], [as_col] give a batch its (N, 1, K) rows and (N, K, 1) columns for np.matmul
@@ -201,23 +220,34 @@ def forward_backward_many(model: HmmModel, observations) -> list[PosteriorSummar
     impossible = np.flatnonzero((scaling <= 0).any(axis=0))
     if len(impossible):
         raise ZeroEvidenceError(f"observation sequence impossible under the model at t={impossible[0] + 1}")
-    beta_rows[-1] = 1.0
-    step = max(1, _BLOCK // (num * num_states * num_states))
     weighted = np.empty((step, *alpha_rows.shape[1:], num_states))
+    smoothed = np.empty_like(alpha) if windows else alpha
+    smooth_rows = smoothed[0] if one else smoothed.swapaxes(0, 1)
+    rows = beta_rows[-1:]  # the backward rows of a block's positions lo..hi; before the first block, position T - 1's
+    rows[0] = 1.0
     # a block holds positions lo..hi-1: w[t - lo] = transition * f_{t+1}
     for hi in range(horizon - 1, 0, -step):
         lo = max(hi - step, 0)
+        if windows:
+            rows = beta_rows[lo : hi + 1]
+        else:  # the buffer's last row takes position hi from the block before, whose first row it was
+            beta_rows[-1] = rows[0]
+            rows = beta_rows[lo - hi - 1 :]
         w = weighted[: hi - lo]
         np.multiply(model.transition, like_rows[lo + 1 : hi + 1, ..., None, :], w)
         # a successor the forward pass ruled out adds nothing, as its beta can overflow
         w *= alpha_rows[lo + 1 : hi + 1, ..., None, :] > 0
-        block = zip(w[::-1], beta_rows[hi:lo:-1][as_col], each(scale_rows[hi:lo:-1]), beta_rows[lo:hi][::-1])
+        block = zip(w[::-1], rows[:0:-1][as_col], each(scale_rows[hi:lo:-1]), rows[-2::-1])
         for weighted_t, beta_next, scale_next, beta_t in block:
             mul(weighted_t, beta_next, b)
             np.divide(b_col, scale_next, beta_t)
+        # no later block reads the forward rows past position lo
+        np.multiply(alpha_rows[lo + 1 : hi + 1], rows[1:], smooth_rows[lo + 1 : hi + 1])
+    np.multiply(alpha_rows[0], rows[0], smooth_rows[0])
     chain = PriorChain(model, horizon)  # its prior marginals are built when a summary first reads them
-    stack = SummaryStack(alpha * beta, likes, np.log(scaling).sum(axis=1), [chain] * num)
-    return [PosteriorSummary(stack, n, alpha[n], beta[n], scaling[n], chain) for n in range(num)]
+    stack = SummaryStack(smoothed, likes, np.log(scaling).sum(axis=1), [chain] * num)
+    kept = zip(alpha, beta, scaling) if windows else [(None, None, None)] * num  # the tables window posteriors read
+    return [PosteriorSummary(stack, n, *tables, chain) for n, tables in enumerate(kept)]
 
 
 def forward_backward(model: HmmModel, obs) -> PosteriorSummary:

@@ -198,4 +198,5 @@ def rabiner_walk(blocks, num_states: int, k: int) -> np.ndarray:
         nodes.append((successors + offsets).astype(np.min_scalar_type(n_tuples - 1)))
     start = int(near_max(phi[0].reshape(-1), axis=0)[1])
     tuples = follow(np.array([start]), np.concatenate(nodes[::-1]).reshape(-1, 1, n_tuples))[0].astype(int)  # K = 256 does not fit uint8
-    return np.concatenate((np.unravel_index(start, (num_states,) * (k - 1)), tuples[1:] % num_states))
+    # the start tuple's base-K digits, most significant first, with no (k - 1)-axis shape past numpy's axis limit
+    return np.concatenate((start // num_states ** np.arange(k - 2, -1, -1) % num_states, tuples[1:] % num_states))

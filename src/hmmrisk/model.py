@@ -19,10 +19,10 @@ PROB_SUM_TOL = 1e-12
 _SETTLE_CHECK = 64  # prior_marginals compares a row with its predecessor every this many steps
 
 
-def _log(a: np.ndarray) -> np.ndarray:
-    """Natural log with log 0 = -inf and no divide-by-zero warning."""
+def _log(a: np.ndarray, out=None) -> np.ndarray:
+    """Natural log with log 0 = -inf and no divide-by-zero warning, into ``out`` if given."""
     with np.errstate(divide="ignore"):
-        return np.log(a)
+        return np.log(a, out=out)
 
 
 def _readonly(a) -> np.ndarray:
@@ -267,14 +267,16 @@ def prior_marginals(model: HmmModel, horizon: int) -> np.ndarray:
 
 def check_state_path(path, num_states: int) -> np.ndarray:
     """Validate a 1-based state path, or an (N, T) matrix of N paths, and
-    return it as an int array of the same shape.
+    return it as an integer array of the same shape: integer input as it is,
+    with no widening copy, anything else (2.0) cast to int.
 
     Labels must be integers in 1..num_states; anything else raises ValueError.
     """
     arr = np.asarray(path)
     if arr.ndim not in (1, 2) or arr.size == 0:
         raise ValueError("a state path must be a non-empty 1-d sequence (or an (N, T) matrix of paths)")
-    return _integers(arr, 1, num_states, "state labels must be integers", f"state labels must lie in 1..{num_states}").astype(int)
+    arr = _integers(arr, 1, num_states, "state labels must be integers", f"state labels must lie in 1..{num_states}")
+    return arr if arr.dtype.kind in "ui" else arr.astype(int)
 
 
 def check_integer(value, what: str) -> int:

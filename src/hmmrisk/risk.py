@@ -86,9 +86,9 @@ RiskReport.FIELDS = tuple(f.name for f in fields(RiskReport))
 
 def _as_paths0(summary, paths) -> tuple[np.ndarray, bool]:
     """Validate 1-based path input of the summary's (or stack's) horizon and
-    return it as a C-ordered 0-based (N, T) index matrix, with a flag for
-    single-path input.  C order makes a row's reductions add in the order a
-    1-d path's do."""
+    return it as a C-ordered 0-based (N, T) index matrix, in the input's
+    integer dtype, with a flag for single-path input.  C order makes a row's
+    reductions add in the order a 1-d path's do."""
     arr = check_state_path(paths, summary.num_states)
     if arr.shape[-1] != summary.horizon:
         raise ValueError(f"path length {arr.shape[-1]} does not match horizon {summary.horizon}")
@@ -108,8 +108,14 @@ def _gather(table: np.ndarray, paths0: np.ndarray) -> np.ndarray:
     return table[np.arange(len(table))[:, None], np.arange(paths0.shape[1]), paths0]
 
 
+def _log_gather(table: np.ndarray, paths0: np.ndarray) -> np.ndarray:
+    """The log of ``_gather(table, paths0)``, taken in place."""
+    entries = _gather(table, paths0)
+    return _log(entries, entries)
+
+
 def _joint_ll(stack: SummaryStack, paths0: np.ndarray) -> np.ndarray:
-    return _prior_ll(stack, paths0) + _log(_gather(stack.emission_likelihood, paths0)).sum(axis=1)
+    return _prior_ll(stack, paths0) + _log_gather(stack.emission_likelihood, paths0).sum(axis=1)
 
 
 def _prior_ll(stack: SummaryStack, paths0: np.ndarray) -> np.ndarray:
@@ -158,8 +164,8 @@ def evaluate_risks(summary, path):
     ``path`` an (N, T) block of paths: row n is scored against summary n, and
     the N reports come back as a list, from one call.  One path is the
     one-row case, bit for bit: each table is gathered along the paths, the
-    log taken of the gathered entries where a log risk needs it, and reduced
-    over C-ordered rows before the next is gathered.
+    log taken of the gathered entries in place where a log risk needs it,
+    and reduced over C-ordered rows before the next is gathered.
     """
     group = isinstance(summary, SummaryStack)
     stack = summary if group else stack_of([summary])
@@ -169,18 +175,20 @@ def evaluate_risks(summary, path):
     if group and (single or len(paths0) != len(stack)):
         raise ValueError(f"a group of {len(stack)} summaries scores a ({len(stack)}, T) block of paths")
     horizon = stack.horizon
+
+    def pointwise(table):  # the linear and log pointwise risks; the gathered entries go when it returns
+        entries = _gather(table, paths0)
+        return 1.0 - entries.mean(axis=1), -_log(entries, entries).mean(axis=1)
+
     prior_ll = _prior_ll(stack, paths0)
-    joint_ll = prior_ll + _log(_gather(stack.emission_likelihood, paths0)).sum(axis=1)
+    joint_ll = prior_ll + _log_gather(stack.emission_likelihood, paths0).sum(axis=1)
     post_lp = joint_ll - stack.log_evidence
-    smoothed, prior = _gather(stack.smoothed, paths0), _gather(stack.prior, paths0)
     columns = (
-        1.0 - smoothed.mean(axis=1),
-        -_log(smoothed).mean(axis=1),
+        *pointwise(stack.smoothed),
         -np.expm1(post_lp),
         -post_lp / horizon,
         -joint_ll / horizon,
-        1.0 - prior.mean(axis=1),
-        -_log(prior).mean(axis=1),
+        *pointwise(stack.prior),
         -prior_ll / horizon,
     )
     reports = [RiskReport(*values) for values in zip(*(column.tolist() for column in columns))]

@@ -7,14 +7,17 @@ random numbers.
 
 Replicates of one horizon are sampled, smoothed and decoded in groups, each
 as one batch.  A group holds at most ``_GROUP_CELLS // (T * K)`` replicates
-(and at least one), which bounds the memory its (replicate, position, state)
-tables take; the results do not depend on the group size.  A group's lattice
-decoders share one max-sum call, which reads each decoder's gains over the
-whole group window by window, and each decoder's paths are scored in one
-call.  ``_GROUP_CELLS`` is 40,000: a group of 10 at T = 2000, K = 2 and five
-tags peaks at about 2.6 MB of tables (tracemalloc), 8 (T, K) float64 per
-replicate (while a tag's paths are scored as one block, beside the smoothing
-tables); at T = 2000, K = 32 a group holds one replicate.
+(and at least one), half that when a tag reads window posteriors
+(``rabiner:k``, k >= 2), which bounds the memory its (replicate, position,
+state) tables take; the results do not depend on the group size.  A group's
+summaries keep the likelihood and smoothed tables, and the forward and
+backward tables only for window posteriors.  A group's lattice decoders
+share one max-sum call, which reads each decoder's gains over the whole
+group window by window, and each decoder's paths are scored in one call, as
+uint8 labels at K <= 255.  ``_GROUP_CELLS`` is 80,000: a group of 20 at
+T = 2000, K = 2 and five tags that read no windows peaks at about 2.6 MB
+(tracemalloc), 4.0 (T, K) float64 tables per replicate; with ``rabiner:2``
+a group holds 10, and at T = 2000, K = 32 one replicate.
 Horizons must be at least 1; trajectories need at least 2 replicates (for
 standard deviations) and at least one decoder tag, the gap sweep at least 1
 replicate.
@@ -26,14 +29,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoders import decode_many
-from .inference import forward_backward_many
+from .decoders import _reads_windows, decode_many
+from .inference import _forward_backward
 from .lattice import TIE_TOL
 from .model import HmmModel, sample_trajectories
 from .risk import RiskReport
 
 METRICS = ("empirical_error",) + RiskReport.FIELDS
-_GROUP_CELLS = 40_000
+_GROUP_CELLS = 80_000
 
 
 def _mean_sd(values: np.ndarray) -> tuple[float, float]:
@@ -63,31 +66,35 @@ def _horizons(horizons) -> tuple[int, ...]:
     return horizons
 
 
-def _groups(model: HmmModel, horizon: int, replicates: int, seed: int):
+def _groups(model: HmmModel, horizon: int, replicates: int, seed: int, windows: bool = False):
     """Yield the first replicate and the seeds of each group of replicates.
 
-    Callers build a group's tables inside one function call per group, so
-    they are freed before the next group is built.
+    A group whose tags read ``windows`` keeps twice the (T, K) tables per
+    replicate, so it holds half the replicates.  Callers build a group's
+    tables inside one function call per group, so they are freed before the
+    next group is built.
     """
-    size = max(1, _GROUP_CELLS // (horizon * model.num_states))
+    size = max(1, _GROUP_CELLS // ((2 if windows else 1) * horizon * model.num_states))
     for lo in range(0, replicates, size):
         yield lo, range(seed + lo, seed + min(lo + size, replicates))
 
 
-def _sample_group(model: HmmModel, horizon: int, seeds):
-    """True paths and posterior summaries of one group of replicates."""
+def _sample_group(model: HmmModel, horizon: int, seeds, windows: bool = False):
+    """True paths and posterior summaries of one group of replicates; the
+    summaries keep the forward and backward tables only for ``windows``."""
     truths, observations = sample_trajectories(model, horizon, seeds)
     truths = truths.astype(np.min_scalar_type(model.num_states))  # labels 1..K; the int64 copy goes before smoothing
-    return truths, forward_backward_many(model, observations)
+    return truths, _forward_backward(model, observations, windows)
 
 
 def _record_group(values, model, tags, horizon, seeds, lo) -> None:
-    truths, summaries = _sample_group(model, horizon, seeds)
+    truths, summaries = _sample_group(model, horizon, seeds, _reads_windows(tags))
     rows = slice(lo, lo + len(truths))
     per_tag = decode_many(summaries, tags)
     for tag in tags:
         decoded = next(per_tag)  # the previous tag's list is dropped first; zip would hold it until this call returns
-        values[tag]["empirical_error"][rows] = (np.array([path.path for path in decoded]) != truths).mean(axis=1)
+        paths = np.array([path.path for path in decoded], dtype=truths.dtype)
+        values[tag]["empirical_error"][rows] = (paths != truths).mean(axis=1)
         for name in RiskReport.FIELDS:
             values[tag][name][rows] = [getattr(path.risks, name) for path in decoded]
         del decoded
@@ -113,7 +120,7 @@ def estimate_risk_trajectories(
     records = []
     for horizon in horizons:
         values = {tag: {metric: np.empty(replicates) for metric in METRICS} for tag in tags}
-        for lo, seeds in _groups(model, horizon, replicates, seed):
+        for lo, seeds in _groups(model, horizon, replicates, seed, _reads_windows(tags)):
             _record_group(values, model, tags, horizon, seeds, lo)
         for tag in tags:
             for metric in METRICS:

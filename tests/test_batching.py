@@ -695,16 +695,17 @@ class TestGroupedStudies:
         assert [seed for _, seeds in groups for seed in seeds] == list(range(5, 5 + replicates))
 
     def test_default_groups_at_two_and_32_states(self):
-        """At T = 2000, 20 replicates of a 2-state model run as two groups of 10, and a 32-state model runs one
-        replicate per group."""
+        """At T = 2000, 20 replicates of a 2-state model run as one group of 20, or as two groups of 10 when a tag
+        reads window posteriors, and a 32-state model runs one replicate per group either way."""
         wide = hr.HmmModel(np.full(32, 1 / 32), np.full((32, 32), 1 / 32), hr.Categorical(np.full((32, 2), 0.5)))
-        assert [len(seeds) for _, seeds in sim._groups(gaussian_model(), 2000, 20, 0)] == [10, 10]
-        assert [len(seeds) for _, seeds in sim._groups(wide, 2000, 4, 0)] == [1, 1, 1, 1]
+        for tags, narrow_sizes in ((["viterbi", "pmap", "rabiner:1"], [20]), (["pvd", "rabiner:2"], [10, 10])):
+            windows = decoders._reads_windows(tags)
+            assert [len(seeds) for _, seeds in sim._groups(gaussian_model(), 2000, 20, 0, windows)] == narrow_sizes
+            assert [len(seeds) for _, seeds in sim._groups(wide, 2000, 4, 0, windows)] == [1, 1, 1, 1]
 
     def test_a_group_of_ten_peaks_below_nine_tables_per_replicate(self):
         """One group of 10 at T = 2000, K = 2 with five tags, sampled, smoothed, decoded and scored, peaks below
-        9 (T, K) float64 tables per replicate (tracemalloc): forward-backward's likelihood, forward, backward
-        and smoothed tables, and a tag's (N, T) paths and gathered entries while they are scored."""
+        9 (T, K) float64 tables per replicate (tracemalloc)."""
         model = hr.HmmModel([0.4, 0.6], [[0.8, 0.2], [0.3, 0.7]], hr.DiagonalGaussian([[0.0], [1.5]], [[1.0], [0.8]]))
         tags, num, horizon = ("viterbi", "pmap", "pvd", "kblock:3", "alpha:0.5"), 10, 2000
         values = {tag: {metric: np.empty(num) for metric in sim.METRICS} for tag in tags}
@@ -717,10 +718,28 @@ class TestGroupedStudies:
             tracemalloc.stop()
         assert peak < 9 * num * horizon * 2 * 8, peak
 
-    @pytest.mark.parametrize("cells", [1, 300, 600])  # 300: groups of 5 and 2 at T = 30
-    def test_trajectories_do_not_depend_on_group_size(self, monkeypatch, cells):
+    def test_a_group_of_twenty_peaks_below_five_tables_per_replicate(self):
+        """One group of 20 at T = 2000, K = 2 with five tags that read no window posteriors peaks below 5 (T, K)
+        float64 tables per replicate (tracemalloc): the summaries keep the likelihood and smoothed tables only, the
+        smoothed rows overwrite the forward table, and the paths are scored as uint8 labels."""
+        model = hr.HmmModel([0.4, 0.6], [[0.8, 0.2], [0.3, 0.7]], hr.DiagonalGaussian([[0.0], [1.5]], [[1.0], [0.8]]))
+        tags, num, horizon = ("viterbi", "pmap", "pvd", "kblock:3", "alpha:0.5"), 20, 2000
+        assert [len(seeds) for _, seeds in sim._groups(model, horizon, num, 0, decoders._reads_windows(tags))] == [num]
+        values = {tag: {metric: np.empty(num) for metric in sim.METRICS} for tag in tags}
+        sim._record_group(values, model, tags, horizon, range(num), 0)  # imports and caches warmed up first
+        tracemalloc.start()
+        try:
+            sim._record_group(values, model, tags, horizon, range(num, 2 * num), 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * num * horizon * 2 * 8, peak
+
+    @pytest.mark.parametrize("cells", [1, 300, 600])  # 300: groups of 5 and 2 at T = 30, of at most 2 with rabiner:2
+    @pytest.mark.parametrize("windows", [[], ["rabiner:2"]])  # both sides of the window rule
+    def test_trajectories_do_not_depend_on_group_size(self, monkeypatch, cells, windows):
         model = random_categorical_model(np.random.default_rng(3), num_states=2)
-        args = (model, ["viterbi", "pmap", "pvd", "kblock:3", "alpha:0.5", "rabiner:2"], [30, 120], 7, 41)
+        args = (model, ["viterbi", "pmap", "pvd", "kblock:3", "alpha:0.5", "rabiner:1"] + windows, [30, 120], 7, 41)
         default = hr.estimate_risk_trajectories(*args)
         monkeypatch.setattr(sim, "_GROUP_CELLS", cells)
         assert hr.estimate_risk_trajectories(*args).records == default.records

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hmmrisk as hr
+import hmmrisk.inference as inference
 from hmmrisk.errors import ZeroEvidenceError
 from hmmrisk.inference import emission_likelihood
 from hmmrisk.lattice import _BLOCK
@@ -226,6 +227,31 @@ def test_batched_recursions_match_per_step_reference_bit_for_bit(case):
         assert np.array_equal(summary.scaling, scaling[n])
         assert np.array_equal(summary.smoothed, smoothed[n])
         assert np.array_equal(summary.log_evidence, log_evidence[n])
+
+
+@settings(max_examples=60, deadline=None)
+@example((9, 1, 2, 1, 0.0, "categorical", True))  # N = 1, T = 1
+@example((10, 4, 3, 1, 0.6, "direct", False))
+@example((5, 1, 32, 2 * backward_step(1, 32) + 1, 0.3, "categorical", True))
+@example((6, 3, 32, 2 * backward_step(3, 32) + 2, 0.0, "gaussian", True))
+@example((7, 2, 32, backward_step(2, 32), 0.6, "direct", False))
+@given(batch_cases())
+def test_summaries_without_windows_keep_the_same_bits(case):
+    """Smoothed for decoders that read no window posteriors, a batch keeps no forward or backward table and no
+    scaling row, and its smoothed, likelihood and log-evidence equal forward_backward_many's bit for bit; an
+    impossible sequence raises the same error."""
+    model, observations = batch_instance(*case)
+    got = fb_outcome(lambda m, o: inference._forward_backward(m, o, windows=False), model, observations)
+    expect = fb_outcome(hr.forward_backward_many, model, observations)
+    if isinstance(expect, tuple) and expect[0] is ZeroEvidenceError:
+        assert got == expect
+        return
+    assert len(got) == len(expect)
+    for lean, full in zip(got, expect):
+        assert lean.scaled_forward is lean.scaled_backward is lean.scaling is None
+        for name in ("smoothed", "emission_likelihood"):
+            assert getattr(lean, name).tobytes() == getattr(full, name).tobytes()
+        assert np.float64(lean.log_evidence).tobytes() == np.float64(full.log_evidence).tobytes()
 
 
 class TestBlockPosterior:

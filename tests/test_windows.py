@@ -22,6 +22,7 @@ import tracemalloc
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -191,6 +192,16 @@ def test_rabiner_decode_never_holds_the_window_table():
         tracemalloc.stop()
     table_bytes = (horizon - k + 1) * num_states**k * 8
     assert peak < table_bytes / 4, (peak, table_bytes)
+
+
+@pytest.mark.parametrize("k", [63, 64, 80])
+def test_one_state_rabiner_decodes_windows_past_numpys_axis_limit(k):
+    """A one-state model's window mesh and start tuple would take k + 1 and k - 1 axes, past numpy's 64 at k = 64
+    and 80: every window is certain, so the path is all 1s and the gain is T - k + 1."""
+    model = hr.HmmModel([1.0], [[1.0]], hr.Categorical([[0.5, 0.5]]))
+    decoded = hr.rabiner_block_decode(hr.forward_backward(model, [0, 1] * 40), k)
+    assert decoded.path == (1,) * 80
+    assert decoded.objective == 80 - k + 1
 
 
 @FAST
