@@ -33,6 +33,12 @@ def emission_likelihood(model: HmmModel, obs) -> np.ndarray:
     return model.emission.likelihood(obs)
 
 
+def _zero_d(rows) -> np.nditer:
+    """0-d views of a (T, 1) array's entries, in row order: numpy reduces into and divides by them about twice as
+    fast as by (1,) views, and order C keeps a reversed slice's order (the default steps in memory order)."""
+    return np.nditer(rows[:, 0], ["zerosize_ok"], [["readwrite"]], order="C")
+
+
 def _rows(tables) -> np.ndarray:
     """The tables stacked along a new leading axis; one table shared by every row is broadcast, not copied."""
     if all(table is tables[0] for table in tables):
@@ -202,9 +208,8 @@ def _forward_backward(model: HmmModel, observations, windows: bool) -> list[Post
     alpha_rows, like_rows, beta_rows, scale_rows = (
         x[0] if one else x.swapaxes(0, 1) for x in (alpha, likes, beta, scaling[..., None])
     )
-    # the scaling factors a loop steps over: 0-d views for a batch of one, as numpy divides by those about twice as
-    # fast as by (1,) views, and (N, 1) views for a batch
-    each = (lambda rows: np.nditer(rows[:, 0], ["zerosize_ok"], [["readwrite"]], order="C")) if one else iter
+    # the scaling factors a loop steps over: 0-d views for a batch of one, (N, 1) views for a batch
+    each = _zero_d if one else iter
     a_row, b_col = np.empty((2, *alpha_rows.shape[1:]))
     a, b = a_row[as_row], b_col[as_col]
     with np.errstate(divide="ignore", invalid="ignore"):  # a vanishing factor is reported below
@@ -245,7 +250,8 @@ def _forward_backward(model: HmmModel, observations, windows: bool) -> list[Post
         np.multiply(alpha_rows[lo + 1 : hi + 1], rows[1:], smooth_rows[lo + 1 : hi + 1])
     np.multiply(alpha_rows[0], rows[0], smooth_rows[0])
     chain = PriorChain(model, horizon)  # its prior marginals are built when a summary first reads them
-    stack = SummaryStack(smoothed, likes, np.log(scaling).sum(axis=1), [chain] * num)
+    log_scaling = np.log(scaling, None if windows else scaling)  # in place when no summary keeps the scaling rows
+    stack = SummaryStack(smoothed, likes, log_scaling.sum(axis=1), [chain] * num)
     kept = zip(alpha, beta, scaling) if windows else [(None, None, None)] * num  # the tables window posteriors read
     return [PosteriorSummary(stack, n, *tables, chain) for n, tables in enumerate(kept)]
 

@@ -45,14 +45,6 @@ def _integers(values, low, high, integer_error: str, range_error: str) -> np.nda
     return values
 
 
-def _checked_indices(obs, size: int, kind: str, what: str, range_error: str) -> np.ndarray:
-    """``obs`` as an int array, after checking it is a 1-d sequence of integers in 0..size-1."""
-    obs = np.asarray(obs)
-    if obs.ndim != 1:
-        raise ValueError(f"{kind} observations must be a 1-d sequence of {what}")
-    return _integers(obs, 0, size - 1, f"{kind} observations must be integer {what}", range_error).astype(int)
-
-
 def _table_violations(table: np.ndarray, row: str, distributions: bool = True) -> list[str]:
     """Violations of a table whose rows are probability distributions (or, with
     ``distributions=False``, only nonnegative): the first row with a non-finite
@@ -72,12 +64,27 @@ def _table_violations(table: np.ndarray, row: str, distributions: bool = True) -
 
 @dataclass
 class _TableEmission:
-    """An emission given by one read-only table, whose log-likelihood is the log of its likelihood."""
+    """An emission given by one read-only table, whose log-likelihood is the log of its likelihood.  A subclass gives
+    ``rows``, the table's state-last view with one row per observation index, and its messages' parts: ``kind`` and
+    ``what`` name the observations, and ``outside``, formatted with the number of rows, is the range error."""
 
     table: np.ndarray
 
     def __post_init__(self):
         self.table = _readonly(self.table)
+
+    @property
+    def num_states(self) -> int:
+        return self.rows.shape[1]
+
+    def likelihood(self, obs) -> np.ndarray:
+        """Likelihood table f[t, s] = rows[obs[t], s], shape (T, K), a new C-contiguous array; raises ValueError
+        unless ``obs`` is a 1-d sequence of integer indices of the rows."""
+        obs, size = np.asarray(obs), len(self.rows)
+        if obs.ndim != 1:
+            raise ValueError(f"{self.kind} observations must be a 1-d sequence of {self.what}")
+        integer_error = f"{self.kind} observations must be integer {self.what}"
+        return self.rows[_integers(obs, 0, size - 1, integer_error, self.outside.format(size)).astype(int)]
 
     def log_likelihood(self, obs) -> np.ndarray:
         return _log(self.likelihood(obs))
@@ -87,22 +94,11 @@ class _TableEmission:
 class Categorical(_TableEmission):
     """Finite-alphabet emissions: ``table[s, m]`` is the probability of symbol m in state s."""
 
-    @property
-    def num_states(self) -> int:
-        return self.table.shape[0]
+    kind, what, outside = "categorical", "symbol indices", "symbol index outside alphabet of size {}"
+    rows = property(lambda self: self.table.T)
 
     def violations(self) -> list[str]:
         return _table_violations(self.table, "emission row {}")
-
-    def likelihood(self, obs) -> np.ndarray:
-        """Likelihood table f[t, s] of the symbol sequence ``obs``, shape (T, K).
-
-        Raises ValueError unless ``obs`` is a 1-d sequence of integer symbols
-        in the alphabet.
-        """
-        m = self.table.shape[1]
-        symbols = _checked_indices(obs, m, "categorical", "symbol indices", f"symbol index outside alphabet of size {m}")
-        return self.table[:, symbols].T.copy()
 
     def sample(self, state_indices, rng) -> np.ndarray:
         cdf = np.cumsum(self.table, axis=1)
@@ -149,8 +145,9 @@ class DiagonalGaussian:
                 f"observation dimension {obs.shape[1]} does not match emission dimension "
                 f"{self.means.shape[1]}"
             )
-        diff = obs[:, None, :] - self.means[None, :, :]
-        ll = -0.5 * (np.log(2.0 * np.pi * self.variances)[None] + diff**2 / self.variances[None])
+        with np.errstate(over="ignore"):  # a far-out point (1e200) overflows to inf, so its density is 0, its log -inf
+            diff = obs[:, None, :] - self.means[None, :, :]
+            ll = -0.5 * (np.log(2.0 * np.pi * self.variances)[None] + diff**2 / self.variances[None])
         return ll.sum(axis=2)
 
     def likelihood(self, obs) -> np.ndarray:
@@ -173,24 +170,11 @@ class DirectLikelihood(_TableEmission):
     points are representable verbatim; it is not generative.
     """
 
-    @property
-    def num_states(self) -> int:
-        return self.table.shape[1]
+    kind, what, outside = "direct-likelihood", "row positions", "position index outside likelihood table of length {}"
+    rows = property(lambda self: self.table)
 
     def violations(self) -> list[str]:
         return _table_violations(self.table, "likelihood table row {}", distributions=False)
-
-    def likelihood(self, obs) -> np.ndarray:
-        """Table rows at the row positions ``obs``, shape (T, K).
-
-        Raises ValueError unless ``obs`` is a 1-d sequence of integer row
-        positions inside the table.
-        """
-        n = self.table.shape[0]
-        positions = _checked_indices(
-            obs, n, "direct-likelihood", "row positions", f"position index outside likelihood table of length {n}"
-        )
-        return self.table[positions]
 
 
 Emission = Categorical | DiagonalGaussian | DirectLikelihood
@@ -291,9 +275,9 @@ def sample_trajectories(model: HmmModel, horizon: int, seeds):
     Row n is drawn from its own ``numpy.random.default_rng(seeds[n])`` stream,
     in the same order as a single draw: ``horizon`` uniforms for the hidden
     chain, then the emissions.  Returns the hidden paths with 1-based state
-    labels as an int array (N, horizon) and the observations stacked along a
-    leading axis.  Raises for direct-likelihood emissions, which are tied to
-    a fixed observation sequence.
+    labels, in the smallest unsigned dtype that holds K, as an (N, horizon)
+    array, and the observations stacked along a leading axis.  Raises for
+    direct-likelihood emissions, which are tied to a fixed observation sequence.
     """
     if isinstance(model.emission, DirectLikelihood):
         raise DirectLikelihoodNotGenerativeError(
@@ -313,7 +297,7 @@ def sample_trajectories(model: HmmModel, horizon: int, seeds):
     first = np.minimum(np.searchsorted(np.cumsum(model.initial), u[:, 0], side="right"), last)
     states = follow(first, moves)
     obs = np.stack([model.emission.sample(path, rng) for path, rng in zip(states, rngs)])
-    return states.astype(int) + 1, obs  # widened first: a uint8 index 255 is state 256
+    return np.add(states, 1, dtype=np.min_scalar_type(model.num_states)), obs  # K = 256 takes uint16: its index 255 is state 256
 
 
 def sample_trajectory(model: HmmModel, horizon: int, seed: int):

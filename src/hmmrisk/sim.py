@@ -83,7 +83,6 @@ def _sample_group(model: HmmModel, horizon: int, seeds, windows: bool = False):
     """True paths and posterior summaries of one group of replicates; the
     summaries keep the forward and backward tables only for ``windows``."""
     truths, observations = sample_trajectories(model, horizon, seeds)
-    truths = truths.astype(np.min_scalar_type(model.num_states))  # labels 1..K; the int64 copy goes before smoothing
     return truths, _forward_backward(model, observations, windows)
 
 

@@ -13,8 +13,10 @@ time loop per variant, on (rows, K, K) scores, and a
 ``transformed_forward_backward`` call, with one exponent, steps without the
 rows axis, on (K, K) scores, 1-d rows and the rescaled variant's 0-d
 norms.  Its reductions run over axes -2 and -1, so one loop body serves
-both.  Rows with q = inf take the maximum only.  Each row does the same
-arithmetic as when it runs alone, so its tables are bit-identical.
+both, and one power-mean step serves the forward pass (axis -2) and the
+backward pass (axis -1).  Rows with q = inf take the maximum only.  Each
+row does the same arithmetic as when it runs alone, so its tables are
+bit-identical.
 Vanishing evidence is absorbing (an all ``-inf`` log row, or a zero
 normalizer, stays so), so it is looked for once, after the recursions, and
 reported at the position where a check after every step would find it.
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ZeroEvidenceError
-from .inference import _log, emission_likelihood
+from .inference import _log, _zero_d, emission_likelihood
 from .model import HmmModel
 
 # Floors for a row maximum m before it is factored out (the initial value of
@@ -93,16 +95,33 @@ def _recursions(model: HmmModel, obs, qs: np.ndarray, rescaled: bool):
     raise_, lower = (np.power, operator.ipow) if rescaled else (np.multiply, operator.itruediv)
     alpha, beta = np.empty((2, rows, horizon, num_states))
     norms = np.empty((horizon, *lead, 1))  # rescaled: norms[t] normalizes step t
-    # a rescaled run with one exponent steps over 0-d views of its norms, which numpy reduces into and divides by about
-    # twice as fast as (1,) views, from an np.nditer (order C keeps a reversed slice's order); others over (rows, 1) views
-    each = iter if lead or not rescaled else (lambda x: np.nditer(x[:, 0], ["zerosize_ok"], [["readwrite"]], order="C"))
+    # a run with one exponent steps over 0-d views of its norms (the plain variant reads none), others over (rows, 1)
+    each = iter if lead else _zero_d
     keepdims = bool(lead)
     # time-major views: alpha_rows[t] is the (rows, K) slice of every row at position t, or one row's K entries
     alpha_rows, beta_rows = (alpha.swapaxes(0, 1), beta.swapaxes(0, 1)) if lead else (alpha[0], beta[0])
     later = np.empty((*lead, num_states))  # later[..., j]: f_{t+1}(j) * beta_{t+1}(j) in the variant's domain
-    # the forward step reduces axis -2 (the previous state), the backward step axis -1 (the next one); each takes
-    # the power mean (sum over the axis of scores**q)**(1/q), in the variant's domain, of the scores over the peak
     forward_factor, backward_factor, later_row = fin_peak[..., None, :], fin_peak[..., None], later[..., None, :]
+
+    def power_mean(axis, factor, cur):  # the forward step reduces axis -2 (the previous state), the backward -1
+        # cur = peak times (sum over the axis of (scores / peak)**q)**(1/q) in the variant's domain, with ``factor``
+        # the peak's view along the axis; q = inf rows take the peak alone
+        if finite < rows:
+            np.maximum.reduce(inf_scores, axis, None, inf_peak)
+        if finite:
+            np.maximum.reduce(fin_scores, axis, None, fin_peak, False, floor)
+            over(fin_scores, factor, fin_scores)
+            for row, q_r in raise_rows:
+                raise_(row, q_r, row)
+            if not rescaled:
+                np.exp(fin_scores, fin_scores)
+            np.add.reduce(fin_scores, axis, None, fin_sums)
+            if not rescaled:
+                np.log(fin_sums, fin_sums)
+            for row, x in lower_rows:
+                lower(row, x)
+        times(peak, sums, cur)
+
     with np.errstate(divide="ignore", invalid="ignore"):  # vanishing evidence is reported below
         alpha_rows[0] = first
         if rescaled:
@@ -110,21 +129,7 @@ def _recursions(model: HmmModel, obs, qs: np.ndarray, rescaled: bool):
             np.divide(alpha_rows[0], norms[0], alpha_rows[0])
         for prev, cur, f, norm in zip(alpha_rows[:-1][..., None], alpha_rows[1:], emission[1:], each(norms[1:])):
             times(prev, trans, scores)
-            if finite < rows:
-                np.maximum.reduce(inf_scores, -2, None, inf_peak)
-            if finite:
-                np.maximum.reduce(fin_scores, -2, None, fin_peak, False, floor)
-                over(fin_scores, forward_factor, fin_scores)
-                for row, q_r in raise_rows:
-                    raise_(row, q_r, row)
-                if not rescaled:
-                    np.exp(fin_scores, fin_scores)
-                np.add.reduce(fin_scores, -2, None, fin_sums)
-                if not rescaled:
-                    np.log(fin_sums, fin_sums)
-                for row, x in lower_rows:
-                    lower(row, x)
-            times(peak, sums, cur)
+            power_mean(-2, forward_factor, cur)
             times(cur, f, cur)
             if rescaled:
                 np.add.reduce(cur, -1, None, norm, keepdims)
@@ -138,21 +143,7 @@ def _recursions(model: HmmModel, obs, qs: np.ndarray, rescaled: bool):
             if rescaled:
                 np.multiply(later, keep, later)
             times(trans, later_row, scores)
-            if finite < rows:
-                np.maximum.reduce(inf_scores, -1, None, inf_peak)
-            if finite:
-                np.maximum.reduce(fin_scores, -1, None, fin_peak, False, floor)
-                over(fin_scores, backward_factor, fin_scores)
-                for row, q_r in raise_rows:
-                    raise_(row, q_r, row)
-                if not rescaled:
-                    np.exp(fin_scores, fin_scores)
-                np.add.reduce(fin_scores, -1, None, fin_sums)
-                if not rescaled:
-                    np.log(fin_sums, fin_sums)
-                for row, x in lower_rows:
-                    lower(row, x)
-            times(peak, sums, cur)
+            power_mean(-1, backward_factor, cur)
             if rescaled:
                 np.divide(cur, norm, cur)
     if rescaled:

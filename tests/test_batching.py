@@ -384,12 +384,16 @@ class TestSamplerBatch:
             np.testing.assert_array_equal(single_obs, loop_obs)
 
     def test_truth_visits_state_256(self):
-        # every state moves to the last one, whose uint8 index is 255
-        transition = np.zeros((256, 256))
-        transition[:, -1] = 1.0
-        model = hr.HmmModel(np.full(256, 1 / 256), transition, hr.Categorical(np.full((256, 2), 0.5)))
-        truths, _ = hr.sample_trajectories(model, 6, range(3))
-        assert np.all(truths[:, 1:] == 256) and np.all(truths >= 1)
+        # every state moves to the last one, whose uint8 index at K = 256 is 255; the labels take the smallest
+        # unsigned dtype that holds K
+        for num_states, dtype in ((255, np.uint8), (256, np.uint16)):
+            transition = np.zeros((num_states, num_states))
+            transition[:, -1] = 1.0
+            emission = hr.Categorical(np.full((num_states, 2), 0.5))
+            model = hr.HmmModel(np.full(num_states, 1 / num_states), transition, emission)
+            truths, _ = hr.sample_trajectories(model, 6, range(3))
+            assert truths.dtype == dtype
+            assert np.all(truths[:, 1:] == num_states) and np.all(truths >= 1)
 
 
 class TestForwardBackwardBatch:

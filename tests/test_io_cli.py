@@ -603,6 +603,23 @@ class TestBadCountsAndNonFiniteInputs:
         model, _, obs_path = self.gaussian_files(tmp_path, "0.1\n\n-2.5\n1e300\n")
         np.testing.assert_array_equal(hio.load_observations(obs_path, model), [0.1, -2.5, 1e300])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("far", ["1e200", "1e308", "-1e308"])
+    @pytest.mark.parametrize(
+        "command",
+        [["decode", "--k", "3"], ["decode", "--k", "inf"], ["decode", "--q", "2"], ["decode", "--q", "2", "--rescaled"],
+         ["sweep", "--q", "2"]],
+        ids=" ".join,
+    )
+    def test_far_out_gaussian_point_is_impossible(self, capsys, tmp_path, command, far):
+        """A point whose squared distance to every mean overflows has density 0 in every state."""
+        _, model_path, obs_path = self.gaussian_files(tmp_path, f"0\n{far}\n0.5\n")
+        code, out, err = run_cli(
+            capsys, command[0], "--model", model_path, "--obs", obs_path, *command[1:], "--out", str(tmp_path / "p.txt")
+        )
+        assert code == 5 and out == ""
+        assert err == "error: observation sequence impossible under the model at t=2\n"
+
     @pytest.mark.parametrize("ks", [None, [2]])
     @pytest.mark.parametrize("horizons", [[0], [5, 0], [-3]])
     def test_horizons_below_one_are_rejected(self, capsys, workdir, horizons, ks):

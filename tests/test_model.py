@@ -200,6 +200,72 @@ class TestSampleTrajectory:
             assert str(info.value) == "horizon must be at least 1"
 
 
+class TestDiagonalGaussian:
+    @pytest.mark.parametrize("far", [1e200, 1e308, -1e308])
+    def test_far_out_point_has_log_density_minus_inf_without_a_warning(self, far):
+        emission = hr.DiagonalGaussian([[0.0], [1.0]], [[1.0], [1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            log_like, like = emission.log_likelihood([0.0, far, 0.5]), emission.likelihood([0.0, far, 0.5])
+        assert np.all(np.isneginf(log_like[1])) and np.all(like[1] == 0.0)
+        np.testing.assert_array_equal(log_like[[0, 2]], emission.log_likelihood([0.0, 0.5]))
+
+
+def _table_emissions(num_states: int, rng):
+    """A categorical emission over 3 symbols and a direct-likelihood one over 4 row positions, with the
+    function that gives each one's likelihood of observation o in state s from its table."""
+    categorical = hr.Categorical(rng.dirichlet(np.ones(3), num_states))
+    direct = hr.DirectLikelihood(rng.uniform(0.0, 2.0, (4, num_states)))
+    return [(categorical, 3, lambda o, s: categorical.table[s, o]), (direct, 4, lambda o, s: direct.table[o, s])]
+
+
+class TestTableEmissions:
+    """Categorical and direct-likelihood emissions gather their likelihood rows from one read-only table."""
+
+    @pytest.mark.parametrize("horizon", [1, 7])
+    @pytest.mark.parametrize("num_states", [1, 2, 256])
+    def test_likelihood_is_the_per_entry_definition_bit_for_bit(self, num_states, horizon):
+        rng = np.random.default_rng(10 * num_states + horizon)
+        for emission, size, entry in _table_emissions(num_states, rng):
+            obs = rng.integers(0, size, horizon)
+            expected = np.array([[entry(o, s) for s in range(num_states)] for o in obs])
+            got = emission.likelihood(obs)
+            assert emission.num_states == num_states
+            assert got.shape == (horizon, num_states) and got.dtype == np.float64
+            np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    def test_likelihood_is_a_new_writable_c_contiguous_array(self):
+        for emission, size, _ in _table_emissions(3, np.random.default_rng(5)):
+            table = emission.table.copy()
+            got = emission.likelihood([size - 1, 0, 1, 1])
+            assert got.flags.c_contiguous and got.flags.writeable
+            assert not np.shares_memory(got, emission.table)
+            got[...] = -1.0
+            np.testing.assert_array_equal(emission.table, table)
+            assert not emission.table.flags.writeable
+
+    @pytest.mark.parametrize(
+        "kind, obs, message",
+        [
+            ("categorical", [[0, 1]], "categorical observations must be a 1-d sequence of symbol indices"),
+            ("categorical", [0, 1.5], "categorical observations must be integer symbol indices"),
+            ("categorical", [0, 3], "symbol index outside alphabet of size 3"),
+            ("categorical", [-1, 0], "symbol index outside alphabet of size 3"),
+            ("direct", 2, "direct-likelihood observations must be a 1-d sequence of row positions"),
+            ("direct", [0, np.nan], "direct-likelihood observations must be integer row positions"),
+            ("direct", [4], "position index outside likelihood table of length 4"),
+            ("direct", [0, -1], "position index outside likelihood table of length 4"),
+        ],
+    )
+    def test_messages(self, kind, obs, message):
+        categorical, direct = (emission for emission, _, _ in _table_emissions(2, np.random.default_rng(0)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError) as info:
+                (categorical if kind == "categorical" else direct).likelihood(obs)
+        assert type(info.value) is ValueError and str(info.value) == message
+
+
 _CATEGORICAL = hr.HmmModel([0.5, 0.5], [[0.9, 0.1], [0.2, 0.8]], hr.Categorical([[0.2, 0.3, 0.5], [0.6, 0.3, 0.1]]))
 _LABELS = "state labels must be integers"
 
