@@ -16,7 +16,8 @@ import math
 import sys
 
 from . import io as hio
-from .decoders import _kblock, alpha_interpolation_decode, decode_many, hybrid_decode, kblock_pvd_decode, viterbi_decode
+from .decoders import _kblock, _reads_windows, alpha_interpolation_decode, decode_many, hybrid_decode
+from .decoders import kblock_pvd_decode, viterbi_decode
 from .errors import (
     DirectLikelihoodNotGenerativeError,
     InstanceTooLargeError,
@@ -25,7 +26,7 @@ from .errors import (
     ParseError,
     ZeroEvidenceError,
 )
-from .inference import forward_backward
+from .inference import _forward_backward
 from .labelling import label_decode
 from .risk import RiskReport, RiskWeights, evaluate_risks, posterior_log_probability
 from .sim import estimate_risk_trajectories, sandwich_constant_sweep
@@ -124,14 +125,21 @@ def _emit(lines: list[str], out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _summary(model, obs, tags=()):
+    """The summary of one sequence, which keeps the forward and backward tables only if one of ``tags`` reads window
+    posteriors (as ``sim`` decides for a group); ``decode``, ``risk`` and ``sweep`` read none."""
+    return _forward_backward(model, [obs], _reads_windows(tags))[0]
+
+
 def _decode_path(args, model, obs, labels):
     """The path ``decode`` writes, its risk report, and its label names (None
-    without --labels).  The power-transform tables are freed before the
-    forward-backward tables are built, and those when this returns."""
+    without --labels).  Its summary is window-free (likelihood and smoothed
+    tables, then the prior marginals the risks read); the power-transform
+    tables are freed before it is built, and it when this returns."""
     if args.q is not None:
         path = symbol_by_symbol_decode(transformed_forward_backward(model, obs, float(args.q), rescaled=args.rescaled))
-        return path, evaluate_risks(forward_backward(model, obs), path), None
-    summary = forward_backward(model, obs)
+        return path, evaluate_risks(_summary(model, obs), path), None
+    summary = _summary(model, obs)
     names = None
     if labels is not None:
         decoded, names = label_decode(summary, labels, _parse_weights(args.weights, args.beta1, args.beta3))
@@ -170,8 +178,7 @@ def _cmd_risk(args) -> int:
     model = hio.load_model(args.model)
     obs = hio.load_observations(args.obs, model)
     path = hio.load_path(args.path)
-    summary = forward_backward(model, obs)
-    report = evaluate_risks(summary, path)
+    report = evaluate_risks(_summary(model, obs), path)
     sys.stdout.write("\n".join(hio.risk_record_lines(report)) + "\n")
     return 0
 
@@ -204,7 +211,7 @@ def _cmd_sweep(args) -> int:
         ]
         _emit(["q,plain_path_hash,rescaled_path_hash,agree"] + lines, args.out)
         return 0
-    summary = forward_backward(model, obs)
+    summary = _summary(model, obs)
     if args.k is not None:
         param, values, decode = "k", _parse_k_range(args.k, summary.horizon), kblock_pvd_decode
     else:
@@ -233,8 +240,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_paper_example(args) -> int:
     model = four_state_model(args.A)
     obs = four_state_observations()
-    summary = forward_backward(model, obs)
     tags = ["viterbi", "pmap", "constrained-pmap", "pvd", "kblock:2", "rabiner:2"]
+    summary = _summary(model, obs, tags)
     out = [f"four-state worked example, A = {hio.fmt(args.A)}"]
     out.append(f"{'decoder':<18} {'path':<12} {'p(path|x)':<16} admissible")
     for (decoded,) in decode_many([summary], tags):

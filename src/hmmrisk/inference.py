@@ -194,7 +194,7 @@ def _forward_backward(model: HmmModel, observations, windows: bool) -> list[Post
     num, num_states = len(observations), model.num_states
     likes = np.empty((num, horizon, num_states))
     for row, obs in zip(likes, observations):
-        row[...] = emission_likelihood(model, obs)
+        model.emission.likelihood(obs, row)
     step = max(1, _BLOCK // (num * num_states * num_states))
     if windows:  # both tables in one allocation
         alpha, beta = np.empty((2, num, horizon, num_states))

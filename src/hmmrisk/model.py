@@ -77,14 +77,16 @@ class _TableEmission:
     def num_states(self) -> int:
         return self.rows.shape[1]
 
-    def likelihood(self, obs) -> np.ndarray:
-        """Likelihood table f[t, s] = rows[obs[t], s], shape (T, K), a new C-contiguous array; raises ValueError
-        unless ``obs`` is a 1-d sequence of integer indices of the rows."""
+    def likelihood(self, obs, out=None) -> np.ndarray:
+        """Likelihood table f[t, s] = rows[obs[t], s], shape (T, K), gathered into ``out`` (else a new C-contiguous
+        array); raises ValueError, with ``out`` unwritten, unless ``obs`` is a 1-d sequence of integer indices of the
+        rows.  The indices are in range by then, so "clip" gathers straight into ``out``, with no buffer."""
         obs, size = np.asarray(obs), len(self.rows)
         if obs.ndim != 1:
             raise ValueError(f"{self.kind} observations must be a 1-d sequence of {self.what}")
         integer_error = f"{self.kind} observations must be integer {self.what}"
-        return self.rows[_integers(obs, 0, size - 1, integer_error, self.outside.format(size)).astype(int)]
+        indices = _integers(obs, 0, size - 1, integer_error, self.outside.format(size)).astype(int)
+        return np.take(self.rows, indices, 0, out, "clip")
 
     def log_likelihood(self, obs) -> np.ndarray:
         return _log(self.likelihood(obs))
@@ -150,9 +152,9 @@ class DiagonalGaussian:
             ll = -0.5 * (np.log(2.0 * np.pi * self.variances)[None] + diff**2 / self.variances[None])
         return ll.sum(axis=2)
 
-    def likelihood(self, obs) -> np.ndarray:
-        """Density table f[t, s] of the observations ``obs``, shape (T, K)."""
-        return np.exp(self.log_likelihood(obs))
+    def likelihood(self, obs, out=None) -> np.ndarray:
+        """Density table f[t, s] of the observations ``obs``, shape (T, K), written into ``out`` if given."""
+        return np.exp(self.log_likelihood(obs), out=out)
 
     def sample(self, state_indices, rng) -> np.ndarray:
         mu = self.means[state_indices]

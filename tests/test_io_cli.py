@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hmmrisk as hr
-from hmmrisk import cli
+from hmmrisk import cli, inference
 from hmmrisk import io as hio
 from hmmrisk.cli import main
 from hmmrisk.decoders import kblock_pvd_decode
@@ -399,7 +405,7 @@ class TestDecodeAndRisk:
         def refuse(*args, **kwargs):
             raise AssertionError("forward_backward ran before the arguments were checked")
 
-        monkeypatch.setattr("hmmrisk.cli.forward_backward", refuse)
+        monkeypatch.setattr("hmmrisk.cli._forward_backward", refuse)
         code, _, err = run_cli(
             capsys, "decode", "--model", model_path, "--obs", obs_path,
             "--labels", str(labels_path), *selector, "--out", str(tmp_path / "x.txt"),
@@ -428,19 +434,37 @@ class TestDecodeAndRisk:
         assert code == 4
         assert err.startswith("error:")
 
-    @pytest.mark.parametrize("selector", [["--k", "3"], ["--q", "2"]])
-    def test_decode_peaks_below_seven_tables(self, capsys, tmp_path, selector):
-        """Five (T, K) tables hold the smoothing: the emission, scaled forward,
-        scaled backward and smoothed tables and the prior marginals.  No log
-        table is kept, and the power-transform tables are freed before they
-        are built."""
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["decode", "--k", "3"],
+            ["decode", "--k", "inf"],
+            ["decode", "--alpha", "0.5"],
+            ["decode", "--weights", "1,0.5,0,0.2"],
+            ["decode", "--weights", "1,1,0,0", "--labels", "{labels}"],
+            ["decode", "--q", "2"],
+            ["decode", "--q", "2", "--rescaled"],
+            ["risk", "--path", "{path}"],
+        ],
+        ids=["k=3", "k=inf", "alpha", "weights", "labels", "q=2", "q=2-rescaled", "risk"],
+    )
+    def test_decode_and_risk_peak_below_five_tables(self, capsys, tmp_path, command):
+        """The summary is window-free: it keeps the emission likelihood and
+        smoothed tables, and the risks add the prior marginals, so three
+        (T, K) tables remain.  The forward-backward pass writes the emission
+        into its table row, keeps no forward or backward table and no log
+        table, and the power-transform tables are freed before it runs."""
         horizon, num_states = 4000, 8
         model = random_categorical_model(np.random.default_rng(4), num_states=num_states, num_symbols=8)
-        _, obs = hr.sample_trajectory(model, horizon, seed=4)
+        path, obs = hr.sample_trajectory(model, horizon, seed=4)
         hio.save_model(model, tmp_path / "m.json")
         hio.save_observations(obs, tmp_path / "o.txt")
-        argv = ["decode", "--model", str(tmp_path / "m.json"), "--obs", str(tmp_path / "o.txt"), *selector]
-        argv += ["--out", str(tmp_path / "p.txt")]
+        (tmp_path / "labels.json").write_text(json.dumps({"labels": {str(s): "AB"[s % 2] for s in range(1, 9)}}))
+        (tmp_path / "path.txt").write_text("".join(f"{s}\n" for s in path))
+        files = {"labels": tmp_path / "labels.json", "path": tmp_path / "path.txt"}
+        command, *options = (arg.format(**files) for arg in command)
+        argv = [command, "--model", str(tmp_path / "m.json"), "--obs", str(tmp_path / "o.txt"), *options]
+        argv += ["--out", str(tmp_path / "p.txt")] if command == "decode" else []
         assert run_cli(capsys, *argv)[0] == 0  # warm: imports and first-call caches stay out of the peak
         tracemalloc.start()
         try:
@@ -450,7 +474,7 @@ class TestDecodeAndRisk:
             tracemalloc.stop()
         capsys.readouterr()
         assert code == 0
-        assert peak < 7 * horizon * num_states * 8, peak / (horizon * num_states * 8)
+        assert peak < 5 * horizon * num_states * 8, peak / (horizon * num_states * 8)
 
 
 class TestSweep:
@@ -798,3 +822,111 @@ class TestBadCountsAndNonFiniteInputs:
         assert code == 7 and seen == [1, 2, 3]
         assert_one_error_line(err)
         assert peak < 1 << 20, peak
+
+
+@st.composite
+def cli_instances(draw):
+    """A small categorical, Gaussian or direct-likelihood model with structural zeros (in the initial distribution
+    too) at ``zero_frac``, its observations and a path of its states.  Sampled observations have positive evidence;
+    the others are drawn apart from the model, so some sequences are impossible, and some Gaussian points lie far
+    out (up to 40, or at 1e200) where densities underflow.  The path is drawn apart from the model too."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    num_states, horizon = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    zero_frac, sampled = draw(st.sampled_from([0.0, 0.3, 0.6])), draw(st.booleans())
+    base = random_categorical_model(rng, num_states, num_symbols=3, zero_frac=zero_frac)
+    initial = base.initial * (rng.random(num_states) >= zero_frac)
+    initial = initial / initial.sum() if initial.sum() > 0 else base.initial
+    emission = draw(st.sampled_from(["categorical", "gaussian", "direct"]))
+    if emission == "gaussian":
+        means, variances = rng.normal(0.0, 2.0, (num_states, 1)), rng.uniform(0.3, 2.0, (num_states, 1))
+        model = hr.HmmModel(initial, base.transition, hr.DiagonalGaussian(means, variances))
+        obs = rng.choice([-1.0, 1.0], horizon) * rng.uniform(0.0, 40.0, horizon)
+        obs[: draw(st.integers(0, 1))] = 1e200
+    elif emission == "direct":
+        table = rng.uniform(0.0, 3.0, (horizon, num_states)) * (rng.random((horizon, num_states)) >= zero_frac)
+        model = hr.HmmModel(initial, base.transition, hr.DirectLikelihood(table))
+        obs = np.arange(horizon) if sampled else rng.permutation(horizon)
+    else:
+        model = hr.HmmModel(initial, base.transition, base.emission)
+        obs = rng.integers(0, 3, horizon)
+    if sampled and emission != "direct":
+        obs = hr.sample_trajectory(model, horizon, int(rng.integers(2**31)))[1]
+    return model, obs, rng.integers(1, num_states + 1, horizon)
+
+
+# every decode selector, then risk and both sweeps that smooth; {labels}, {path} and {out} name the instance's files
+WINDOW_FREE_COMMANDS = [
+    ["decode", "--k", "1", "--out", "{out}"],
+    ["decode", "--k", "2", "--out", "{out}"],
+    ["decode", "--k", "inf", "--out", "{out}"],
+    ["decode", "--alpha", "0.5", "--out", "{out}"],
+    ["decode", "--weights", "1,0.5,0,0.2", "--beta1", "1", "--out", "{out}"],
+    ["decode", "--weights", "1,1,0,0", "--labels", "{labels}", "--out", "{out}"],
+    ["decode", "--q", "2", "--out", "{out}"],
+    ["decode", "--q", "2", "--rescaled", "--out", "{out}"],
+    ["risk", "--path", "{path}"],
+    ["sweep", "--k", "1..T", "--out", "{out}"],
+    ["sweep", "--alpha", "0,0.25,0.5,1", "--out", "{out}"],
+]
+
+
+def run_in_process(argv, out: Path):
+    """Exit code, stdout, stderr and the bytes of ``out`` (None if not written) of one in-process CLI run."""
+    out.unlink(missing_ok=True)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    return code, stdout.getvalue(), stderr.getvalue(), out.read_bytes() if out.exists() else None
+
+
+class TestWindowFreeSummaries:
+    """decode, risk and sweep smooth without the forward and backward tables, which only window posteriors read,
+    and print what the windowed summaries print."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(cli_instances())
+    def test_window_free_runs_print_the_same_bytes(self, instance):
+        model, obs, path = instance
+        flags = []
+
+        def window_free(model, observations, windows):
+            flags.append(windows)
+            return inference._forward_backward(model, observations, windows)
+
+        def windowed(model, observations, windows):
+            flags.append(True)
+            return inference._forward_backward(model, observations, True)
+
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            hio.save_model(model, tmp / "m.json")
+            hio.save_observations(obs, tmp / "o.txt")
+            (tmp / "path.txt").write_text("".join(f"{s}\n" for s in path))
+            labels = {str(s): "AB"[s % 2] for s in range(1, model.num_states + 1)}
+            (tmp / "labels.json").write_text(json.dumps({"labels": labels}))
+            files = {"labels": tmp / "labels.json", "path": tmp / "path.txt", "out": tmp / "out.txt"}
+            for command, *options in WINDOW_FREE_COMMANDS:
+                argv = [command, "--model", str(tmp / "m.json"), "--obs", str(tmp / "o.txt")]
+                argv += [option.format(**files) for option in options]
+                outcomes = []
+                for smoothing in (window_free, windowed):
+                    with pytest.MonkeyPatch.context() as patch:
+                        patch.setattr(cli, "_forward_backward", smoothing)
+                        outcomes.append(run_in_process(argv, files["out"]))
+                assert flags in ([], [False, True]), (argv, flags)  # neither run smoothed, or each did once
+                assert outcomes[0] == outcomes[1], argv
+                del flags[:]
+
+    def test_paper_example_keeps_its_window_tables(self, capsys, monkeypatch):
+        """paper-example decodes rabiner:2, whose block posteriors read the forward and backward tables."""
+        flags = []
+
+        def smoothing(model, observations, windows):
+            flags.append(windows)
+            return inference._forward_backward(model, observations, windows)
+
+        monkeypatch.setattr(cli, "_forward_backward", smoothing)
+        code, out, err = run_cli(capsys, "paper-example")
+        assert (code, err, flags) == (0, "", [True])
+        assert "rabiner k=2" in out
+

@@ -219,6 +219,19 @@ def _table_emissions(num_states: int, rng):
     return [(categorical, 3, lambda o, s: categorical.table[s, o]), (direct, 4, lambda o, s: direct.table[o, s])]
 
 
+# (emission kind, observations, the ValueError message likelihood raises on them)
+_BAD_INDICES = [
+    ("categorical", [[0, 1]], "categorical observations must be a 1-d sequence of symbol indices"),
+    ("categorical", [0, 1.5], "categorical observations must be integer symbol indices"),
+    ("categorical", [0, 3], "symbol index outside alphabet of size 3"),
+    ("categorical", [-1, 0], "symbol index outside alphabet of size 3"),
+    ("direct", 2, "direct-likelihood observations must be a 1-d sequence of row positions"),
+    ("direct", [0, np.nan], "direct-likelihood observations must be integer row positions"),
+    ("direct", [4], "position index outside likelihood table of length 4"),
+    ("direct", [0, -1], "position index outside likelihood table of length 4"),
+]
+
+
 class TestTableEmissions:
     """Categorical and direct-likelihood emissions gather their likelihood rows from one read-only table."""
 
@@ -244,19 +257,7 @@ class TestTableEmissions:
             np.testing.assert_array_equal(emission.table, table)
             assert not emission.table.flags.writeable
 
-    @pytest.mark.parametrize(
-        "kind, obs, message",
-        [
-            ("categorical", [[0, 1]], "categorical observations must be a 1-d sequence of symbol indices"),
-            ("categorical", [0, 1.5], "categorical observations must be integer symbol indices"),
-            ("categorical", [0, 3], "symbol index outside alphabet of size 3"),
-            ("categorical", [-1, 0], "symbol index outside alphabet of size 3"),
-            ("direct", 2, "direct-likelihood observations must be a 1-d sequence of row positions"),
-            ("direct", [0, np.nan], "direct-likelihood observations must be integer row positions"),
-            ("direct", [4], "position index outside likelihood table of length 4"),
-            ("direct", [0, -1], "position index outside likelihood table of length 4"),
-        ],
-    )
+    @pytest.mark.parametrize("kind, obs, message", _BAD_INDICES)
     def test_messages(self, kind, obs, message):
         categorical, direct = (emission for emission, _, _ in _table_emissions(2, np.random.default_rng(0)))
         with warnings.catch_warnings():
@@ -264,6 +265,61 @@ class TestTableEmissions:
             with pytest.raises(ValueError) as info:
                 (categorical if kind == "categorical" else direct).likelihood(obs)
         assert type(info.value) is ValueError and str(info.value) == message
+
+
+def _emissions_and_observations(num_states: int, rng):
+    """The categorical and direct-likelihood emissions of _table_emissions and a Gaussian one, each with seven
+    observations; the Gaussian's include far-out points (1e200), whose likelihood is 0 in every state."""
+    cases = [(emission, rng.integers(0, size, 7)) for emission, size, _ in _table_emissions(num_states, rng)]
+    gaussian = hr.DiagonalGaussian(rng.normal(0.0, 2.0, (num_states, 1)), rng.uniform(0.3, 2.0, (num_states, 1)))
+    return cases + [(gaussian, np.array([0.0, 1e200, -1.5, 0.3, -1e200, 2.0, 0.7]))]
+
+
+class TestLikelihoodInto:
+    """``likelihood(obs, out)`` writes the table into ``out``, as forward-backward writes each sequence's emission
+    into its row of an (N, T, K) table; ``out=None`` returns a new table."""
+
+    @pytest.mark.parametrize("num_states", [1, 3, 256])
+    def test_a_table_row_gets_the_bits_of_a_new_table(self, num_states):
+        for emission, obs in _emissions_and_observations(num_states, np.random.default_rng(num_states)):
+            tables = np.full((3, len(obs), num_states), -1.0)
+            row = tables[1]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert emission.likelihood(obs, row) is row
+                expected = emission.likelihood(obs)
+            assert row.tobytes() == expected.tobytes()
+            assert np.all(tables[[0, 2]] == -1.0)
+            if isinstance(emission, hr.DiagonalGaussian):
+                assert np.all(row[[1, 4]] == 0.0) and np.all(row[[0, 2, 3, 5, 6]] > 0.0)
+
+    @pytest.mark.parametrize("kind, obs, message", _BAD_INDICES)
+    def test_a_bad_index_raises_its_message_and_leaves_out_unwritten(self, kind, obs, message):
+        categorical, direct = (emission for emission, _, _ in _table_emissions(2, np.random.default_rng(0)))
+        tables = np.full((2, np.size(obs), 2), -1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError) as info:
+                (categorical if kind == "categorical" else direct).likelihood(obs, tables[1])
+        assert type(info.value) is ValueError and str(info.value) == message
+        assert np.all(tables == -1.0)
+
+    def test_a_gaussian_of_another_dimension_leaves_out_unwritten(self):
+        emission = hr.DiagonalGaussian([[0.0], [1.0]], [[1.0], [1.0]])
+        tables = np.full((2, 3, 2), -1.0)
+        with pytest.raises(ValueError, match="observation dimension 2 does not match emission dimension 1"):
+            emission.likelihood(np.zeros((3, 2)), tables[0])
+        assert np.all(tables == -1.0)
+
+    def test_without_out_the_gaussian_table_is_a_new_writable_c_contiguous_array(self):
+        emission = hr.DiagonalGaussian([[0.0], [1.0]], [[1.0], [0.5]])
+        means, variances = emission.means.copy(), emission.variances.copy()
+        got = emission.likelihood([0.5, 1e200, -0.2])
+        assert got.flags.c_contiguous and got.flags.writeable
+        assert not np.shares_memory(got, emission.means) and not np.shares_memory(got, emission.variances)
+        got[...] = -1.0
+        np.testing.assert_array_equal(emission.means, means)
+        np.testing.assert_array_equal(emission.variances, variances)
 
 
 _CATEGORICAL = hr.HmmModel([0.5, 0.5], [[0.9, 0.1], [0.2, 0.8]], hr.Categorical([[0.2, 0.3, 0.5], [0.6, 0.3, 0.1]]))
