@@ -4,9 +4,9 @@ Commands: decode, risk, sweep, simulate, paper-example.  All numeric output
 uses 12 significant digits, file formats are documented in the io module, and
 every run is deterministic given identical inputs and seeds.
 
-Exit codes: 0 success, 2 usage, 3 parse error, 4 missing file, 5 zero
-evidence, 6 no finite path, 7 k out of range, 8 instance too large,
-9 non-generative model, 10 invalid parameter combination.
+Exit codes: 0 success, 2 usage, 3 parse error, 4 missing or unreadable
+file, 5 zero evidence, 6 no finite path, 7 k out of range, 8 instance too
+large, 9 non-generative model, 10 invalid parameter combination.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import math
 import sys
 
 from . import io as hio
-from .decoders import _kblock, _reads_windows, alpha_interpolation_decode, decode_many, hybrid_decode
+from .decoders import _kblock, _summaries, alpha_interpolation_decode, decode_many, hybrid_decode
 from .decoders import kblock_pvd_decode, viterbi_decode
 from .errors import (
     DirectLikelihoodNotGenerativeError,
@@ -26,7 +26,6 @@ from .errors import (
     ParseError,
     ZeroEvidenceError,
 )
-from .inference import _forward_backward
 from .labelling import label_decode
 from .risk import RiskReport, RiskWeights, evaluate_risks, posterior_log_probability
 from .sim import estimate_risk_trajectories, sandwich_constant_sweep
@@ -35,7 +34,7 @@ from .worked_example import four_state_model, four_state_observations
 
 _ERROR_CODES = [
     (ParseError, 3),
-    (FileNotFoundError, 4),
+    (OSError, 4),
     (ZeroEvidenceError, 5),
     (NoFinitePathError, 6),
     (KOutOfRangeError, 7),
@@ -72,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="sweep k, alpha, or q grids on one instance")
     sweep.add_argument("--model", required=True)
     sweep.add_argument("--obs", required=True)
-    sweep.add_argument("--k", help="integer range a..b (b may be 'T')")
+    sweep.add_argument("--k", help="integer range a..b (b may be 'T') or a comma list")
     sweep.add_argument("--alpha", help="comma list of values in [0, 1]")
     sweep.add_argument("--q", help="comma list of exponents, 'inf' allowed")
     sweep.add_argument("--out", help="CSV output file (default stdout)")
@@ -125,21 +124,15 @@ def _emit(lines: list[str], out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _summary(model, obs, tags=()):
-    """The summary of one sequence, which keeps the forward and backward tables only if one of ``tags`` reads window
-    posteriors (as ``sim`` decides for a group); ``decode``, ``risk`` and ``sweep`` read none."""
-    return _forward_backward(model, [obs], _reads_windows(tags))[0]
-
-
 def _decode_path(args, model, obs, labels):
     """The path ``decode`` writes, its risk report, and its label names (None
     without --labels).  Its summary is window-free (likelihood and smoothed
     tables, then the prior marginals the risks read); the power-transform
-    tables are freed before it is built, and it when this returns."""
+    tables are freed before it is built, and the summary when this returns."""
     if args.q is not None:
         path = symbol_by_symbol_decode(transformed_forward_backward(model, obs, float(args.q), rescaled=args.rescaled))
-        return path, evaluate_risks(_summary(model, obs), path), None
-    summary = _summary(model, obs)
+        return path, evaluate_risks(_summaries(model, [obs])[0], path), None
+    summary = _summaries(model, [obs])[0]
     names = None
     if labels is not None:
         decoded, names = label_decode(summary, labels, _parse_weights(args.weights, args.beta1, args.beta3))
@@ -178,7 +171,7 @@ def _cmd_risk(args) -> int:
     model = hio.load_model(args.model)
     obs = hio.load_observations(args.obs, model)
     path = hio.load_path(args.path)
-    report = evaluate_risks(_summary(model, obs), path)
+    report = evaluate_risks(_summaries(model, [obs])[0], path)
     sys.stdout.write("\n".join(hio.risk_record_lines(report)) + "\n")
     return 0
 
@@ -211,7 +204,7 @@ def _cmd_sweep(args) -> int:
         ]
         _emit(["q,plain_path_hash,rescaled_path_hash,agree"] + lines, args.out)
         return 0
-    summary = _summary(model, obs)
+    summary = _summaries(model, [obs])[0]
     if args.k is not None:
         param, values, decode = "k", _parse_k_range(args.k, summary.horizon), kblock_pvd_decode
     else:
@@ -241,7 +234,7 @@ def _cmd_paper_example(args) -> int:
     model = four_state_model(args.A)
     obs = four_state_observations()
     tags = ["viterbi", "pmap", "constrained-pmap", "pvd", "kblock:2", "rabiner:2"]
-    summary = _summary(model, obs, tags)
+    summary = _summaries(model, [obs], tags)[0]
     out = [f"four-state worked example, A = {hio.fmt(args.A)}"]
     out.append(f"{'decoder':<18} {'path':<12} {'p(path|x)':<16} admissible")
     for (decoded,) in decode_many([summary], tags):

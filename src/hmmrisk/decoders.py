@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InstanceTooLargeError, KOutOfRangeError
-from .inference import PosteriorSummary, SummaryStack, _log, forward_backward, log_window_posterior, stack_of
+from .inference import PosteriorSummary, SummaryStack, _forward_backward, _log, log_window_posterior, stack_of
 from .lattice import TIE_TOL, best_path, near_max, rabiner_walk
 from .model import HmmModel, check_integer
 from .risk import (
@@ -64,23 +64,22 @@ def _finish(stack, tag: str, idx, objective) -> list[DecodedPath]:
 @dataclass(frozen=True)
 class _Decoder:
     """A decoder of the risk-based class, callable on one summary, the group
-    of one.  ``solve(summaries, stack, lattice)`` returns the group's (N, T)
-    block of 0-based paths and their N objective values, or the name of the
-    RiskReport field that holds them.  A lattice decoder's solve takes its
-    block from ``lattice``, the group's one max-sum generator, which reads
-    its ``gains(summary, at)``, the gains at the positions of the slice
-    ``at``, and ``scores(summary)``, the initial and transition scores, of a
-    summary or, with a leading axis, of a SummaryStack; ``objective`` names
-    the RiskReport field that holds its objective, or is None for the
-    minimized combined risk, -score / T.  ``windows`` is true when solve reads
-    window posteriors, which need the summaries' forward and backward tables.
+    of one.  A lattice decoder's (N, T) block of 0-based paths and N objective
+    values come from the group's one max-sum call, which reads its
+    ``gains(summary, at)``, the gains at the positions of the slice ``at``, and
+    ``scores(summary)``, the initial and transition scores, of a summary or,
+    with a leading axis, of a SummaryStack; ``objective`` names the RiskReport
+    field that holds its objective, or is None for the minimized combined
+    risk, -score / T.  Any other decoder's ``solve(summaries, stack)`` returns
+    its block and its values, or the field that holds them.  ``windows`` is
+    true when solve reads window posteriors (forward and backward tables).
     """
 
     tag: str
     gains: Callable | None = None
     scores: Callable | None = None
     objective: str | None = None
-    solve: Callable = lambda summaries, stack, lattice: next(lattice)
+    solve: Callable | None = None
     windows: bool = False
 
     def __call__(self, summary: PosteriorSummary) -> DecodedPath:
@@ -187,10 +186,10 @@ def viterbi(model: HmmModel, obs) -> tuple[int, ...]:
 
     Raises ZeroEvidenceError when the observations are impossible under the model.
     """
-    return viterbi_decode(forward_backward(model, obs)).path
+    return _VITERBI(_summaries(model, [obs])[0]).path
 
 
-_PMAP = _Decoder("pmap", solve=lambda summaries, stack, lattice: (near_max(stack.smoothed, 2)[1], "r1_posterior"))
+_PMAP = _Decoder("pmap", solve=lambda summaries, stack: (near_max(stack.smoothed, 2)[1], "r1_posterior"))
 
 
 def pmap_decode(summary: PosteriorSummary) -> DecodedPath:
@@ -284,7 +283,7 @@ def _window_blocks(summary: PosteriorSummary, k: int):
 
 
 def _rabiner(k: int) -> _Decoder:
-    def solve(summaries, stack: SummaryStack, lattice):
+    def solve(summaries, stack: SummaryStack):
         width = _check_k(k, stack.horizon)
         if stack.num_states**width > BLOCK_STATE_CAP:  # a window block and the walk buffer hold K^k floats per start
             raise KOutOfRangeError(f"K^k exceeds the tabulation cap for k={width}")
@@ -411,6 +410,11 @@ def _reads_windows(tags) -> bool:
     return any(_parse_tag(tag).windows for tag in tags)
 
 
+def _summaries(model: HmmModel, observations, tags=()) -> list[PosteriorSummary]:
+    """The summaries a decode request smooths, with window tables only if one of ``tags`` reads them."""
+    return _forward_backward(model, observations, _reads_windows(tags))
+
+
 def decode_many(summaries, tags):
     """Decode every summary with every tag understood by resolve_decoder.
 
@@ -434,4 +438,4 @@ def _decode_group(summaries, decoders):
     stack = stack_of(summaries)  # which applies the one-horizon rule
     lattice = _lattice(summaries, [d for d in decoders if d.gains], stack)  # runs at its first next
     for decoder in decoders:
-        yield _finish(stack, decoder.tag, *decoder.solve(summaries, stack, lattice))
+        yield _finish(stack, decoder.tag, *(next(lattice) if decoder.gains else decoder.solve(summaries, stack)))

@@ -29,8 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoders import _reads_windows, decode_many
-from .inference import _forward_backward
+from .decoders import _reads_windows, _summaries, decode_many
 from .lattice import TIE_TOL
 from .model import HmmModel, sample_trajectories
 from .risk import RiskReport
@@ -79,15 +78,15 @@ def _groups(model: HmmModel, horizon: int, replicates: int, seed: int, windows: 
         yield lo, range(seed + lo, seed + min(lo + size, replicates))
 
 
-def _sample_group(model: HmmModel, horizon: int, seeds, windows: bool = False):
-    """True paths and posterior summaries of one group of replicates; the
-    summaries keep the forward and backward tables only for ``windows``."""
+def _sample_group(model: HmmModel, horizon: int, seeds, tags=()):
+    """True paths and posterior summaries of one group of replicates, the
+    summaries ``tags`` read; the observations are freed on return."""
     truths, observations = sample_trajectories(model, horizon, seeds)
-    return truths, _forward_backward(model, observations, windows)
+    return truths, _summaries(model, observations, tags)
 
 
 def _record_group(values, model, tags, horizon, seeds, lo) -> None:
-    truths, summaries = _sample_group(model, horizon, seeds, _reads_windows(tags))
+    truths, summaries = _sample_group(model, horizon, seeds, tags)
     rows = slice(lo, lo + len(truths))
     per_tag = decode_many(summaries, tags)
     for tag in tags:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from hmmrisk.decoders import combined_score_tables
 from hmmrisk.errors import InstanceTooLargeError, KOutOfRangeError, NoFinitePathError
 from hmmrisk.lattice import best_path
 
-from conftest import all_paths, random_instance
+from conftest import all_paths, random_categorical_model, random_instance
 
 
 def random_weights(rng):
@@ -237,6 +239,25 @@ class TestRabinerBlockDecode:
             hr.rabiner_block_decode(summary, 20)
         decoded = hr.rabiner_block_decode(summary, 19)
         assert len(decoded.path) == 20
+
+
+class TestViterbiPeak:
+    def test_viterbi_smooths_window_free(self):
+        """viterbi(model, obs) keeps no forward or backward table: its summary
+        holds the emission likelihood and smoothed tables, so its peak stays
+        below 4.5 (T, K) float64 tables, where the windowed tables gave 5.6."""
+        horizon, num_states = 4000, 8
+        model = random_categorical_model(np.random.default_rng(4), num_states=num_states, num_symbols=8)
+        _, obs = hr.sample_trajectory(model, horizon, seed=4)
+        expected = hr.viterbi(model, obs)  # warm: imports and first-call caches stay out of the peak
+        tracemalloc.start()
+        try:
+            path = hr.viterbi(model, obs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path == expected == hr.viterbi_decode(hr.forward_backward(model, obs)).path
+        assert peak < 4.5 * horizon * num_states * 8, peak / (horizon * num_states * 8)
 
 
 class TestAdmissibility:

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hmmrisk as hr
-from hmmrisk import cli, inference
+from hmmrisk import cli, decoders, inference
 from hmmrisk import io as hio
 from hmmrisk.cli import main
 from hmmrisk.decoders import kblock_pvd_decode
@@ -405,7 +405,7 @@ class TestDecodeAndRisk:
         def refuse(*args, **kwargs):
             raise AssertionError("forward_backward ran before the arguments were checked")
 
-        monkeypatch.setattr("hmmrisk.cli._forward_backward", refuse)
+        monkeypatch.setattr("hmmrisk.decoders._forward_backward", refuse)
         code, _, err = run_cli(
             capsys, "decode", "--model", model_path, "--obs", obs_path,
             "--labels", str(labels_path), *selector, "--out", str(tmp_path / "x.txt"),
@@ -433,6 +433,49 @@ class TestDecodeAndRisk:
         )
         assert code == 4
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "command, option",
+        [(command, option) for command in ("decode", "risk", "sweep") for option in ("--model", "--obs")]
+        + [("simulate", "--model"), ("decode", "--labels"), ("risk", "--path")]
+        + [(command, "--out") for command in ("decode", "sweep", "simulate")],
+    )
+    def test_a_directory_given_as_a_file_exits_4(self, capsys, workdir, tmp_path, command, option):
+        _, _, obs, model_path, obs_path = workdir
+        labels, path, out, directory = (str(tmp_path / name) for name in ("labels.json", "path.txt", "x.txt", "dir"))
+        Path(labels).write_text(json.dumps({"labels": {"1": "hot", "2": "cold"}}))
+        Path(path).write_text("1\n" * len(obs))
+        Path(directory).mkdir()
+        files = ["--model", model_path, "--obs", obs_path]
+        argv = {
+            "decode": [*files, "--weights", "1,1,0,0", "--labels", labels, "--out", out],
+            "risk": [*files, "--path", path],
+            "sweep": [*files, "--k", "1..2", "--out", out],
+            "simulate": ["--model", model_path, "--horizons", "5", "--replicates", "2", "--out", out],
+        }[command]
+        argv = [command, *argv]
+        assert run_cli(capsys, *argv)[0] == 0  # the files as given are valid
+        argv[argv.index(option) + 1] = str(directory)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (4, "")
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_path_file_blank_lines_are_skipped(self, capsys, workdir, tmp_path):
+        _, _, obs, model_path, obs_path = workdir
+        states = [1 + i % 2 for i in range(len(obs))]
+        plain, spaced = tmp_path / "plain.txt", tmp_path / "spaced.txt"
+        plain.write_text("".join(f"{s}\n" for s in states))
+        spaced.write_text("\n" + "".join(f"{s}\n  \n" for s in states) + "\n")
+        outcomes = [run_cli(capsys, "risk", "--model", model_path, "--obs", obs_path, "--path", str(f)) for f in (plain, spaced)]
+        assert outcomes[0][0] == 0 and outcomes[0] == outcomes[1]
+
+    def test_blank_only_path_file_exit_code(self, capsys, workdir, tmp_path):
+        _, _, _, model_path, obs_path = workdir
+        blank = tmp_path / "blank.txt"
+        blank.write_text("\n  \n\t\n")
+        code, out, err = run_cli(capsys, "risk", "--model", model_path, "--obs", obs_path, "--path", str(blank))
+        assert (code, out) == (3, "")
+        assert err == f"error: {blank}: empty path file\n"
 
     @pytest.mark.parametrize(
         "command",
@@ -491,6 +534,20 @@ class TestSweep:
         col = header.index("posterior_log_prob")
         values = [float(r.split(",")[col]) for r in rows[1:]]
         assert all(b >= a - 1e-9 for a, b in zip(values[:-1], values[1:]))
+
+    def test_k_comma_list(self, capsys, workdir):
+        _, _, _, model_path, obs_path = workdir
+        sweep = ["sweep", "--model", model_path, "--obs", obs_path, "--k"]
+        code, ranged, _ = run_cli(capsys, *sweep, "2..4")
+        assert code == 0
+        header, *rows = ranged.splitlines()
+        code, listed, _ = run_cli(capsys, *sweep, "2,4")
+        assert (code, listed.splitlines()) == (0, [header, rows[0], rows[2]])
+        code, single, _ = run_cli(capsys, *sweep, "3")
+        assert (code, single.splitlines()) == (0, [header, rows[1]])
+        code, out, err = run_cli(capsys, *sweep, "0,2")
+        assert (code, out) == (7, "")
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
     def test_alpha_sweep(self, capsys, workdir):
         _, _, _, model_path, obs_path = workdir
@@ -911,7 +968,7 @@ class TestWindowFreeSummaries:
                 outcomes = []
                 for smoothing in (window_free, windowed):
                     with pytest.MonkeyPatch.context() as patch:
-                        patch.setattr(cli, "_forward_backward", smoothing)
+                        patch.setattr(decoders, "_forward_backward", smoothing)
                         outcomes.append(run_in_process(argv, files["out"]))
                 assert flags in ([], [False, True]), (argv, flags)  # neither run smoothed, or each did once
                 assert outcomes[0] == outcomes[1], argv
@@ -925,7 +982,7 @@ class TestWindowFreeSummaries:
             flags.append(windows)
             return inference._forward_backward(model, observations, windows)
 
-        monkeypatch.setattr(cli, "_forward_backward", smoothing)
+        monkeypatch.setattr(decoders, "_forward_backward", smoothing)
         code, out, err = run_cli(capsys, "paper-example")
         assert (code, err, flags) == (0, "", [True])
         assert "rabiner k=2" in out
