@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InstanceTooLargeError, KOutOfRangeError
 from .inference import PosteriorSummary, SummaryStack, _forward_backward, _log, log_window_posterior, stack_of
-from .lattice import TIE_TOL, best_path, near_max, rabiner_walk
+from .lattice import TIE_TOL, _digits, best_path, near_max, rabiner_walk
 from .model import HmmModel, check_integer
 from .risk import (
     RiskReport,
@@ -256,16 +256,6 @@ def alpha_interpolation_decode(summary: PosteriorSummary, alpha: float) -> Decod
     return _alpha(alpha)(summary)
 
 
-def _digits_range(base: int, width: int, start: int, stop: int) -> np.ndarray:
-    """Base-``base`` digit matrix (most significant first) of range(start, stop)."""
-    digits = np.empty((stop - start, width), dtype=int)
-    idx = np.arange(start, stop)
-    for pos in range(width - 1, -1, -1):
-        digits[:, pos] = idx % base
-        idx = idx // base
-    return digits
-
-
 def _window_blocks(summary: PosteriorSummary, k: int):
     """Linear-domain block posteriors of every k-tuple (column, in base-K digit
     order) at the window starts (rows), in blocks of about ``_CHUNK`` elements,
@@ -350,10 +340,10 @@ def brute_force_decode(summary: PosteriorSummary, objective, k: int | None = Non
 
     best = np.inf
     for lo in range(0, n_paths, _CHUNK):
-        chunk = _digits_range(num_states, horizon, lo, min(lo + _CHUNK, n_paths)) + 1
+        chunk = _digits(np.arange(lo, min(lo + _CHUNK, n_paths)), num_states, horizon) + 1
         best = min(best, float((sign * values_fn(chunk)).min()))
     for lo in range(0, n_paths, _CHUNK):
-        chunk = _digits_range(num_states, horizon, lo, min(lo + _CHUNK, n_paths)) + 1
+        chunk = _digits(np.arange(lo, min(lo + _CHUNK, n_paths)), num_states, horizon) + 1
         vals = sign * values_fn(chunk)
         hits = np.flatnonzero(vals <= best + TIE_TOL)
         if len(hits):

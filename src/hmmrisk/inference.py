@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ZeroEvidenceError
 from .lattice import _BLOCK
-from .model import HmmModel, _log, check_integer, check_state_path, prior_marginals
+from .model import HmmModel, _log, check_horizon, check_integer, check_state_path, prior_marginals
 
 
 def emission_likelihood(model: HmmModel, obs) -> np.ndarray:
@@ -141,7 +141,7 @@ class PriorChain(PosteriorSummary):
     stack = row = None  # no forward_backward_many call made it
 
     def __init__(self, model: HmmModel, horizon: int):
-        ones = np.broadcast_to(1.0, (horizon, model.num_states))
+        ones = np.broadcast_to(1.0, (check_horizon(horizon), model.num_states))
         self.model, self.log_evidence = model, 0.0
         self.emission_likelihood, self.scaled_backward, self.scaling = ones, ones, ones[:, 0]
         self.log_initial, self.log_transition = _log(model.initial), _log(model.transition)

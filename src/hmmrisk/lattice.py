@@ -175,6 +175,12 @@ def best_path(gains, init_extra: np.ndarray, trans: np.ndarray):
     return (path[0], float(best[0])) if ndim == 2 else (path, best)
 
 
+def _digits(values, base: int, width: int) -> np.ndarray:
+    """The ``width`` base-``base`` digits of each of ``values``, most significant first, on a new last axis:
+    one flat expression, with no ``width``-axis mesh to pass numpy's axis limit."""
+    return np.asarray(values)[..., None] // base ** np.arange(width - 1, -1, -1) % base
+
+
 def rabiner_walk(blocks, num_states: int, k: int) -> np.ndarray:
     """0-based path of length (window starts) + k - 1 maximizing the summed
     window gains, lexicographically smallest under the tie rule.  ``blocks``
@@ -198,5 +204,4 @@ def rabiner_walk(blocks, num_states: int, k: int) -> np.ndarray:
         nodes.append((successors + offsets).astype(np.min_scalar_type(n_tuples - 1)))
     start = int(near_max(phi[0].reshape(-1), axis=0)[1])
     tuples = follow(np.array([start]), np.concatenate(nodes[::-1]).reshape(-1, 1, n_tuples))[0].astype(int)  # K = 256 does not fit uint8
-    # the start tuple's base-K digits, most significant first, with no (k - 1)-axis shape past numpy's axis limit
-    return np.concatenate((start // num_states ** np.arange(k - 2, -1, -1) % num_states, tuples[1:] % num_states))
+    return np.concatenate((_digits(start, num_states, k - 1), tuples[1:] % num_states))

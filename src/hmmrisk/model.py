@@ -238,8 +238,7 @@ def prior_marginals(model: HmmModel, horizon: int) -> np.ndarray:
     row equals it; the loop looks for that every ``_SETTLE_CHECK`` steps and
     fills the rest.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
+    horizon = check_horizon(horizon)
     out = np.empty((horizon, model.num_states))
     out[0] = model.initial
     bits = out.view(np.uint64)
@@ -266,9 +265,16 @@ def check_state_path(path, num_states: int) -> np.ndarray:
 
 
 def check_integer(value, what: str) -> int:
-    """A 1-based position or state, or a window length, by the integer rule: an integral value (2 or 2.0) as an int."""
+    """A 1-based position or state, a length or a count, by the integer rule: an integral value (2 or 2.0) as an int."""
     message = f"{what} must be an integer, got {value}"
     return int(_integers(value, -np.inf, np.inf, message, message))
+
+
+def check_horizon(horizon) -> int:
+    """A sequence length by the integer rule, as an int; raises ValueError below 1."""
+    if (horizon := check_integer(horizon, "horizon")) < 1:
+        raise ValueError("horizon must be at least 1")
+    return horizon
 
 
 def sample_trajectories(model: HmmModel, horizon: int, seeds):
@@ -285,9 +291,10 @@ def sample_trajectories(model: HmmModel, horizon: int, seeds):
         raise DirectLikelihoodNotGenerativeError(
             "cannot sample trajectories from a direct-likelihood model"
         )
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
+    horizon = check_horizon(horizon)
     rngs = [np.random.default_rng(seed) for seed in seeds]
+    if not rngs:
+        raise ValueError("at least one seed is needed")
     u = np.empty((len(rngs), horizon))
     for row, rng in zip(u, rngs):
         rng.random(out=row)

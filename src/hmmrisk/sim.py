@@ -18,9 +18,9 @@ uint8 labels at K <= 255.  ``_GROUP_CELLS`` is 80,000: a group of 20 at
 T = 2000, K = 2 and five tags that read no windows peaks at about 2.6 MB
 (tracemalloc), 4.0 (T, K) float64 tables per replicate; with ``rabiner:2``
 a group holds 10, and at T = 2000, K = 32 one replicate.
-Horizons must be at least 1; trajectories need at least 2 replicates (for
-standard deviations) and at least one decoder tag, the gap sweep at least 1
-replicate.
+Horizons must be integers of at least 1; trajectories need at least 2
+replicates (for standard deviations) and at least one decoder tag, the gap
+sweep at least 1 replicate.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 
 from .decoders import _reads_windows, _summaries, decode_many
 from .lattice import TIE_TOL
-from .model import HmmModel, sample_trajectories
+from .model import HmmModel, check_horizon, check_integer, sample_trajectories
 from .risk import RiskReport
 
 METRICS = ("empirical_error",) + RiskReport.FIELDS
@@ -56,13 +56,6 @@ class RiskTrajectory:
             if row["horizon"] == horizon and row["decoder_tag"] == decoder and row["metric"] == metric:
                 return row["mean"], row["sd"]
         raise KeyError((horizon, decoder, metric))
-
-
-def _horizons(horizons) -> tuple[int, ...]:
-    horizons = tuple(int(t) for t in horizons)
-    if any(t < 1 for t in horizons):
-        raise ValueError("horizon must be at least 1")
-    return horizons
 
 
 def _groups(model: HmmModel, horizon: int, replicates: int, seed: int, windows: bool = False):
@@ -109,9 +102,9 @@ def estimate_risk_trajectories(
     RiskReport) and against the true sampled path (empirical_error, the
     fraction of misclassified positions).
     """
-    if replicates < 2:
+    if (replicates := check_integer(replicates, "replicates")) < 2:
         raise ValueError("at least 2 replicates are needed for standard deviations")
-    horizons = _horizons(horizons)
+    horizons = tuple(map(check_horizon, horizons))
     tags = tuple(decoders)
     if not tags:
         raise ValueError("no decoder tags")
@@ -159,13 +152,13 @@ def sandwich_constant_sweep(model: HmmModel, horizons, ks, replicates: int, seed
     [-TIE_TOL, rbar1(viterbi)/(k-1) + 1e-9]; a violation raises AssertionError.
     Returns one row per (horizon, k, replicate).
     """
-    ks = [int(k) for k in ks]
+    ks = [check_integer(k, "k") for k in ks]
     if any(k < 2 for k in ks):
         raise ValueError("the gap bound needs k >= 2")
-    if replicates < 1:
+    if (replicates := check_integer(replicates, "replicates")) < 1:
         raise ValueError("the gap sweep needs at least 1 replicate")
     rows = []
-    for horizon in _horizons(horizons):
+    for horizon in tuple(map(check_horizon, horizons)):
         for lo, seeds in _groups(model, horizon, replicates, seed):
             rows += _gap_rows(model, horizon, ks, seeds, lo)
     return rows

@@ -194,10 +194,20 @@ class TestSampleTrajectory:
 
     def test_horizon_zero_is_refused(self):
         model = hr.HmmModel([0.5, 0.5], [[0.9, 0.1], [0.1, 0.9]], hr.Categorical([[0.8, 0.2], [0.3, 0.7]]))
-        for call in (lambda: hr.model.prior_marginals(model, 0), lambda: hr.sample_trajectories(model, 0, [1, 2])):
+        for call in (
+            lambda: hr.model.prior_marginals(model, 0),
+            lambda: hr.sample_trajectories(model, 0, [1, 2]),
+            lambda: hr.PriorChain(model, 0),
+        ):
             with pytest.raises(ValueError) as info:
                 call()
             assert str(info.value) == "horizon must be at least 1"
+
+    @pytest.mark.parametrize("seeds", [[], iter(())])
+    def test_an_empty_seed_list_is_refused(self, seeds):
+        with pytest.raises(ValueError) as info:
+            hr.sample_trajectories(_CATEGORICAL, 5, seeds)
+        assert str(info.value) == "at least one seed is needed"
 
 
 class TestDiagonalGaussian:
@@ -324,6 +334,7 @@ class TestLikelihoodInto:
 
 _CATEGORICAL = hr.HmmModel([0.5, 0.5], [[0.9, 0.1], [0.2, 0.8]], hr.Categorical([[0.2, 0.3, 0.5], [0.6, 0.3, 0.1]]))
 _LABELS = "state labels must be integers"
+_HORIZON = "horizon must be an integer, got {}".format
 
 # entry point -> (a call whose integer argument is v, where v = 2 is valid, and the ValueError message for a bad v)
 _INTEGER_SLOTS = {
@@ -356,13 +367,45 @@ _INTEGER_SLOTS = {
         lambda m, s, v: hr.forward_backward(m, [0, 1, v, 3]).smoothed.tolist(),
         lambda v: "direct-likelihood observations must be integer row positions",
     ),
+    # counts: the four-state model is not generative, so these sample from _CATEGORICAL
+    "prior_marginals horizon": (lambda m, s, v: hr.model.prior_marginals(_CATEGORICAL, v).tolist(), _HORIZON),
+    "PriorChain horizon": (lambda m, s, v: hr.PriorChain(_CATEGORICAL, v).smoothed.tolist(), _HORIZON),
+    "sample_trajectories horizon": (
+        lambda m, s, v: [a.tolist() for a in hr.sample_trajectories(_CATEGORICAL, v, [0, 1])],
+        _HORIZON,
+    ),
+    "sample_trajectory horizon": (
+        lambda m, s, v: (lambda path, obs: (path, obs.tolist()))(*hr.sample_trajectory(_CATEGORICAL, v, 0)),
+        _HORIZON,
+    ),
+    "estimate_risk_trajectories horizon": (
+        lambda m, s, v: hr.estimate_risk_trajectories(_CATEGORICAL, ["viterbi", "pmap"], [3, v], 2, 0).records,
+        _HORIZON,
+    ),
+    "estimate_risk_trajectories replicates": (
+        lambda m, s, v: hr.estimate_risk_trajectories(_CATEGORICAL, ["viterbi", "pmap"], [3], v, 0).records,
+        lambda v: f"replicates must be an integer, got {v}",
+    ),
+    "sandwich_constant_sweep horizon": (
+        lambda m, s, v: hr.sandwich_constant_sweep(_CATEGORICAL, [3, v], [2], 2, 0),
+        _HORIZON,
+    ),
+    "sandwich_constant_sweep k": (
+        lambda m, s, v: hr.sandwich_constant_sweep(_CATEGORICAL, [3], [3, v], 2, 0),
+        lambda v: f"k must be an integer, got {v}",
+    ),
+    "sandwich_constant_sweep replicates": (
+        lambda m, s, v: hr.sandwich_constant_sweep(_CATEGORICAL, [3], [2], v, 0),
+        lambda v: f"replicates must be an integer, got {v}",
+    ),
 }
 
 
 class TestIntegerRule:
-    """Symbols, row positions, state labels, positions, states and window
-    lengths follow one rule: an integral value (2 or 2.0) is that integer, and
-    anything else, NaN and inf included, raises ValueError without a warning."""
+    """Symbols, row positions, state labels, positions, states, window
+    lengths, horizons, the gap sweep's k and replicate counts follow one rule:
+    an integral value (2 or 2.0) is that integer, and anything else, NaN and
+    inf included, raises ValueError without a warning."""
 
     @pytest.mark.parametrize("entry", sorted(_INTEGER_SLOTS))
     def test_one_rule_at_every_entry_point(self, four_state, entry):

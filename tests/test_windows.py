@@ -14,7 +14,9 @@ Rabiner walk (``lattice.rabiner_walk``), which sweeps the blocks backward and
 tabulates each block's successors before it drops the block, must return the
 path of the greedy forward walk it replaced bit for bit, ties included,
 however the table is cut into blocks; and the decoder must not hold a
-(starts, K^k) table.
+(starts, K^k) table.  The base-K digits of a tuple index, which the walk
+and the exhaustive oracle read, come from one expansion, ``lattice._digits``,
+which must match numpy's ``unravel_index``.
 """
 
 import itertools
@@ -29,7 +31,7 @@ from hypothesis import strategies as st
 import hmmrisk as hr
 from hmmrisk import decoders
 from hmmrisk.inference import _log, log_window_posterior
-from hmmrisk.lattice import TIE_TOL, rabiner_walk
+from hmmrisk.lattice import TIE_TOL, _digits, rabiner_walk
 from hmmrisk.risk import rabiner_gain_batch
 
 from conftest import random_categorical_model
@@ -145,6 +147,22 @@ def test_rabiner_walk_matches_greedy_walk(case):
     for size in range(1, len(table) + 1):  # blocks of every size, the last block first, as the decoder streams them
         blocks = [table[max(0, hi - size) : hi] for hi in range(len(table), 0, -size)]
         np.testing.assert_array_equal(rabiner_walk(blocks, num_states, k), want)
+
+
+@pytest.mark.parametrize("base", range(1, 7))
+def test_digits_match_unravel_index(base):
+    for width in range(1, 21):
+        if base**width > 10**6:
+            break
+        values = np.arange(base**width)
+        want = np.stack(np.unravel_index(values, (base,) * width), -1)
+        np.testing.assert_array_equal(_digits(values, base, width), want)
+        np.testing.assert_array_equal(_digits(values[-1], base, width), want[-1])  # a scalar, as the walk's start tuple
+
+
+def test_one_state_digits_pass_numpys_axis_limit():
+    """One state at width 100: an ``np.ix_`` mesh of 100 axes cannot be built; the flat expansion gives 100 zeros."""
+    np.testing.assert_array_equal(_digits(np.arange(1), 1, 100), np.zeros((1, 100), dtype=int))
 
 
 @st.composite
