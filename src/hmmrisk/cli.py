@@ -27,6 +27,7 @@ from .errors import (
     ZeroEvidenceError,
 )
 from .labelling import label_decode
+from .model import read_integer
 from .risk import RiskReport, RiskWeights, evaluate_risks, posterior_log_probability
 from .sim import estimate_risk_trajectories, sandwich_constant_sweep
 from .transform import rescaling_distortion_probe, symbol_by_symbol_decode, transformed_forward_backward
@@ -101,14 +102,14 @@ def _parse_weights(text: str, beta1: float | None, beta3: float | None) -> RiskW
 def _parse_k_range(text: str, horizon: int) -> range | list[int]:
     if ".." in text:
         lo, _, hi = text.partition("..")
-        top = horizon if hi.strip().upper() == "T" else int(hi)
+        top = horizon if hi.strip().upper() == "T" else read_integer(hi, "k")
         _kblock(top)  # refuses a top too large for a float before the range is built
-        if int(lo) > top:
+        if (lo := read_integer(lo, "k")) > top:
             raise ValueError(f"empty k range: {text}")
-        if top - int(lo) >= sys.maxsize:  # more k's than a range can count could never all be decoded
+        if top - lo >= sys.maxsize:  # more k's than a range can count could never all be decoded
             raise ValueError(f"k range too long: {text}")
-        return range(int(lo), top + 1)
-    return [int(p) for p in text.split(",")]
+        return range(lo, top + 1)
+    return [read_integer(p, "k") for p in text.split(",")]
 
 
 def _parse_float_list(text: str) -> list[float]:
@@ -139,7 +140,7 @@ def _decode_path(args, model, obs, labels):
     elif args.weights is not None:
         decoded = hybrid_decode(summary, _parse_weights(args.weights, args.beta1, args.beta3))
     elif args.k is not None:
-        decoded = viterbi_decode(summary) if args.k.lower() == "inf" else kblock_pvd_decode(summary, int(args.k))
+        decoded = viterbi_decode(summary) if args.k.lower() == "inf" else kblock_pvd_decode(summary, read_integer(args.k, "k"))
     else:
         decoded = alpha_interpolation_decode(summary, args.alpha)
     return decoded.path, decoded.risks, names
@@ -215,11 +216,11 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_simulate(args) -> int:
     model = hio.load_model(args.model)
-    horizons = [int(h) for h in args.horizons.split(",")]
+    horizons = [read_integer(h, "horizon") for h in args.horizons.split(",")]
     if args.k is not None and args.decoders is not None:
         raise ValueError("--decoders cannot be combined with --k (the gap sweep decodes viterbi and kblock:k)")
     if args.k is not None:
-        ks = [int(k) for k in args.k.split(",")]
+        ks = [read_integer(k, "k") for k in args.k.split(",")]
         columns = ("horizon", "k", "replicate", "gap", "bound")
         rows = sandwich_constant_sweep(model, horizons, ks, args.replicates, args.seed)
     else:

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InstanceTooLargeError, KOutOfRangeError
 from .inference import PosteriorSummary, SummaryStack, _forward_backward, _log, log_window_posterior, stack_of
 from .lattice import TIE_TOL, _digits, best_path, near_max, rabiner_walk
-from .model import HmmModel, check_integer
+from .model import HmmModel, check_integer, read_integer
 from .risk import (
     RiskReport,
     RiskWeights,
@@ -365,9 +365,9 @@ def _parse_tag(tag: str) -> _Decoder:
     head, _, arg = tag.partition(":")
     decoder = {"viterbi": _VITERBI, "pmap": _PMAP, "pvd": _PVD, "constrained-pmap": _CONSTRAINED_PMAP}.get(tag)
     if head == "kblock" and arg:
-        decoder = _kblock(int(arg))
+        decoder = _kblock(read_integer(arg, "k"))
     elif head == "rabiner" and arg:
-        decoder = _rabiner(int(arg))
+        decoder = _rabiner(read_integer(arg, "k"))
     elif head == "alpha" and arg:
         decoder = _alpha(float(arg))
     elif head == "weights" and arg:

@@ -1,5 +1,6 @@
-"""On-disk formats: model files, observation files, label maps, and the flat
-risk-record / CSV serializations used by the command line tool.
+"""On-disk formats.  The package reads model files, observation files, label
+maps and path files; it writes only the command line tool's outputs: path
+files, the flat risk record and CSV lines.
 
 Model file (JSON): keys ``num_states``, ``initial``, ``transition``, and
 ``emission: {type, params}`` with type one of "categorical" (params: table),
@@ -45,44 +46,6 @@ _EMISSIONS = {  # type -> emission class and its params, in the order they are r
 }
 
 
-def model_to_dict(model: HmmModel) -> dict:
-    etype = next(t for t, (cls, _) in _EMISSIONS.items() if isinstance(model.emission, cls))
-    params = {name: getattr(model.emission, name).tolist() for name in _EMISSIONS[etype][1]}
-    return {
-        "num_states": model.num_states,
-        "initial": model.initial.tolist(),
-        "transition": model.transition.tolist(),
-        "emission": {"type": etype, "params": params},
-    }
-
-
-def model_from_dict(data: dict) -> HmmModel:
-    try:
-        num_states = data["num_states"]
-        initial = np.asarray(data["initial"], dtype=float)
-        transition = np.asarray(data["transition"], dtype=float)
-        spec = data["emission"]
-        etype = spec["type"]
-        params = spec["params"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"malformed model document: {exc}") from exc
-    if type(num_states) is not int:  # a JSON integer: not 2.0, "2" or true (bool is an int subclass)
-        raise ParseError(f"num_states must be an integer, got {json.dumps(num_states)}")
-    if not isinstance(etype, str) or etype not in _EMISSIONS:
-        raise ParseError(f"unknown emission type {etype!r}")
-    cls, names = _EMISSIONS[etype]
-    try:
-        emission = cls(*(np.asarray(params[name], dtype=float) for name in names))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"malformed emission params: {exc}") from exc
-    model = HmmModel(initial=initial, transition=transition, emission=emission)
-    if initial.ndim == 1 and model.num_states != num_states:  # validate_model reports a misshapen initial
-        raise ParseError(
-            f"num_states is {num_states} but the initial distribution has {model.num_states} entries"
-        )
-    return model
-
-
 def _load_json(path):
     with open(path) as fh:
         try:
@@ -95,19 +58,30 @@ def load_model(path) -> HmmModel:
     """Parse and validate a model file; raises ParseError on any violation."""
     data = _load_json(path)
     try:
-        model = model_from_dict(data)
-    except ParseError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+        num_states = data["num_states"]
+        initial = np.asarray(data["initial"], dtype=float)
+        transition = np.asarray(data["transition"], dtype=float)
+        spec = data["emission"]
+        etype = spec["type"]
+        params = spec["params"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: malformed model document: {exc}") from exc
+    if type(num_states) is not int:  # a JSON integer: not 2.0, "2" or true (bool is an int subclass)
+        raise ParseError(f"{path}: num_states must be an integer, got {json.dumps(num_states)}")
+    if not isinstance(etype, str) or etype not in _EMISSIONS:
+        raise ParseError(f"{path}: unknown emission type {etype!r}")
+    cls, names = _EMISSIONS[etype]
+    try:
+        emission = cls(*(np.asarray(params[name], dtype=float) for name in names))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: malformed emission params: {exc}") from exc
+    model = HmmModel(initial=initial, transition=transition, emission=emission)
+    if initial.ndim == 1 and model.num_states != num_states:  # validate_model reports a misshapen initial
+        raise ParseError(f"{path}: num_states is {num_states} but the initial distribution has {model.num_states} entries")
     violations = validate_model(model)
     if violations:
         raise ParseError(f"{path}: invalid model: " + "; ".join(violations))
     return model
-
-
-def save_model(model: HmmModel, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(model_to_dict(model), fh, indent=1)
-        fh.write("\n")
 
 
 def load_observations(path, model: HmmModel) -> np.ndarray:
@@ -134,17 +108,6 @@ def load_observations(path, model: HmmModel) -> np.ndarray:
         number = numbers[bad[0]]
         raise ParseError(f"{path}: line {number}: non-finite observation {lines[number - 1]!r}")
     return out[:, 0] if out.shape[1] == 1 else out
-
-
-def save_observations(obs, path) -> None:
-    arr = np.asarray(obs)
-    with open(path, "w") as fh:
-        if arr.ndim == 1 and np.issubdtype(arr.dtype, np.integer):
-            fh.writelines(f"{int(v)}\n" for v in arr)
-        else:
-            arr2 = arr[:, None] if arr.ndim == 1 else arr
-            # repr round-trips binary64 exactly; observation files are inputs
-            fh.writelines(" ".join(repr(float(v)) for v in row) + "\n" for row in arr2)
 
 
 def load_label_map(path, num_states: int) -> LabelMap:

@@ -103,12 +103,10 @@ class Categorical(_TableEmission):
         return _table_violations(self.table, "emission row {}")
 
     def sample(self, state_indices, rng) -> np.ndarray:
-        cdf = np.cumsum(self.table, axis=1)
+        """One symbol per state: the first whose cumulative probability exceeds a uniform, as the chain is drawn."""
+        rows = np.cumsum(self.table, axis=1)[state_indices]
         u = rng.random(len(state_indices))
-        rows = cdf[state_indices]
-        return np.minimum(
-            (u[:, None] > rows).sum(axis=1), self.table.shape[1] - 1
-        ).astype(int)
+        return np.minimum((rows <= u[:, None]).sum(axis=1), self.table.shape[1] - 1).astype(int)
 
 
 @dataclass
@@ -268,6 +266,16 @@ def check_integer(value, what: str) -> int:
     """A 1-based position or state, a length or a count, by the integer rule: an integral value (2 or 2.0) as an int."""
     message = f"{what} must be an integer, got {value}"
     return int(_integers(value, -np.inf, np.inf, message, message))
+
+
+def read_integer(text: str, what: str) -> int:
+    """Text by the integer rule ("2.0" is 2, "2.5" and "x" raise ValueError); int() reads it first, so it stays exact."""
+    try:
+        return int(text)
+    except ValueError:
+        with contextlib.suppress(ValueError):
+            text = float(text)
+        return check_integer(text, what)
 
 
 def check_horizon(horizon) -> int:

@@ -5,18 +5,47 @@ all paths, independently of the package's recursions, so they can serve as
 oracles for the lattice and forward-backward code.
 """
 
+import contextlib
+import io
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
 import hmmrisk as hr
+from hmmrisk import io as hio
+from hmmrisk.cli import main
 from hmmrisk.inference import emission_likelihood
 
 # With CI set, Hypothesis loads its "ci" profile, which derandomizes: --hypothesis-seed is then ignored and every
 # run replays the same examples.  "explore" is that profile drawing afresh from the seed given on the command line.
 settings.register_profile("explore", settings.get_profile("ci"), derandomize=False)
+
+
+def write_model(model, path):
+    """Write ``model`` as a model file; ``hio._EMISSIONS`` names its emission type and params."""
+    etype, (_, names) = next((t, e) for t, e in hio._EMISSIONS.items() if isinstance(model.emission, e[0]))
+    params = {name: getattr(model.emission, name).tolist() for name in names}
+    doc = {"num_states": model.num_states, "initial": model.initial.tolist(), "transition": model.transition.tolist()}
+    Path(path).write_text(json.dumps({**doc, "emission": {"type": etype, "params": params}}))
+
+
+def write_observations(obs, path):
+    """One observation per line: integers as they are, reals by ``repr``, which reads back bit for bit."""
+    rows = np.asarray(obs).reshape(len(obs), -1).tolist()
+    Path(path).write_text("".join(" ".join(map(repr, row)) + "\n" for row in rows))
+
+
+def run_in_process(argv, out: Path):
+    """Exit code, stdout, stderr and the bytes of ``out`` (None if not written) of one in-process CLI run."""
+    out.unlink(missing_ok=True)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    return code, stdout.getvalue(), stderr.getvalue(), out.read_bytes() if out.exists() else None
 
 
 def random_categorical_model(rng, num_states=None, num_symbols=None, zero_frac=0.0):

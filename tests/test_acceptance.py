@@ -14,9 +14,8 @@ import numpy as np
 import pytest
 
 import hmmrisk as hr
-from hmmrisk import io as hio
 
-from conftest import all_paths, path_joint_probs, random_instance
+from conftest import all_paths, path_joint_probs, random_instance, write_model, write_observations
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -259,8 +258,8 @@ def test_acceptance_9_cli_determinism(tmp_path):
     _, obs = hr.sample_trajectory(model, 15, seed=4)
     model_path = tmp_path / "model.json"
     obs_path = tmp_path / "obs.txt"
-    hio.save_model(model, model_path)
-    hio.save_observations(obs, obs_path)
+    write_model(model, model_path)
+    write_observations(obs, obs_path)
 
     out = str(tmp_path / "p.txt")
     commands = [

@@ -19,12 +19,11 @@ import hmmrisk.decoders as decoders
 import hmmrisk.inference as inference
 import hmmrisk.lattice as lattice
 import hmmrisk.sim as sim
-from hmmrisk import io as hio
 from hmmrisk.cli import main
 from hmmrisk.errors import NoFinitePathError
 from hmmrisk.lattice import TIE_TOL, best_path
 
-from conftest import random_categorical_model
+from conftest import random_categorical_model, write_model
 
 FAST = settings(max_examples=60, deadline=None)
 
@@ -773,7 +772,7 @@ class TestObservationValidation:
 
     def test_cli_decode_rejects_a_negative_symbol(self, tmp_path, capsys):
         model = hr.HmmModel([0.5, 0.5], [[0.9, 0.1], [0.1, 0.9]], hr.Categorical([[0.8, 0.2], [0.3, 0.7]]))
-        hio.save_model(model, tmp_path / "m.json")
+        write_model(model, tmp_path / "m.json")
         (tmp_path / "x.txt").write_text("0\n1\n-1\n0\n")
         argv = ["decode", "--model", str(tmp_path / "m.json"), "--obs", str(tmp_path / "x.txt"), "--k", "2", "--out", str(tmp_path / "p.txt")]
         assert main(argv) == 10

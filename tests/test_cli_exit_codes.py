@@ -34,6 +34,8 @@ from hypothesis import strategies as st
 
 from hmmrisk.cli import main
 
+from conftest import run_in_process
+
 DOCUMENTED = {0, 2, 3, 4, 5, 6, 7, 8, 9, 10}
 
 CATEGORICAL = {
@@ -337,3 +339,40 @@ def test_every_exit_code_is_documented_with_one_error_line(base_dir, case):
         assert err.count(paths[case.bad_file]) <= 1, err
     if case.line is not None:
         assert f"line {case.line}:" in err, err
+
+
+SIMULATE = ["simulate", "--model", "{model}", "--replicates", "2", "--horizons"]
+
+
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["decode", "--model", "{model}", "--obs", "{obs}", "--out", "{out}", "--k", "{}"], "k"),
+        (["sweep", "--model", "{model}", "--obs", "{obs}", "--k", "{}..3"], "k"),
+        (["sweep", "--model", "{model}", "--obs", "{obs}", "--k", "3,{}"], "k"),
+        ([*SIMULATE, "3,{}"], "horizon"),
+        ([*SIMULATE, "3", "--k", "{}"], "k"),
+        ([*SIMULATE, "3", "--decoders", "kblock:{}"], "k"),
+        ([*SIMULATE, "3", "--decoders", "rabiner:{}"], "k"),
+    ],
+)
+def test_integer_options_follow_the_integer_rule(base_dir, argv, what):
+    """Each integer option and tag argument reads its text by the library's integer rule: 2.0 is 2 (a tag
+    keeps its text), and 2.5, x or nan exits 10 naming its value, not as int()'s "invalid literal"."""
+    paths = {name: str(base_dir / name) for name in [*BASE_FILES, "out"]}
+    for name, text in BASE_FILES.items():
+        (base_dir / name).write_text(text)
+
+    def run(value):
+        code, out, err, written = run_in_process([arg.format(value, **paths) for arg in argv], base_dir / "out")
+        return code, out.replace(":2.0,", ":2,"), err, written
+
+    assert run("2.0") == (integral := run("2")) and integral[0] == 0
+    for bad in ("2.5", "x", "nan"):
+        assert run(bad) == (10, "", f"error: {what} must be an integer, got {bad}\n", None)
+
+
+@pytest.mark.parametrize("option", ["--replicates", "--seed"])
+def test_seed_and_replicates_stay_argparse_integers(option):
+    code, err, _ = run_main([*SIMULATE, "3", option, "2.0"])
+    assert code == 2 and f"argument {option}: invalid int value: '2.0'" in err

@@ -1,5 +1,3 @@
-import contextlib
-import io
 import json
 import tempfile
 import tracemalloc
@@ -17,23 +15,33 @@ from hmmrisk.cli import main
 from hmmrisk.decoders import kblock_pvd_decode
 from hmmrisk.errors import KOutOfRangeError, ParseError
 
-from conftest import random_categorical_model
+from conftest import random_categorical_model, run_in_process, write_model, write_observations
+
+
+DOC = {  # a 2-state categorical model document
+    "num_states": 2,
+    "initial": [0.6, 0.4],
+    "transition": [[0.7, 0.3], [0.25, 0.75]],
+    "emission": {"type": "categorical", "params": {"table": [[0.8, 0.2], [0.3, 0.7]]}},
+}
 
 
 @pytest.fixture
 def workdir(tmp_path):
-    """A model/observation pair on disk (2-state categorical, T=12)."""
-    model = hr.HmmModel(
-        [0.6, 0.4],
-        [[0.7, 0.3], [0.25, 0.75]],
-        hr.Categorical([[0.8, 0.2], [0.3, 0.7]]),
-    )
+    """A model/observation pair on disk (the model of DOC, T=12)."""
+    model_path, obs_path = tmp_path / "model.json", tmp_path / "obs.txt"
+    model_path.write_text(json.dumps(DOC))
+    model = hio.load_model(model_path)
     _, obs = hr.sample_trajectory(model, 12, seed=5)
-    model_path = tmp_path / "model.json"
-    obs_path = tmp_path / "obs.txt"
-    hio.save_model(model, model_path)
-    hio.save_observations(obs, obs_path)
+    write_observations(obs, obs_path)
     return tmp_path, model, obs, str(model_path), str(obs_path)
+
+
+@pytest.fixture
+def files(workdir):
+    """The --model and --obs options that name the workdir files."""
+    _, _, _, model_path, obs_path = workdir
+    return ["--model", model_path, "--obs", obs_path]
 
 
 def run_cli(capsys, *args):
@@ -42,12 +50,20 @@ def run_cli(capsys, *args):
     return code, captured.out, captured.err
 
 
+def decode_document(capsys, tmp_path, doc):
+    """The model file and the outcome of decoding three symbols with the model document ``doc``."""
+    model, obs = tmp_path / "model.json", tmp_path / "obs.txt"
+    model.write_text(json.dumps(doc))
+    obs.write_text("0\n1\n0\n")
+    return model, run_cli(capsys, "decode", "--model", str(model), "--obs", str(obs), "--k", "2", "--out", str(tmp_path / "p.txt"))
+
+
 class TestModelFiles:
     def test_round_trip_categorical(self, tmp_path):
         rng = np.random.default_rng(311)
         model = random_categorical_model(rng, zero_frac=0.3)
         path = tmp_path / "m.json"
-        hio.save_model(model, path)
+        write_model(model, path)
         loaded = hio.load_model(path)
         np.testing.assert_array_equal(loaded.initial, model.initial)
         np.testing.assert_array_equal(loaded.transition, model.transition)
@@ -62,7 +78,7 @@ class TestModelFiles:
         direct = hr.four_state_model(2.0)
         for name, model in (("g.json", gauss), ("d.json", direct)):
             path = tmp_path / name
-            hio.save_model(model, path)
+            write_model(model, path)
             loaded = hio.load_model(path)
             assert type(loaded.emission) is type(model.emission)
 
@@ -84,11 +100,10 @@ class TestModelFiles:
             ),
         ],
     )
-    def test_saved_model_text(self, tmp_path, emission, text):
+    def test_indented_model_documents(self, tmp_path, emission, text):
         path = tmp_path / "m.json"
-        hio.save_model(hr.HmmModel([1.0], [[1.0]], emission), path)
         head = '{\n "num_states": 1,\n "initial": [\n  1.0\n ],\n "transition": [\n  [\n   1.0\n  ]\n ],\n "emission": {\n'
-        assert path.read_text() == head + text + "  }\n }\n}\n"
+        path.write_text(head + text + "  }\n }\n}\n")
         assert type(hio.load_model(path).emission) is type(emission)
 
     @pytest.mark.parametrize(
@@ -102,11 +117,13 @@ class TestModelFiles:
             ("poisson", {"table": [[1.0]]}, "unknown emission type 'poisson'"),
         ],
     )
-    def test_emission_param_errors(self, etype, params, message):
+    def test_emission_param_errors(self, tmp_path, etype, params, message):
         doc = {"num_states": 1, "initial": [1.0], "transition": [[1.0]], "emission": {"type": etype, "params": params}}
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
         with pytest.raises(ParseError) as info:
-            hio.model_from_dict(doc)
-        assert str(info.value) == message
+            hio.load_model(path)
+        assert str(info.value) == f"{path}: {message}"
 
     @pytest.mark.parametrize(
         "change",
@@ -122,18 +139,8 @@ class TestModelFiles:
         ],
     )
     def test_misshapen_documents_exit_3(self, tmp_path, capsys, change):
-        doc = {
-            "num_states": 2,
-            "initial": [0.6, 0.4],
-            "transition": [[0.7, 0.3], [0.25, 0.75]],
-            "emission": {"type": "categorical", "params": {"table": [[0.8, 0.2], [0.3, 0.7]]}},
-            **change,
-        }
-        model, obs = tmp_path / "model.json", tmp_path / "obs.txt"
-        model.write_text(json.dumps(doc))
-        obs.write_text("0\n1\n0\n")
-        argv = ["decode", "--model", str(model), "--obs", str(obs), "--k", "2", "--out", str(tmp_path / "path.txt")]
-        code, _, err = run_cli(capsys, *argv)
+        doc = {**DOC, **change}
+        model, (code, _, err) = decode_document(capsys, tmp_path, doc)
         assert code == 3
         assert len(err.splitlines()) == 1 and err.startswith("error: "), err
         if not isinstance(doc["emission"]["type"], str):  # an unknown type is named as every unknown type is
@@ -158,26 +165,12 @@ class TestModelFiles:
         ],
     )
     def test_models_of_mismatched_sizes_exit_3(self, tmp_path, capsys, change, message):
-        doc = {
-            "num_states": 2,
-            "initial": [0.6, 0.4],
-            "transition": [[0.7, 0.3], [0.25, 0.75]],
-            "emission": {"type": "categorical", "params": {"table": [[0.8, 0.2], [0.3, 0.7]]}},
-            **change,
-        }
-        model, obs = tmp_path / "model.json", tmp_path / "obs.txt"
-        model.write_text(json.dumps(doc))
-        obs.write_text("0\n1\n0\n")
-        argv = ["decode", "--model", str(model), "--obs", str(obs), "--k", "2", "--out", str(tmp_path / "path.txt")]
-        assert run_cli(capsys, *argv) == (3, "", f"error: {model}: {message}\n")
+        model, outcome = decode_document(capsys, tmp_path, {**DOC, **change})
+        assert outcome == (3, "", f"error: {model}: {message}\n")
 
     def test_document_errors_name_the_file(self, tmp_path, capsys):
-        doc = {"num_states": 2, "initial": [0.6, 0.4], "transition": [[0.7, 0.3], [0.25, 0.75]]}
-        model, obs = tmp_path / "model.json", tmp_path / "obs.txt"
-        model.write_text(json.dumps(doc))
-        obs.write_text("0\n1\n0\n")
-        argv = ["decode", "--model", str(model), "--obs", str(obs), "--k", "2", "--out", str(tmp_path / "path.txt")]
-        assert run_cli(capsys, *argv) == (3, "", f"error: {model}: malformed model document: 'emission'\n")
+        model, outcome = decode_document(capsys, tmp_path, {key: DOC[key] for key in ("num_states", "initial", "transition")})
+        assert outcome == (3, "", f"error: {model}: malformed model document: 'emission'\n")
 
     @pytest.mark.parametrize("num_states, initial", [(2.9, [0.6, 0.4]), ("2", [0.6, 0.4]), (2.0, [0.6, 0.4]), (True, [1.0])])
     def test_num_states_must_be_a_json_integer(self, capsys, tmp_path, num_states, initial):
@@ -189,11 +182,7 @@ class TestModelFiles:
             "transition": np.eye(size).tolist(),
             "emission": {"type": "categorical", "params": {"table": [[0.5, 0.5]] * size}},
         }
-        model_path, obs_path = tmp_path / "m.json", tmp_path / "o.txt"
-        model_path.write_text(json.dumps(doc))
-        obs_path.write_text("0\n1\n")
-        argv = ["decode", "--model", str(model_path), "--obs", str(obs_path), "--k", "2", "--out", str(tmp_path / "p.txt")]
-        code, _, err = run_cli(capsys, *argv)
+        model_path, (code, _, err) = decode_document(capsys, tmp_path, doc)
         assert code == 3
         assert err == f"error: {model_path}: num_states must be an integer, got {json.dumps(num_states)}\n"
 
@@ -223,7 +212,7 @@ class TestModelFiles:
             hr.HmmModel([0.5, 0.5], np.eye(2), hr.DiagonalGaussian([[np.nan], [1.0]], [[1.0], [1.0]])),
         ]
         for model in models:
-            hio.save_model(model, path)  # json writes NaN and Infinity literals, which it reads back
+            write_model(model, path)  # json writes NaN and Infinity literals, which it reads back
             with pytest.raises(ParseError, match="non-finite"):
                 hio.load_model(path)
 
@@ -242,7 +231,7 @@ class TestModelFiles:
         _, obs = hr.sample_trajectory(model, 20, seed=3)
         obs[:3] = [1 / 3, -0.0, 5e-324] if obs.ndim == 1 else [[1 / 3, 1e300], [-0.0, 0.1], [5e-324, -2.5]]
         path = tmp_path / "obs.txt"
-        hio.save_observations(obs, path)
+        write_observations(obs, path)
         loaded = hio.load_observations(path, model)
         assert loaded.shape == obs.shape and loaded.tobytes() == obs.tobytes()
 
@@ -263,17 +252,11 @@ class TestModelFiles:
 
 
 class TestDecodeAndRisk:
-    def test_round_trip_record_is_bit_identical(self, capsys, workdir, tmp_path):
-        _, _, _, model_path, obs_path = workdir
+    def test_round_trip_record_is_bit_identical(self, capsys, files, tmp_path):
         out_path = str(tmp_path / "path.txt")
-        code, decode_out, _ = run_cli(
-            capsys, "decode", "--model", model_path, "--obs", obs_path,
-            "--weights", "1,1,0,0", "--out", out_path,
-        )
+        code, decode_out, _ = run_cli(capsys, "decode", *files, "--weights", "1,1,0,0", "--out", out_path)
         assert code == 0
-        code, risk_out, _ = run_cli(
-            capsys, "risk", "--model", model_path, "--obs", obs_path, "--path", out_path
-        )
+        code, risk_out, _ = run_cli(capsys, "risk", *files, "--path", out_path)
         assert code == 0
         assert decode_out == risk_out
         assert len(risk_out.strip().splitlines()) == 8
@@ -281,7 +264,7 @@ class TestDecodeAndRisk:
     def test_one_state_records_print_zero_not_negative_zero(self, capsys, tmp_path):
         """The one path of a one-state model has log risks of -0.0, which printed as -0."""
         model_path, obs_path, out_path = tmp_path / "m.json", tmp_path / "o.txt", str(tmp_path / "p.txt")
-        hio.save_model(hr.HmmModel([1.0], [[1.0]], hr.Categorical([[0.5, 0.5]])), model_path)
+        write_model(hr.HmmModel([1.0], [[1.0]], hr.Categorical([[0.5, 0.5]])), model_path)
         obs_path.write_text("0\n1\n0\n")
         record = (
             "r1_posterior 0\nrbar1_posterior 0\nrinf_posterior 0\nrbarinf_posterior 0\n"
@@ -292,23 +275,19 @@ class TestDecodeAndRisk:
         assert run_cli(capsys, "risk", "--model", str(model_path), "--obs", str(obs_path), "--path", out_path) == (0, record, "")
         assert hio.fmt(-0.0) == "0"
 
-    def test_k_inf_is_the_viterbi_alias(self, capsys, workdir, tmp_path):
-        _, _, _, model_path, obs_path = workdir
+    def test_k_inf_is_the_viterbi_alias(self, capsys, files, tmp_path):
         out_a = str(tmp_path / "a.txt")
         out_b = str(tmp_path / "b.txt")
-        run_cli(capsys, "decode", "--model", model_path, "--obs", obs_path, "--k", "inf", "--out", out_a)
-        run_cli(capsys, "decode", "--model", model_path, "--obs", obs_path, "--weights", "0,1,0,0", "--out", out_b)
+        run_cli(capsys, "decode", *files, "--k", "inf", "--out", out_a)
+        run_cli(capsys, "decode", *files, "--weights", "0,1,0,0", "--out", out_b)
         assert open(out_a).read() == open(out_b).read()
 
-    def test_label_output_lines(self, capsys, workdir, tmp_path):
-        _, _, _, model_path, obs_path = workdir
+    def test_label_output_lines(self, capsys, files, tmp_path):
         labels_path = tmp_path / "labels.json"
         labels_path.write_text(json.dumps({"labels": {"1": "hot", "2": "cold"}, "beta": 1.0}))
         out_path = str(tmp_path / "p.txt")
-        code, _, _ = run_cli(
-            capsys, "decode", "--model", model_path, "--obs", obs_path,
-            "--labels", str(labels_path), "--weights", "1,0.1,0,0", "--beta1", "1", "--out", out_path,
-        )
+        argv = ["--labels", str(labels_path), "--weights", "1,0.1,0,0", "--beta1", "1", "--out", out_path]
+        code, _, _ = run_cli(capsys, "decode", *files, *argv)
         assert code == 0
         lines = open(out_path).read().splitlines()
         assert len(lines) == 12
@@ -323,11 +302,10 @@ class TestDecodeAndRisk:
             (json.dumps({"labels": ["hot", "cold"]}), "malformed label map: 'list' object has no attribute 'items'"),
         ],
     )
-    def test_malformed_label_files_exit_3(self, capsys, workdir, tmp_path, text, message):
-        _, _, _, model_path, obs_path = workdir
+    def test_malformed_label_files_exit_3(self, capsys, files, tmp_path, text, message):
         labels_path = tmp_path / "labels.json"
         labels_path.write_text(text)
-        argv = ["decode", "--model", model_path, "--obs", obs_path, "--labels", str(labels_path), "--weights", "1,1,0,0"]
+        argv = ["decode", *files, "--labels", str(labels_path), "--weights", "1,1,0,0"]
         assert run_cli(capsys, *argv, "--out", str(tmp_path / "p.txt")) == (3, "", f"error: {labels_path}: {message}\n")
 
     def test_alpha_selector_decodes_the_interpolated_objective(self, capsys, workdir, tmp_path):
@@ -348,7 +326,7 @@ class TestDecodeAndRisk:
         a path through state 1."""
         model = hr.HmmModel([0.0, 1.0], [[0.5, 0.5], [0.0, 1.0]], hr.DiagonalGaussian([[0.0], [30.0]], [[1.0], [1.0]]))
         model_path, obs_path, out_path = tmp_path / "m.json", tmp_path / "o.txt", tmp_path / "p.txt"
-        hio.save_model(model, model_path)
+        write_model(model, model_path)
         obs_path.write_text("0\n0\n0\n0\n")
         code, out, err = run_cli(
             capsys, "decode", "--model", str(model_path), "--obs", str(obs_path), *selector, "--out", str(out_path)
@@ -357,12 +335,8 @@ class TestDecodeAndRisk:
         assert out_path.read_text() == "2\n2\n2\n2\n"
         assert "nan" not in out
 
-    def test_selector_exclusivity(self, capsys, workdir, tmp_path):
-        _, _, _, model_path, obs_path = workdir
-        code, _, err = run_cli(
-            capsys, "decode", "--model", model_path, "--obs", obs_path,
-            "--k", "2", "--alpha", "0.5", "--out", str(tmp_path / "x.txt"),
-        )
+    def test_selector_exclusivity(self, capsys, files, tmp_path):
+        code, _, err = run_cli(capsys, "decode", *files, "--k", "2", "--alpha", "0.5", "--out", str(tmp_path / "x.txt"))
         assert code == 10
         assert "exactly one" in err
 
@@ -374,14 +348,11 @@ class TestDecodeAndRisk:
             (["--q", "2", "--labels", "{labels}"], "--labels cannot be combined with --q"),
         ],
     )
-    def test_bad_option_combinations_exit_10(self, capsys, workdir, tmp_path, extra, message):
-        _, _, _, model_path, obs_path = workdir
+    def test_bad_option_combinations_exit_10(self, capsys, files, tmp_path, extra, message):
         labels = tmp_path / "labels.json"
         labels.write_text(json.dumps({"labels": {"1": "A", "2": "B"}}))
         extra = [arg.format(labels=labels) for arg in extra]
-        code, out, err = run_cli(
-            capsys, "decode", "--model", model_path, "--obs", obs_path, *extra, "--out", str(tmp_path / "x.txt")
-        )
+        code, out, err = run_cli(capsys, "decode", *files, *extra, "--out", str(tmp_path / "x.txt"))
         assert (code, out, err) == (10, "", f"error: {message}\n")
 
     def test_transform_selector(self, capsys, workdir, tmp_path):
@@ -396,9 +367,8 @@ class TestDecodeAndRisk:
 
     @pytest.mark.parametrize("selector", [["--k", "3"], ["--alpha", "0.5"]])
     def test_labels_without_weights_are_rejected_before_smoothing(
-        self, capsys, workdir, tmp_path, monkeypatch, selector
+        self, capsys, files, tmp_path, monkeypatch, selector
     ):
-        _, _, _, model_path, obs_path = workdir
         labels_path = tmp_path / "labels.json"
         labels_path.write_text(json.dumps({"labels": {"1": "hot", "2": "cold"}}))
 
@@ -406,17 +376,14 @@ class TestDecodeAndRisk:
             raise AssertionError("forward_backward ran before the arguments were checked")
 
         monkeypatch.setattr("hmmrisk.decoders._forward_backward", refuse)
-        code, _, err = run_cli(
-            capsys, "decode", "--model", model_path, "--obs", obs_path,
-            "--labels", str(labels_path), *selector, "--out", str(tmp_path / "x.txt"),
-        )
+        code, _, err = run_cli(capsys, "decode", *files, "--labels", str(labels_path), *selector, "--out", str(tmp_path / "x.txt"))
         assert code == 10
         assert "--labels needs --weights" in err
 
     def test_non_finite_model_exit_code(self, capsys, tmp_path):
         model_path, obs_path = tmp_path / "nan.json", tmp_path / "obs.txt"
         model = hr.HmmModel([0.5, 0.5], np.eye(2), hr.DiagonalGaussian([[0.0], [np.nan]], [[1.0], [1.0]]))
-        hio.save_model(model, model_path)
+        write_model(model, model_path)
         obs_path.write_text("0.1\n0.2\n")
         code, _, err = run_cli(
             capsys, "decode", "--model", str(model_path), "--obs", str(obs_path),
@@ -469,11 +436,10 @@ class TestDecodeAndRisk:
         outcomes = [run_cli(capsys, "risk", "--model", model_path, "--obs", obs_path, "--path", str(f)) for f in (plain, spaced)]
         assert outcomes[0][0] == 0 and outcomes[0] == outcomes[1]
 
-    def test_blank_only_path_file_exit_code(self, capsys, workdir, tmp_path):
-        _, _, _, model_path, obs_path = workdir
+    def test_blank_only_path_file_exit_code(self, capsys, files, tmp_path):
         blank = tmp_path / "blank.txt"
         blank.write_text("\n  \n\t\n")
-        code, out, err = run_cli(capsys, "risk", "--model", model_path, "--obs", obs_path, "--path", str(blank))
+        code, out, err = run_cli(capsys, "risk", *files, "--path", str(blank))
         assert (code, out) == (3, "")
         assert err == f"error: {blank}: empty path file\n"
 
@@ -500,8 +466,8 @@ class TestDecodeAndRisk:
         horizon, num_states = 4000, 8
         model = random_categorical_model(np.random.default_rng(4), num_states=num_states, num_symbols=8)
         path, obs = hr.sample_trajectory(model, horizon, seed=4)
-        hio.save_model(model, tmp_path / "m.json")
-        hio.save_observations(obs, tmp_path / "o.txt")
+        write_model(model, tmp_path / "m.json")
+        write_observations(obs, tmp_path / "o.txt")
         (tmp_path / "labels.json").write_text(json.dumps({"labels": {str(s): "AB"[s % 2] for s in range(1, 9)}}))
         (tmp_path / "path.txt").write_text("".join(f"{s}\n" for s in path))
         files = {"labels": tmp_path / "labels.json", "path": tmp_path / "path.txt"}
@@ -521,12 +487,9 @@ class TestDecodeAndRisk:
 
 
 class TestSweep:
-    def test_k_sweep_monotone_posterior_column(self, capsys, workdir, tmp_path):
-        _, _, _, model_path, obs_path = workdir
+    def test_k_sweep_monotone_posterior_column(self, capsys, files, tmp_path):
         out_path = str(tmp_path / "sweep.csv")
-        code, _, _ = run_cli(
-            capsys, "sweep", "--model", model_path, "--obs", obs_path, "--k", "1..T", "--out", out_path
-        )
+        code, _, _ = run_cli(capsys, "sweep", *files, "--k", "1..T", "--out", out_path)
         assert code == 0
         rows = open(out_path).read().splitlines()
         header = rows[0].split(",")
@@ -535,9 +498,8 @@ class TestSweep:
         values = [float(r.split(",")[col]) for r in rows[1:]]
         assert all(b >= a - 1e-9 for a, b in zip(values[:-1], values[1:]))
 
-    def test_k_comma_list(self, capsys, workdir):
-        _, _, _, model_path, obs_path = workdir
-        sweep = ["sweep", "--model", model_path, "--obs", obs_path, "--k"]
+    def test_k_comma_list(self, capsys, files):
+        sweep = ["sweep", *files, "--k"]
         code, ranged, _ = run_cli(capsys, *sweep, "2..4")
         assert code == 0
         header, *rows = ranged.splitlines()
@@ -549,26 +511,19 @@ class TestSweep:
         assert (code, out) == (7, "")
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
-    def test_alpha_sweep(self, capsys, workdir):
-        _, _, _, model_path, obs_path = workdir
-        code, out, _ = run_cli(
-            capsys, "sweep", "--model", model_path, "--obs", obs_path, "--alpha", "0,0.5,1"
-        )
+    def test_alpha_sweep(self, capsys, files):
+        code, out, _ = run_cli(capsys, "sweep", *files, "--alpha", "0,0.5,1")
         assert code == 0
         assert out.splitlines()[0].startswith("param,value,path,")
         assert len(out.splitlines()) == 4
 
     @pytest.mark.parametrize("grids", [[], ["--k", "1..2", "--alpha", "0.5"], ["--alpha", "0.5", "--q", "2"]])
-    def test_exactly_one_grid(self, capsys, workdir, grids):
-        _, _, _, model_path, obs_path = workdir
-        code, out, err = run_cli(capsys, "sweep", "--model", model_path, "--obs", obs_path, *grids)
+    def test_exactly_one_grid(self, capsys, files, grids):
+        code, out, err = run_cli(capsys, "sweep", *files, *grids)
         assert (code, out, err) == (10, "", "error: exactly one of --k, --alpha, --q must be given\n")
 
-    def test_q_sweep_probe_columns(self, capsys, workdir):
-        _, _, _, model_path, obs_path = workdir
-        code, out, _ = run_cli(
-            capsys, "sweep", "--model", model_path, "--obs", obs_path, "--q", "1,2,inf"
-        )
+    def test_q_sweep_probe_columns(self, capsys, files):
+        code, out, _ = run_cli(capsys, "sweep", *files, "--q", "1,2,inf")
         assert code == 0
         lines = out.splitlines()
         assert lines[0] == "q,plain_path_hash,rescaled_path_hash,agree"
@@ -610,7 +565,7 @@ class TestSimulateCommand:
             hr.Categorical([[0.5, 0.5], [0.0, 1.0], [0.0, 1.0]]),
         )
         model_path = tmp_path / "model.json"
-        hio.save_model(model, model_path)
+        write_model(model, model_path)
         argv = ["simulate", "--model", str(model_path), "--horizons", "8", "--replicates", "3", "--seed", "1", "--decoders", "pmap"]
         code, out, err = run_cli(capsys, *argv)
         assert (code, err) == (0, "")
@@ -621,7 +576,7 @@ class TestSimulateCommand:
 
     def test_not_generative_exit_code(self, capsys, tmp_path):
         model_path = tmp_path / "direct.json"
-        hio.save_model(hr.four_state_model(2.0), model_path)
+        write_model(hr.four_state_model(2.0), model_path)
         code, _, err = run_cli(
             capsys, "simulate", "--model", str(model_path), "--horizons", "10", "--replicates", "2"
         )
@@ -665,7 +620,7 @@ class TestBadCountsAndNonFiniteInputs:
     def gaussian_files(self, tmp_path, text):
         model = hr.HmmModel([0.5, 0.5], [[0.9, 0.1], [0.1, 0.9]], hr.DiagonalGaussian([[0.0], [1.0]], [[1.0], [1.0]]))
         model_path, obs_path = tmp_path / "g.json", tmp_path / "g.txt"
-        hio.save_model(model, model_path)
+        write_model(model, model_path)
         obs_path.write_text(text)
         return model, str(model_path), str(obs_path)
 
@@ -768,10 +723,8 @@ class TestBadCountsAndNonFiniteInputs:
             ["--weights", "1,0,1,0", "--beta3", "nan"],
         ],
     )
-    def test_non_finite_decode_weights_exit_10(self, capsys, workdir, argv):
-        tmp_path, _, _, model_path, obs_path = workdir
-        code, out, err = run_cli(capsys, "decode", "--model", model_path, "--obs", obs_path, *argv,
-                                 "--out", str(tmp_path / "p.txt"))
+    def test_non_finite_decode_weights_exit_10(self, capsys, tmp_path, files, argv):
+        code, out, err = run_cli(capsys, "decode", *files, *argv, "--out", str(tmp_path / "p.txt"))
         assert code == 10 and out == ""
         assert_one_error_line(err)
         assert "must be finite and nonnegative" in err
@@ -785,11 +738,9 @@ class TestBadCountsAndNonFiniteInputs:
             (["--k", "inf", "--rescaled"], "--rescaled needs --q"),
         ],
     )
-    def test_options_no_selected_decoder_reads_exit_10(self, capsys, workdir, argv, message):
+    def test_options_no_selected_decoder_reads_exit_10(self, capsys, tmp_path, files, argv, message):
         """--rescaled is read by --q only, --beta1 and --beta3 by --weights only."""
-        tmp_path, _, _, model_path, obs_path = workdir
-        code, out, err = run_cli(capsys, "decode", "--model", model_path, "--obs", obs_path, *argv,
-                                 "--out", str(tmp_path / "p.txt"))
+        code, out, err = run_cli(capsys, "decode", *files, *argv, "--out", str(tmp_path / "p.txt"))
         assert code == 10 and out == ""
         assert_one_error_line(err)
         assert message in err
@@ -849,17 +800,14 @@ class TestBadCountsAndNonFiniteInputs:
         assert run_cli(capsys, *argv) == run_cli(capsys, *argv, "--decoders", "viterbi,pmap")
 
     @pytest.mark.parametrize("top", [str(10**20), str(2**63 + 1)])
-    def test_k_range_too_long_to_count_exits_10(self, capsys, workdir, top):
-        tmp_path, _, _, model_path, obs_path = workdir
-        code, out, err = run_cli(capsys, "sweep", "--model", model_path, "--obs", obs_path, "--k", f"1..{top}",
-                                 "--out", str(tmp_path / "s.csv"))
+    def test_k_range_too_long_to_count_exits_10(self, capsys, tmp_path, files, top):
+        code, out, err = run_cli(capsys, "sweep", *files, "--k", f"1..{top}", "--out", str(tmp_path / "s.csv"))
         assert code == 10 and out == ""
         assert_one_error_line(err)
         assert "k range too long" in err
 
-    def test_k_range_is_decoded_one_k_at_a_time(self, capsys, workdir, monkeypatch):
+    def test_k_range_is_decoded_one_k_at_a_time(self, capsys, tmp_path, files, monkeypatch):
         """A range of 10**6 k's is not listed up front: the first bad k stops the sweep early."""
-        tmp_path, _, _, model_path, obs_path = workdir
         seen = []
 
         def decode(summary, k):
@@ -871,8 +819,7 @@ class TestBadCountsAndNonFiniteInputs:
         monkeypatch.setattr(cli, "kblock_pvd_decode", decode)
         tracemalloc.start()
         try:
-            code, _, err = run_cli(capsys, "sweep", "--model", model_path, "--obs", obs_path, "--k", f"1..{10**6}",
-                                   "--out", str(tmp_path / "s.csv"))
+            code, _, err = run_cli(capsys, "sweep", *files, "--k", f"1..{10**6}", "--out", str(tmp_path / "s.csv"))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -927,15 +874,6 @@ WINDOW_FREE_COMMANDS = [
 ]
 
 
-def run_in_process(argv, out: Path):
-    """Exit code, stdout, stderr and the bytes of ``out`` (None if not written) of one in-process CLI run."""
-    out.unlink(missing_ok=True)
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = main(argv)
-    return code, stdout.getvalue(), stderr.getvalue(), out.read_bytes() if out.exists() else None
-
-
 class TestWindowFreeSummaries:
     """decode, risk and sweep smooth without the forward and backward tables, which only window posteriors read,
     and print what the windowed summaries print."""
@@ -956,8 +894,8 @@ class TestWindowFreeSummaries:
 
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
-            hio.save_model(model, tmp / "m.json")
-            hio.save_observations(obs, tmp / "o.txt")
+            write_model(model, tmp / "m.json")
+            write_observations(obs, tmp / "o.txt")
             (tmp / "path.txt").write_text("".join(f"{s}\n" for s in path))
             labels = {str(s): "AB"[s % 2] for s in range(1, model.num_states + 1)}
             (tmp / "labels.json").write_text(json.dumps({"labels": labels}))

@@ -1,4 +1,5 @@
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -191,6 +192,13 @@ class TestSampleTrajectory:
         model, _, _ = four_state
         with pytest.raises(DirectLikelihoodNotGenerativeError):
             hr.sample_trajectory(model, 4, seed=0)
+
+    def test_symbols_are_drawn_by_the_chain_rule(self):
+        """A symbol is the first whose cumulative probability exceeds its uniform, as the hidden chain is drawn,
+        so a symbol of probability 0 is never drawn: a uniform of 0.0 drew symbol 0 of the row [0, 1, 0]."""
+        uniforms = SimpleNamespace(random=lambda size: np.array([0.0, 0.0, 0.5, 0.5]))
+        emission = hr.Categorical([[0.0, 1.0, 0.0], [0.5, 0.0, 0.5]])
+        assert emission.sample(np.array([0, 1, 0, 1]), uniforms).tolist() == [1, 0, 1, 2]
 
     def test_horizon_zero_is_refused(self):
         model = hr.HmmModel([0.5, 0.5], [[0.9, 0.1], [0.1, 0.9]], hr.Categorical([[0.8, 0.2], [0.3, 0.7]]))
