@@ -16,7 +16,7 @@ import math
 import sys
 
 from . import io as hio
-from .decoders import _kblock, _summaries, alpha_interpolation_decode, decode_many, hybrid_decode
+from .decoders import _decode_group, _kblock, _parse_tag, _summaries, alpha_interpolation_decode, hybrid_decode
 from .decoders import kblock_pvd_decode, viterbi_decode
 from .errors import (
     DirectLikelihoodNotGenerativeError,
@@ -234,11 +234,11 @@ def _cmd_simulate(args) -> int:
 def _cmd_paper_example(args) -> int:
     model = four_state_model(args.A)
     obs = four_state_observations()
-    tags = ["viterbi", "pmap", "constrained-pmap", "pvd", "kblock:2", "rabiner:2"]
-    summary = _summaries(model, [obs], tags)[0]
+    parsed = [_parse_tag(tag) for tag in ("viterbi", "pmap", "constrained-pmap", "pvd", "kblock:2", "rabiner:2")]
+    summary = _summaries(model, [obs], parsed)[0]
     out = [f"four-state worked example, A = {hio.fmt(args.A)}"]
     out.append(f"{'decoder':<18} {'path':<12} {'p(path|x)':<16} admissible")
-    for (decoded,) in decode_many([summary], tags):
+    for (decoded,) in _decode_group([summary], parsed):
         posterior = math.exp(posterior_log_probability(summary, decoded.path))
         path_text = "(" + ",".join(str(s) for s in decoded.path) + ")"
         out.append(f"{decoded.decoder_tag:<18} {path_text:<12} {hio.fmt(posterior):<16} {'yes' if decoded.admissible else 'no'}")

@@ -395,14 +395,9 @@ def resolve_decoder(tag: str):
     return _parse_tag(tag)
 
 
-def _reads_windows(tags) -> bool:
-    """Whether any of ``tags`` reads window posteriors (``rabiner:k``, k >= 2)."""
-    return any(_parse_tag(tag).windows for tag in tags)
-
-
-def _summaries(model: HmmModel, observations, tags=()) -> list[PosteriorSummary]:
-    """The summaries a decode request smooths, with window tables only if one of ``tags`` reads them."""
-    return _forward_backward(model, observations, _reads_windows(tags))
+def _summaries(model: HmmModel, observations, decoders=()) -> list[PosteriorSummary]:
+    """The summaries a decode request smooths, with window tables only if one of ``decoders`` reads them."""
+    return _forward_backward(model, observations, any(d.windows for d in decoders))
 
 
 def decode_many(summaries, tags):

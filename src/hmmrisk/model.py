@@ -269,13 +269,14 @@ def check_integer(value, what: str) -> int:
 
 
 def read_integer(text: str, what: str) -> int:
-    """Text by the integer rule ("2.0" is 2, "2.5" and "x" raise ValueError); int() reads it first, so it stays exact."""
+    """Text by the integer rule ("2.0" is 2; "2.5", "x" and "1e999" raise ValueError naming the text as given);
+    int() reads it first, so it stays exact."""
     try:
         return int(text)
     except ValueError:
         with contextlib.suppress(ValueError):
-            text = float(text)
-        return check_integer(text, what)
+            return check_integer(float(text), what)
+        return check_integer(text, what)  # text is never an integer, so this raises
 
 
 def check_horizon(horizon) -> int:

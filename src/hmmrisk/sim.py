@@ -7,17 +7,17 @@ random numbers.
 
 Replicates of one horizon are sampled, smoothed and decoded in groups, each
 as one batch.  A group holds at most ``_GROUP_CELLS // (T * K)`` replicates
-(and at least one), half that when a tag reads window posteriors
+(and at least one), half that when a decoder reads window posteriors
 (``rabiner:k``, k >= 2), which bounds the memory its (replicate, position,
-state) tables take; the results do not depend on the group size.  A group's
-summaries keep the likelihood and smoothed tables, and the forward and
-backward tables only for window posteriors.  A group's lattice decoders
-share one max-sum call, which reads each decoder's gains over the whole
-group window by window, and each decoder's paths are scored in one call, as
-uint8 labels at K <= 255.  ``_GROUP_CELLS`` is 80,000: a group of 20 at
-T = 2000, K = 2 and five tags that read no windows peaks at about 2.6 MB
-(tracemalloc), 4.0 (T, K) float64 tables per replicate; with ``rabiner:2``
-a group holds 10, and at T = 2000, K = 32 one replicate.
+state) tables take; the results do not depend on the group size.  A study
+parses its tags once.  A group's summaries keep the likelihood and smoothed
+tables, and the forward and backward tables only for window posteriors.  A
+group's lattice decoders share one max-sum call, which reads each decoder's
+gains over the whole group window by window, and each decoder's paths are
+scored in one call, as uint8 labels at K <= 255.  ``_GROUP_CELLS`` is 80,000:
+a group of 20 at T = 2000, K = 2 and five tags that read no windows peaks at
+about 2.6 MB (tracemalloc), 4.0 (T, K) float64 tables per replicate; with
+``rabiner:2`` a group holds 10, and at T = 2000, K = 32 one replicate.
 Horizons must be integers of at least 1; trajectories need at least 2
 replicates (for standard deviations) and at least one decoder tag, the gap
 sweep at least 1 replicate.
@@ -29,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoders import _reads_windows, _summaries, decode_many
+from .decoders import _VITERBI, _decode_group, _kblock, _parse_tag, _summaries
 from .lattice import TIE_TOL
-from .model import HmmModel, check_horizon, check_integer, sample_trajectories
+from .model import HmmModel, check_horizon, check_integer, read_integer, sample_trajectories
 from .risk import RiskReport
 
 METRICS = ("empirical_error",) + RiskReport.FIELDS
@@ -58,37 +58,42 @@ class RiskTrajectory:
         raise KeyError((horizon, decoder, metric))
 
 
-def _groups(model: HmmModel, horizon: int, replicates: int, seed: int, windows: bool = False):
+def _groups(model: HmmModel, horizon: int, replicates: int, seed: int, decoders=()):
     """Yield the first replicate and the seeds of each group of replicates.
 
-    A group whose tags read ``windows`` keeps twice the (T, K) tables per
-    replicate, so it holds half the replicates.  Callers build a group's
-    tables inside one function call per group, so they are freed before the
-    next group is built.
+    A group whose ``decoders`` read window posteriors keeps twice the (T, K)
+    tables per replicate, so it holds half the replicates.  Callers build a
+    group's tables inside one function call per group, so they are freed
+    before the next group is built.
     """
-    size = max(1, _GROUP_CELLS // ((2 if windows else 1) * horizon * model.num_states))
+    size = max(1, _GROUP_CELLS // ((2 if any(d.windows for d in decoders) else 1) * horizon * model.num_states))
     for lo in range(0, replicates, size):
         yield lo, range(seed + lo, seed + min(lo + size, replicates))
 
 
-def _sample_group(model: HmmModel, horizon: int, seeds, tags=()):
-    """True paths and posterior summaries of one group of replicates, the
-    summaries ``tags`` read; the observations are freed on return."""
+def _sample_group(model: HmmModel, horizon: int, seeds, decoders):
+    """True paths of one group of replicates and ``_decode_group``'s DecodedPath lists over the summaries
+    ``decoders`` read; the observations are freed on return."""
     truths, observations = sample_trajectories(model, horizon, seeds)
-    return truths, _summaries(model, observations, tags)
+    return truths, _decode_group(_summaries(model, observations, decoders), decoders)
 
 
-def _record_group(values, model, tags, horizon, seeds, lo) -> None:
-    truths, summaries = _sample_group(model, horizon, seeds, tags)
+def _record_group(values, model, decoders, horizon, seeds, lo) -> None:
+    truths, per_decoder = _sample_group(model, horizon, seeds, decoders)
     rows = slice(lo, lo + len(truths))
-    per_tag = decode_many(summaries, tags)
-    for tag in tags:
-        decoded = next(per_tag)  # the previous tag's list is dropped first; zip would hold it until this call returns
+    for table in values:
+        decoded = next(per_decoder)  # the previous list is dropped first; zip would hold it until this call returns
         paths = np.array([path.path for path in decoded], dtype=truths.dtype)
-        values[tag]["empirical_error"][rows] = (paths != truths).mean(axis=1)
+        table["empirical_error"][rows] = (paths != truths).mean(axis=1)
         for name in RiskReport.FIELDS:
-            values[tag][name][rows] = [getattr(path.risks, name) for path in decoded]
+            table[name][rows] = [getattr(path.risks, name) for path in decoded]
         del decoded
+
+
+def _record_name(tag: str) -> str:
+    """A parsed tag as the records name it: kblock:k and rabiner:k with k as the integer it reads as, any other as given."""
+    head, _, arg = tag.partition(":")
+    return f"{head}:{read_integer(arg, 'k')}" if head in ("kblock", "rabiner") else tag
 
 
 def estimate_risk_trajectories(
@@ -100,7 +105,9 @@ def estimate_risk_trajectories(
     ``decoders`` is a non-empty list of tags understood by resolve_decoder.  For every
     replicate the decoded path is scored both against the posterior (the full
     RiskReport) and against the true sampled path (empirical_error, the
-    fraction of misclassified positions).
+    fraction of misclassified positions).  Records name each decoder by its
+    tag, a kblock or rabiner k as the integer it reads as (kblock:2.0 is
+    kblock:2).
     """
     if (replicates := check_integer(replicates, "replicates")) < 2:
         raise ValueError("at least 2 replicates are needed for standard deviations")
@@ -108,18 +115,19 @@ def estimate_risk_trajectories(
     tags = tuple(decoders)
     if not tags:
         raise ValueError("no decoder tags")
+    parsed, names = [_parse_tag(tag) for tag in tags], [_record_name(tag) for tag in tags]
     records = []
     for horizon in horizons:
-        values = {tag: {metric: np.empty(replicates) for metric in METRICS} for tag in tags}
-        for lo, seeds in _groups(model, horizon, replicates, seed, _reads_windows(tags)):
-            _record_group(values, model, tags, horizon, seeds, lo)
-        for tag in tags:
+        values = [{metric: np.empty(replicates) for metric in METRICS} for _ in parsed]
+        for lo, seeds in _groups(model, horizon, replicates, seed, parsed):
+            _record_group(values, model, parsed, horizon, seeds, lo)
+        for name, table in zip(names, values):
             for metric in METRICS:
-                mean, sd = _mean_sd(values[tag][metric])
+                mean, sd = _mean_sd(table[metric])
                 records.append(
                     {
                         "horizon": horizon,
-                        "decoder_tag": tag,
+                        "decoder_tag": name,
                         "metric": metric,
                         "mean": mean,
                         "sd": sd,
@@ -129,9 +137,8 @@ def estimate_risk_trajectories(
     return RiskTrajectory(replicates, records)
 
 
-def _gap_rows(model, horizon, ks, seeds, lo) -> list[dict]:
-    _, summaries = _sample_group(model, horizon, seeds)
-    decoded = decode_many(summaries, ["viterbi"] + [f"kblock:{k}" for k in ks])
+def _gap_rows(model, horizon, ks, decoders, seeds, lo) -> list[dict]:
+    _, decoded = _sample_group(model, horizon, seeds, decoders)
     base = [d.risks for d in next(decoded)]
     gaps = [[d.risks.rbarinf_posterior - b.rbarinf_posterior for d, b in zip(paths, base)] for paths in decoded]
     rows = []
@@ -157,8 +164,10 @@ def sandwich_constant_sweep(model: HmmModel, horizons, ks, replicates: int, seed
         raise ValueError("the gap bound needs k >= 2")
     if (replicates := check_integer(replicates, "replicates")) < 1:
         raise ValueError("the gap sweep needs at least 1 replicate")
+    horizons = tuple(map(check_horizon, horizons))
+    decoders = [_VITERBI, *map(_kblock, ks)]
     rows = []
-    for horizon in tuple(map(check_horizon, horizons)):
-        for lo, seeds in _groups(model, horizon, replicates, seed):
-            rows += _gap_rows(model, horizon, ks, seeds, lo)
+    for horizon in horizons:
+        for lo, seeds in _groups(model, horizon, replicates, seed, decoders):
+            rows += _gap_rows(model, horizon, ks, decoders, seeds, lo)
     return rows

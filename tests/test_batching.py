@@ -164,6 +164,13 @@ class TestBestPathBatch:
         paths, scores = best_path(batch, np.zeros(2), trans)
         np.testing.assert_array_equal(paths, np.zeros((2, 50), dtype=int))
         assert scores[0] == scores[1] == values.sum()
+        # real-valued gains U(-3, 0) at K = 4 (states 3 and 4 impossible), seeds 0-49, up to T = 300, the horizon the
+        # README states the tie rule is checked at (from about T = 1000 the absolute TIE_TOL can pick the larger path)
+        values = np.array([np.random.default_rng(seed).uniform(-3, 0, 300) for seed in range(50)])
+        gains = np.full((50, 300, 4), -np.inf)
+        gains[..., 0], gains[..., 1] = values, values[:, ::-1]
+        paths, _ = best_path(gains, np.zeros(4), np.where(np.eye(4) > 0, 0.0, -np.inf))
+        np.testing.assert_array_equal(paths, np.zeros((50, 300), dtype=int))
 
     @FAST
     @given(lattice_batches())
@@ -702,20 +709,21 @@ class TestGroupedStudies:
         reads window posteriors, and a 32-state model runs one replicate per group either way."""
         wide = hr.HmmModel(np.full(32, 1 / 32), np.full((32, 32), 1 / 32), hr.Categorical(np.full((32, 2), 0.5)))
         for tags, narrow_sizes in ((["viterbi", "pmap", "rabiner:1"], [20]), (["pvd", "rabiner:2"], [10, 10])):
-            windows = decoders._reads_windows(tags)
-            assert [len(seeds) for _, seeds in sim._groups(gaussian_model(), 2000, 20, 0, windows)] == narrow_sizes
-            assert [len(seeds) for _, seeds in sim._groups(wide, 2000, 4, 0, windows)] == [1, 1, 1, 1]
+            parsed = [decoders._parse_tag(tag) for tag in tags]
+            assert [len(seeds) for _, seeds in sim._groups(gaussian_model(), 2000, 20, 0, parsed)] == narrow_sizes
+            assert [len(seeds) for _, seeds in sim._groups(wide, 2000, 4, 0, parsed)] == [1, 1, 1, 1]
 
     def test_a_group_of_ten_peaks_below_nine_tables_per_replicate(self):
         """One group of 10 at T = 2000, K = 2 with five tags, sampled, smoothed, decoded and scored, peaks below
         9 (T, K) float64 tables per replicate (tracemalloc)."""
         model = hr.HmmModel([0.4, 0.6], [[0.8, 0.2], [0.3, 0.7]], hr.DiagonalGaussian([[0.0], [1.5]], [[1.0], [0.8]]))
-        tags, num, horizon = ("viterbi", "pmap", "pvd", "kblock:3", "alpha:0.5"), 10, 2000
-        values = {tag: {metric: np.empty(num) for metric in sim.METRICS} for tag in tags}
-        sim._record_group(values, model, tags, horizon, range(num), 0)  # imports and caches warmed up first
+        parsed = [decoders._parse_tag(tag) for tag in ("viterbi", "pmap", "pvd", "kblock:3", "alpha:0.5")]
+        num, horizon = 10, 2000
+        values = [{metric: np.empty(num) for metric in sim.METRICS} for _ in parsed]
+        sim._record_group(values, model, parsed, horizon, range(num), 0)  # imports and caches warmed up first
         tracemalloc.start()
         try:
-            sim._record_group(values, model, tags, horizon, range(num, 2 * num), 0)
+            sim._record_group(values, model, parsed, horizon, range(num, 2 * num), 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -726,13 +734,14 @@ class TestGroupedStudies:
         float64 tables per replicate (tracemalloc): the summaries keep the likelihood and smoothed tables only, the
         smoothed rows overwrite the forward table, and the paths are scored as uint8 labels."""
         model = hr.HmmModel([0.4, 0.6], [[0.8, 0.2], [0.3, 0.7]], hr.DiagonalGaussian([[0.0], [1.5]], [[1.0], [0.8]]))
-        tags, num, horizon = ("viterbi", "pmap", "pvd", "kblock:3", "alpha:0.5"), 20, 2000
-        assert [len(seeds) for _, seeds in sim._groups(model, horizon, num, 0, decoders._reads_windows(tags))] == [num]
-        values = {tag: {metric: np.empty(num) for metric in sim.METRICS} for tag in tags}
-        sim._record_group(values, model, tags, horizon, range(num), 0)  # imports and caches warmed up first
+        parsed = [decoders._parse_tag(tag) for tag in ("viterbi", "pmap", "pvd", "kblock:3", "alpha:0.5")]
+        num, horizon = 20, 2000
+        assert [len(seeds) for _, seeds in sim._groups(model, horizon, num, 0, parsed)] == [num]
+        values = [{metric: np.empty(num) for metric in sim.METRICS} for _ in parsed]
+        sim._record_group(values, model, parsed, horizon, range(num), 0)  # imports and caches warmed up first
         tracemalloc.start()
         try:
-            sim._record_group(values, model, tags, horizon, range(num, 2 * num), 0)
+            sim._record_group(values, model, parsed, horizon, range(num, 2 * num), 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
