@@ -66,13 +66,13 @@ class _Decoder:
     """A decoder of the risk-based class, callable on one summary, the group
     of one.  A lattice decoder's (N, T) block of 0-based paths and N objective
     values come from the group's one max-sum call, which reads its
-    ``gains(summary, at)``, the gains at the positions of the slice ``at``, and
-    ``scores(summary)``, the initial and transition scores, of a summary or,
-    with a leading axis, of a SummaryStack; ``objective`` names the RiskReport
-    field that holds its objective, or is None for the minimized combined
-    risk, -score / T.  Any other decoder's ``solve(summaries, stack)`` returns
-    its block and its values, or the field that holds them.  ``windows`` is
-    true when solve reads window posteriors (forward and backward tables).
+    ``gains(stack, at)``, the gains at the positions of the slice ``at``, and
+    ``scores(stack)``, the initial and transition scores, of the group's
+    SummaryStack; ``objective`` names the RiskReport field that holds its
+    objective, or is None for the minimized combined risk, -score / T.  Any
+    other decoder's ``solve(summaries, stack)`` returns its block and its
+    values, or the field that holds them.  ``windows`` is true when solve
+    reads window posteriors (forward and backward tables).
     """
 
     tag: str
@@ -98,25 +98,17 @@ class _Gains:
         return self.decoder.gains(self.stack, key[1])
 
 
-def _lattice(summaries, decoders, stack: SummaryStack):
-    """Solve equal-length summaries with every lattice decoder in one max-sum
-    call, which reads one _Gains row per decoder over ``stack``, the
-    summaries' stack; yields each decoder's (N, T) block of paths and its
-    objective, in decoder order.  Raises ValueError when weights near the
-    float limit overflow a score."""
+def _lattice(decoders, stack: SummaryStack):
+    """Solve a group's stack with every lattice decoder in one max-sum call,
+    which reads one _Gains row per decoder; yields each decoder's (N, T)
+    block of paths and its objective, in decoder order.  Raises ValueError
+    when weights near the float limit overflow a gain or a score."""
     try:
         with np.errstate(over="raise"):
             init_extra, trans = (np.concatenate(scores) for scores in zip(*(d.scores(stack) for d in decoders)))
             idx, best = best_path([_Gains(d, stack) for d in decoders], init_extra, trans)
-    except FloatingPointError as exc:
-        try:  # name the overflow raised first when every problem's whole gains come before its scores
-            with np.errstate(over="raise"):
-                for d in decoders:
-                    for s in summaries:
-                        d.gains(s, slice(None)), d.scores(s)
-        except FloatingPointError as first:
-            exc = first
-        raise ValueError(f"decoder weights too large: the path scores overflow ({exc})") from None
+    except FloatingPointError:
+        raise ValueError("decoder weights too large: the path scores overflow") from None
     for d, paths, scores in zip(decoders, np.split(idx, len(decoders)), np.split(best, len(decoders))):
         yield paths, -scores / stack.horizon if d.objective is None else d.objective
 
@@ -127,9 +119,9 @@ def _same_table(marginals: np.ndarray, beta: float) -> np.ndarray:
 
 def _combined_gains(summary, weights: RiskWeights, at=slice(None), pointwise=_same_table):
     """The combined objective's gains at the positions of the slice ``at``,
-    of a summary or of every summary of a stack.  ``pointwise(marginals,
-    beta)`` maps the smoothed and the prior marginals to the tables the two
-    pointwise terms score."""
+    of a stack (the lattice) or a summary (combined_score_tables).
+    ``pointwise(marginals, beta)`` maps the smoothed and the prior marginals
+    to the tables the two pointwise terms score."""
     gains = np.zeros_like(summary.smoothed[..., at, :])
     if weights.c1 > 0:
         gains -= weights.c1 * power_risk(pointwise(summary.smoothed[..., at, :], weights.beta1), weights.beta1)
@@ -421,6 +413,6 @@ def decode_many(summaries, tags):
 def _decode_group(summaries, decoders):
     """decode_many's loop over parsed decoders; a _Decoder called on one summary runs it on the group of one."""
     stack = stack_of(summaries)  # which applies the one-horizon rule
-    lattice = _lattice(summaries, [d for d in decoders if d.gains], stack)  # runs at its first next
+    lattice = _lattice([d for d in decoders if d.gains], stack)  # runs at its first next
     for decoder in decoders:
         yield _finish(stack, decoder.tag, *(next(lattice) if decoder.gains else decoder.solve(summaries, stack)))

@@ -20,7 +20,7 @@ about 2.6 MB (tracemalloc), 4.0 (T, K) float64 tables per replicate; with
 ``rabiner:2`` a group holds 10, and at T = 2000, K = 32 one replicate.
 Horizons must be integers of at least 1; trajectories need at least 2
 replicates (for standard deviations) and at least one decoder tag, the gap
-sweep at least 1 replicate.
+sweep at least 1 replicate; a decoder or a k given twice is refused.
 """
 
 from __future__ import annotations
@@ -90,6 +90,12 @@ def _record_group(values, model, decoders, horizon, seeds, lo) -> None:
         del decoded
 
 
+def _check_distinct(values: list, what: str) -> None:
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ValueError(f"repeated {what}: {value}")
+
+
 def _record_name(tag: str) -> str:
     """A parsed tag as the records name it: kblock:k and rabiner:k with k as the integer it reads as, any other as given."""
     head, _, arg = tag.partition(":")
@@ -107,7 +113,7 @@ def estimate_risk_trajectories(
     RiskReport) and against the true sampled path (empirical_error, the
     fraction of misclassified positions).  Records name each decoder by its
     tag, a kblock or rabiner k as the integer it reads as (kblock:2.0 is
-    kblock:2).
+    kblock:2); a name given twice raises ValueError before any sampling.
     """
     if (replicates := check_integer(replicates, "replicates")) < 2:
         raise ValueError("at least 2 replicates are needed for standard deviations")
@@ -116,6 +122,7 @@ def estimate_risk_trajectories(
     if not tags:
         raise ValueError("no decoder tags")
     parsed, names = [_parse_tag(tag) for tag in tags], [_record_name(tag) for tag in tags]
+    _check_distinct(names, "decoder tag")
     records = []
     for horizon in horizons:
         values = [{metric: np.empty(replicates) for metric in METRICS} for _ in parsed]
@@ -157,7 +164,8 @@ def sandwich_constant_sweep(model: HmmModel, horizons, ks, replicates: int, seed
     For every sampled sequence and every k >= 2, the gap
     rbarinf(k-block path) - rbarinf(viterbi path) must lie in
     [-TIE_TOL, rbar1(viterbi)/(k-1) + 1e-9]; a violation raises AssertionError.
-    Returns one row per (horizon, k, replicate).
+    Returns one row per (horizon, k, replicate).  A k given twice raises
+    ValueError before any sampling.
     """
     ks = [check_integer(k, "k") for k in ks]
     if any(k < 2 for k in ks):
@@ -166,6 +174,7 @@ def sandwich_constant_sweep(model: HmmModel, horizons, ks, replicates: int, seed
         raise ValueError("the gap sweep needs at least 1 replicate")
     horizons = tuple(map(check_horizon, horizons))
     decoders = [_VITERBI, *map(_kblock, ks)]
+    _check_distinct(ks, "k")
     rows = []
     for horizon in horizons:
         for lo, seeds in _groups(model, horizon, replicates, seed, decoders):

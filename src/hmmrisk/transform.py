@@ -19,12 +19,11 @@ row does the same arithmetic as when it runs alone, so its tables are
 bit-identical.
 Vanishing evidence is absorbing (an all ``-inf`` log row, or a zero
 normalizer, stays so), so it is looked for once, after the recursions, and
-reported at the position where a check after every step would find it.
+reported at the first position whose forward row vanishes.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -150,11 +149,8 @@ def _recursions(model: HmmModel, obs, qs: np.ndarray, rescaled: bool):
         failed = norms.reshape(horizon, rows).T <= 0
     else:
         failed = np.isneginf(alpha).all(axis=2)
-        failed[:, 0] &= horizon == 1  # a dead first row shows at t=2 once there is a second
     errors = [
-        ZeroEvidenceError("observation sequence impossible under the model" + (f" at t={t + 1}" if rescaled or t else ""))
-        if dead
-        else None
+        ZeroEvidenceError(f"observation sequence impossible under the model at t={t + 1}") if dead else None
         for dead, t in zip(failed.any(axis=1), failed.argmax(axis=1))
     ]
     return alpha, beta, errors
@@ -193,25 +189,24 @@ def symbol_by_symbol_decode(tables: TransformedTables) -> tuple[int, ...]:
 def rescaling_distortion_probe(model: HmmModel, obs, q_grid) -> list[dict]:
     """Compare plain and rescaled symbol-by-symbol paths over a grid of q.
 
-    Returns one row per q with both paths and an agreement flag.  The whole
-    grid runs in one recursion per variant; an invalid q or vanishing
-    evidence raises the error a q-by-q run (plain, then rescaled, per q)
-    would meet first.
+    Returns one row per q with both paths and an agreement flag.  Every q
+    is checked first; the whole grid then runs in one recursion per variant,
+    and vanishing evidence raises the error a q-by-q run (plain, then
+    rescaled, per q) would meet first.
     """
     q_grid = list(q_grid)
-    valid = list(itertools.takewhile(lambda q: q >= 1.0, q_grid))
-    order = sorted(range(len(valid)), key=lambda i: math.isinf(valid[i]))  # finite exponents first
+    for q in q_grid:
+        _check_q(q)
+    order = sorted(range(len(q_grid)), key=lambda i: math.isinf(q_grid[i]))  # finite exponents first
+    qs = [q_grid[i] for i in order]
     outcomes = {}  # (grid index, rescaled) -> path or ZeroEvidenceError
-    if valid:
-        qs = [valid[i] for i in order]
-        for rescaled in (False, True):  # each variant's tables are dropped before the next is built
-            outcomes.update(
-                ((i, rescaled), error or symbol_by_symbol_decode(TransformedTables(q, a, b, rescaled)))
-                for i, q, a, b, error in zip(order, qs, *_recursions(model, obs, np.array(qs, dtype=float), rescaled))
-            )
+    for rescaled in (False, True):  # each variant's tables are dropped before the next is built
+        outcomes.update(
+            ((i, rescaled), error or symbol_by_symbol_decode(TransformedTables(q, a, b, rescaled)))
+            for i, q, a, b, error in zip(order, qs, *_recursions(model, obs, np.array(qs, dtype=float), rescaled))
+        )
     rows = []
     for i, q in enumerate(q_grid):
-        _check_q(q)
         plain, resc = outcomes[i, False], outcomes[i, True]
         for outcome in (plain, resc):
             if isinstance(outcome, ZeroEvidenceError):

@@ -248,8 +248,8 @@ def simulate_cases(draw):
     horizons = draw(st.lists(st.integers(1, 5), min_size=1, max_size=2))
     argv = ["simulate", "--model", "{model}", "--seed", str(draw(st.integers(0, 99)))]
     gap = draw(st.booleans())
-    tail = ["--k", ",".join(draw(st.lists(st.sampled_from(["2", "3", "4"]), min_size=1, max_size=2)))] if gap else [
-        "--decoders", ",".join(draw(st.lists(st.sampled_from(TAGS), min_size=1, max_size=3)))
+    tail = ["--k", ",".join(draw(st.lists(st.sampled_from(["2", "3", "4"]), min_size=1, max_size=2, unique=True)))] if gap else [
+        "--decoders", ",".join(draw(st.lists(st.sampled_from(TAGS), min_size=1, max_size=3, unique=True)))
     ]
     replicates = draw(st.integers(1 if gap else 2, 3))
     mutation = draw(st.sampled_from(["none", "horizon", "replicates", "tag"] + (["decoders"] if gap else ["no tags"])))
@@ -353,7 +353,7 @@ SIMULATE = ["simulate", "--model", "{model}", "--replicates", "2", "--horizons"]
         ([*SIMULATE, "3,{}"], "horizon"),
         ([*SIMULATE, "3", "--k", "{}"], "k"),
         ([*SIMULATE, "3", "--decoders", "kblock:{}"], "k"),
-        ([*SIMULATE, "3", "--decoders", "kblock:2,kblock:{}"], "k"),  # one decoder, one name in one CSV
+        ([*SIMULATE, "3", "--decoders", "kblock:3,kblock:{}"], "k"),
         ([*SIMULATE, "3", "--decoders", "rabiner:{}"], "k"),
     ],
 )
@@ -371,6 +371,24 @@ def test_integer_options_follow_the_integer_rule(base_dir, argv, what):
     assert run("2.0") == (integral := run("2")) and integral[0] == 0
     for bad in ("2.5", "x", "nan", "1e999"):
         assert run(bad) == (10, "", f"error: {what} must be an integer, got {bad}\n", None)
+
+
+@pytest.mark.parametrize(
+    "tail, repeat",
+    [
+        (["--decoders", "kblock:2,kblock:2.0"], "decoder tag: kblock:2"),
+        (["--decoders", "viterbi,pmap,viterbi"], "decoder tag: viterbi"),
+        (["--k", "2,2"], "k: 2"),
+        (["--k", "3,2,3.0"], "k: 3"),
+    ],
+)
+def test_a_repeated_decoder_or_k_exits_10(base_dir, tail, repeat):
+    """A study decodes, and writes, each decoder or k once, so a repeat is refused before any sampling."""
+    paths = {name: str(base_dir / name) for name in [*BASE_FILES, "out"]}
+    for name, text in BASE_FILES.items():
+        (base_dir / name).write_text(text)
+    argv = [arg.format(**paths) for arg in [*SIMULATE, "5", *tail]]
+    assert run_in_process(argv, base_dir / "out") == (10, "", f"error: repeated {repeat}\n", None)
 
 
 @pytest.mark.parametrize("option", ["--replicates", "--seed"])

@@ -642,19 +642,23 @@ class TestBadCountsAndNonFiniteInputs:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("far", ["1e200", "1e308", "-1e308"])
     @pytest.mark.parametrize(
+        "text, t", [("0\n{far}\n0.5\n", 2), ("{far}\n0\n0.5\n", 1), ("{far}\n", 1)], ids=["second", "first", "alone"]
+    )
+    @pytest.mark.parametrize(
         "command",
         [["decode", "--k", "3"], ["decode", "--k", "inf"], ["decode", "--q", "2"], ["decode", "--q", "2", "--rescaled"],
          ["sweep", "--q", "2"]],
         ids=" ".join,
     )
-    def test_far_out_gaussian_point_is_impossible(self, capsys, tmp_path, command, far):
-        """A point whose squared distance to every mean overflows has density 0 in every state."""
-        _, model_path, obs_path = self.gaussian_files(tmp_path, f"0\n{far}\n0.5\n")
+    def test_far_out_gaussian_point_is_impossible(self, capsys, tmp_path, command, text, t, far):
+        """A point whose squared distance to every mean overflows has density 0 in every state; every
+        selector reports it at its own position, the first included."""
+        _, model_path, obs_path = self.gaussian_files(tmp_path, text.format(far=far))
         code, out, err = run_cli(
             capsys, command[0], "--model", model_path, "--obs", obs_path, *command[1:], "--out", str(tmp_path / "p.txt")
         )
         assert code == 5 and out == ""
-        assert err == "error: observation sequence impossible under the model at t=2\n"
+        assert err == f"error: observation sequence impossible under the model at t={t}\n"
 
     @pytest.mark.parametrize("ks", [None, [2]])
     @pytest.mark.parametrize("horizons", [[0], [5, 0], [-3]])
@@ -756,23 +760,23 @@ class TestBadCountsAndNonFiniteInputs:
         assert_one_error_line(err)
 
     @pytest.mark.parametrize(
-        "command, far, overflow",
+        "command, far",
         [
-            # log 0.2 times 1e308 is finite, so the first overflow is the path weight 1e308 + 1e308
-            (["decode", "--weights", "0,1e308,0,1e308"], False, "scalar add"),
-            # the point 30 has log-density -450.9 in state 1: its gain overflows before the path weight is formed
-            (["decode", "--weights", "0,1e308,0,1e308"], True, "multiply"),
-            (["simulate", "--horizons", "5", "--replicates", "2", "--decoders", "weights:1/1e308/0/0"], False, "add"),
+            # log 0.2 times 1e308 is finite, so only the path weight 1e308 + 1e308 overflows
+            (["decode", "--weights", "0,1e308,0,1e308"], False),
+            # the point 30 has log-density -450.9 in state 1: its gain overflows too
+            (["decode", "--weights", "0,1e308,0,1e308"], True),
+            (["simulate", "--horizons", "5", "--replicates", "2", "--decoders", "weights:1/1e308/0/0"], False),
         ],
     )
-    def test_overflowing_weights_name_the_first_overflow(self, capsys, workdir, command, far, overflow):
+    def test_overflowing_weights_report_the_overflow(self, capsys, workdir, command, far):
         tmp_path, _, _, model_path, obs_path = workdir
         if far:
             _, model_path, obs_path = self.gaussian_files(tmp_path, "0.1\n1.2\n30\n0.8\n")
         files = ["--obs", obs_path, "--out", str(tmp_path / "p.txt")] if command[0] == "decode" else []
         code, out, err = run_cli(capsys, command[0], "--model", model_path, *command[1:], *files)
         assert code == 10 and out == ""
-        assert err == f"error: decoder weights too large: the path scores overflow (overflow encountered in {overflow})\n"
+        assert err == "error: decoder weights too large: the path scores overflow\n"
 
     @pytest.mark.parametrize("tags", ["nonsense-tag", "viterbi", "viterbi,pmap", ""])
     def test_decoders_with_the_gap_sweep_exit_10(self, capsys, workdir, tags):

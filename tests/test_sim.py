@@ -57,6 +57,16 @@ class TestRiskTrajectories:
         with pytest.raises(ValueError):
             hr.estimate_risk_trajectories(noisy_two_state_model(), ["pmap"], [10], 1, seed=0)
 
+    @pytest.mark.parametrize(
+        "tags, repeat",
+        [(["viterbi", "viterbi"], "viterbi"), (["kblock:2", "pmap", "kblock:2.0"], "kblock:2"),
+         (["rabiner:3.0", "rabiner:3"], "rabiner:3")],
+    )
+    def test_a_repeated_decoder_is_refused(self, tags, repeat):
+        """Each decoder is decoded, and named in the records, once."""
+        with pytest.raises(ValueError, match=f"^repeated decoder tag: {repeat}$"):
+            hr.estimate_risk_trajectories(noisy_two_state_model(), tags, [10], 2, seed=0)
+
     def test_stat_of_an_unknown_key(self):
         trajectory = hr.estimate_risk_trajectories(noisy_two_state_model(), ["pmap"], [10], 2, seed=0)
         with pytest.raises(KeyError) as info:
@@ -98,3 +108,8 @@ class TestSandwichSweep:
     def test_k_floor(self):
         with pytest.raises(ValueError):
             hr.sandwich_constant_sweep(noisy_two_state_model(), [20], [1], 3, seed=0)
+
+    @pytest.mark.parametrize("ks", [[2, 2], [2, 3, 2.0]])
+    def test_a_repeated_k_is_refused(self, ks):
+        with pytest.raises(ValueError, match="^repeated k: 2$"):
+            hr.sandwich_constant_sweep(noisy_two_state_model(), [20], ks, 3, seed=0)

@@ -4,7 +4,9 @@
 buffers; ``transformed_forward_backward`` is its one-row case and
 ``rescaling_distortion_probe`` runs a whole q grid through it.  The functions
 below are the per-step recursions and the q-by-q probe as the code had them
-before, kept as references.  Every table must match them bit for bit.  The
+before, kept as references.  Every table must match them bit for bit.  Their
+errors follow the kernel's: a vanishing first plain row reads t=1, as in the
+rescaled variant, and the probe checks every q before it runs.  The
 plain recursion now reads the emission's log-likelihoods where it took the
 log of the likelihoods; the two are the same table for categorical
 emissions, and for Gaussian ones the reference is run on the log-likelihoods.
@@ -47,12 +49,16 @@ def _power_sum(values, q, axis):
     return np.squeeze(m, axis=axis) * out
 
 
+def reference_check_q(q):
+    if not (q >= 1.0):
+        raise ValueError(f"q must be at least 1 (or inf), got {q}")
+
+
 def reference_tables(model, obs, q, rescaled=False, log_likes=None):
     """Reference: the per-step recursions, raising as soon as a step fails.
     The plain recursion runs on ``log_likes`` when it is given, and on the log
     of the likelihoods otherwise."""
-    if not (q >= 1.0):
-        raise ValueError(f"q must be at least 1 (or inf), got {q}")
+    reference_check_q(q)
     likes = emission_likelihood(model, obs)
     horizon, num_states = likes.shape
     if not rescaled:
@@ -60,12 +66,11 @@ def reference_tables(model, obs, q, rescaled=False, log_likes=None):
         log_p = _log(model.transition)
         la = np.empty((horizon, num_states))
         la[0] = _log(model.initial) + log_likes[0]
-        for t in range(1, horizon):
-            la[t] = _log_power_sum(la[t - 1][:, None] + log_p, q, axis=0) + log_likes[t]
+        for t in range(horizon):
+            if t:
+                la[t] = _log_power_sum(la[t - 1][:, None] + log_p, q, axis=0) + log_likes[t]
             if np.all(np.isneginf(la[t])):
                 raise ZeroEvidenceError(f"observation sequence impossible under the model at t={t + 1}")
-        if np.all(np.isneginf(la[-1])):
-            raise ZeroEvidenceError("observation sequence impossible under the model")
         lb = np.empty((horizon, num_states))
         lb[-1] = 0.0
         for t in range(horizon - 2, -1, -1):
@@ -94,7 +99,9 @@ def reference_tables(model, obs, q, rescaled=False, log_likes=None):
 
 
 def reference_probe(model, obs, q_grid):
-    """Reference: the probe run q by q, plain before rescaled."""
+    """Reference: every q checked, then the probe run q by q, plain before rescaled."""
+    for q in q_grid:
+        reference_check_q(q)
     rows = []
     for q in q_grid:
         plain = hr.symbol_by_symbol_decode(hr.TransformedTables(q, *reference_tables(model, obs, q), False))
@@ -154,9 +161,16 @@ ABSORBED = (
     np.array([30.0, 29.5, 30.5, 30.0, 29.0]),
 )
 
+# the first symbol is impossible in the only state the initial law allows: the first forward row vanishes
+DEAD_FIRST = (
+    hr.HmmModel([1.0, 0.0], [[0.5, 0.5], [0.5, 0.5]], hr.Categorical([[0.0, 1.0], [0.5, 0.5]])),
+    np.array([0, 1, 0]),
+)
+
 
 @FAST
 @example(ABSORBED, 1.0, True)
+@example(DEAD_FIRST, 2.0, False)
 @given(transform_cases(), st.sampled_from(Q_VALUES), st.booleans())
 def test_kernel_matches_per_step_recursions(case, q, rescaled):
     model, obs = case
