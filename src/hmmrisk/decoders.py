@@ -46,12 +46,10 @@ class DecodedPath:
     decoder_tag: str
 
 
-def _finish(stack, tag: str, idx, objective) -> list[DecodedPath]:
-    """Wrap a decoder's (N, T) block of 0-based paths on a group; one
-    evaluate_risks call checks and scores the block, as labels in the
-    smallest unsigned dtype that holds K (state 256 is uint16).  ``objective``
-    holds the N objective values, or names the RiskReport field that holds them."""
-    paths = np.add(idx, 1, dtype=np.min_scalar_type(stack.num_states), casting="unsafe")  # every index is < K
+def _finish(stack, tag: str, paths, objective) -> list[DecodedPath]:
+    """Wrap an (N, T) block of 1-based labels decoded on a group; one
+    evaluate_risks call checks and scores the block.  ``objective`` holds the
+    N objective values, or names the RiskReport field that holds them."""
     reports = evaluate_risks(stack, paths)
     if isinstance(objective, str):
         objective = [getattr(risks, objective) for risks in reports]
@@ -339,8 +337,7 @@ def brute_force_decode(summary: PosteriorSummary, objective, k: int | None = Non
         vals = sign * values_fn(chunk)
         hits = np.flatnonzero(vals <= best + TIE_TOL)
         if len(hits):
-            idx = chunk[hits[0]] - 1
-            return _finish(stack_of([summary]), f"brute-force {tag}", [idx], [sign * vals[hits[0]]])[0]
+            return _finish(stack_of([summary]), f"brute-force {tag}", chunk[hits[:1]], [sign * vals[hits[0]]])[0]
     raise AssertionError("unreachable: optimum not found on second pass")
 
 
@@ -399,20 +396,34 @@ def decode_many(summaries, tags):
     every summary is the one its single-summary decoder returns.  The
     summaries must share one horizon.  Every tag is parsed before anything is
     decoded, and the group's stack is built once, for every tag.  Each tag's
-    _Decoder then solves the group in turn, and its (N, T) block of paths is
-    scored in one evaluate_risks call when its list is asked for.  All
-    lattice tags are solved in one max-sum call, at the first lattice tag's
-    turn, over one gains row per lattice tag over the summaries' stack, each
-    filled window by window as the kernel reads it; pmap is one near_max over
-    the stack, and rabiner:k walks the summaries one by one.
+    _Decoder then solves the group in turn, in ``_solve_group``, the one solve
+    loop, which the Monte Carlo studies read as label blocks, and its (N, T)
+    block of labels is wrapped in DecodedPaths, scored in one evaluate_risks
+    call, when its list is asked for.  All lattice tags are solved in one
+    max-sum call, at the first lattice tag's turn, over one gains row per
+    lattice tag over the summaries' stack, each filled window by window as the
+    kernel reads it; pmap is one near_max over the stack, and rabiner:k walks
+    the summaries one by one.
     """
     summaries, decoders = list(summaries), [_parse_tag(tag) for tag in tags]
     yield from _decode_group(summaries, decoders) if summaries else ([] for _ in decoders)
 
 
-def _decode_group(summaries, decoders):
-    """decode_many's loop over parsed decoders; a _Decoder called on one summary runs it on the group of one."""
+def _solve_group(summaries, decoders):
+    """The one solve loop over parsed decoders: for each decoder in turn,
+    yields the group's stack, its (N, T) block of 1-based labels, in the
+    smallest unsigned dtype that holds K (state 256 is uint16), and its N
+    objective values, or the RiskReport field that holds them."""
     stack = stack_of(summaries)  # which applies the one-horizon rule
     lattice = _lattice([d for d in decoders if d.gains], stack)  # runs at its first next
+    labels = np.min_scalar_type(stack.num_states)
     for decoder in decoders:
-        yield _finish(stack, decoder.tag, *(next(lattice) if decoder.gains else decoder.solve(summaries, stack)))
+        paths, objective = next(lattice) if decoder.gains else decoder.solve(summaries, stack)
+        paths = np.add(paths, 1, dtype=labels, casting="unsafe")  # every index is < K; the 0-based block goes here
+        yield stack, paths, objective
+
+
+def _decode_group(summaries, decoders):
+    """decode_many's DecodedPath lists over parsed decoders; a _Decoder called on one summary runs it on the group of one."""
+    for decoder, (stack, paths, objective) in zip(decoders, _solve_group(summaries, decoders)):
+        yield _finish(stack, decoder.tag, paths, objective)

@@ -4,7 +4,8 @@ Pointwise and path-level risks come in a linear and a logarithmic flavour,
 each for the posterior and for the prior chain, plus the windowed k-block
 log-risk and the expected-correct-blocks gain.  All log risks are negative
 log-probabilities divided by the path length; impossible events yield +inf,
-which is a first-class value throughout.
+which is a first-class value throughout.  A path's entries are gathered from
+the tables by flat index, one ``np.take`` per table.
 """
 
 from __future__ import annotations
@@ -103,31 +104,46 @@ def _check_k(k, horizon: int) -> int:
     return int(k)
 
 
-def _gather(table: np.ndarray, paths0: np.ndarray) -> np.ndarray:
-    """``table[n, t, paths0[n, t]]`` of a stack's (N, T, K) table; a one-row stack serves every path."""
-    return table[np.arange(len(table))[:, None], np.arange(paths0.shape[1]), paths0]
+def _index(stack: SummaryStack, paths0: np.ndarray) -> np.ndarray:
+    """``t K + paths0[n, t]``, the flat index of each path entry in one (T, K) table, as an (N, T) intp block."""
+    return np.add(np.arange(0, stack.horizon * stack.num_states, stack.num_states), paths0, dtype=np.intp)
 
 
-def _log_gather(table: np.ndarray, paths0: np.ndarray) -> np.ndarray:
-    """The log of ``_gather(table, paths0)``, taken in place."""
-    entries = _gather(table, paths0)
+def _gather(table: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``table[n].flat[index[n]]`` for each row n of a stack's (N, ...) table, by one flat ``np.take``.  A table of
+    one row, or one every row shares (stride 0, as the broadcast prior), is read from its one row; any other at
+    ``index`` shifted by each row's offset, which is added in place and taken off again."""
+    if len(table) == 1 or table.strides[0] == 0:
+        return np.take(table[0], index)
+    offsets = np.arange(0, table.size, table[0].size)[:, None]
+    index += offsets
+    entries = np.take(table, index)
+    index -= offsets
+    return entries
+
+
+def _log_gather(table: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """The log of ``_gather(table, index)``, taken in place."""
+    entries = _gather(table, index)
     return _log(entries, entries)
 
 
-def _joint_ll(stack: SummaryStack, paths0: np.ndarray) -> np.ndarray:
-    return _prior_ll(stack, paths0) + _log_gather(stack.emission_likelihood, paths0).sum(axis=1)
+def _joint_ll(stack: SummaryStack, paths0: np.ndarray, index: np.ndarray) -> np.ndarray:
+    return _prior_ll(stack, paths0) + _log_gather(stack.emission_likelihood, index).sum(axis=1)
 
 
 def _prior_ll(stack: SummaryStack, paths0: np.ndarray) -> np.ndarray:
-    rows = np.arange(len(stack))[:, None]
-    first = stack.log_initial[rows[:, 0], paths0[:, 0]]
-    return first + stack.log_transition[rows, paths0[:, :-1], paths0[:, 1:]].sum(axis=1)
+    first = stack.log_initial[np.arange(len(stack)), paths0[:, 0]]
+    steps = np.multiply(paths0[:, :-1], stack.num_states, dtype=np.intp)  # the flat index of each step in a (K, K) table
+    steps += paths0[:, 1:]
+    return first + _gather(stack.log_transition, steps).sum(axis=1)
 
 
 def joint_log_likelihood(summary: PosteriorSummary, paths):
     """log p(x^T, s^T) for one path or a batch of paths."""
     paths0, single = _as_paths0(summary, paths)
-    out = _joint_ll(stack_of([summary]), paths0)
+    stack = stack_of([summary])
+    out = _joint_ll(stack, paths0, _index(stack, paths0))
     return float(out[0]) if single else out
 
 
@@ -145,16 +161,41 @@ def combined_risk(summary: PosteriorSummary, paths, weights: RiskWeights):
     """
     paths0, single = _as_paths0(summary, paths)
     stack, horizon = stack_of([summary]), summary.horizon
-    total = np.zeros(len(paths0))
+    index, total = _index(stack, paths0), np.zeros(len(paths0))
     if weights.c1 > 0:
-        total += weights.c1 * power_risk(_gather(stack.smoothed, paths0), weights.beta1).mean(axis=1)
+        total += weights.c1 * power_risk(_gather(stack.smoothed, index), weights.beta1).mean(axis=1)
     if weights.c2 > 0:
-        total += weights.c2 * (-_joint_ll(stack, paths0) / horizon)
+        total += weights.c2 * (-_joint_ll(stack, paths0, index) / horizon)
     if weights.c3 > 0:
-        total += weights.c3 * power_risk(_gather(stack.prior, paths0), weights.beta3).mean(axis=1)
+        total += weights.c3 * power_risk(_gather(stack.prior, index), weights.beta3).mean(axis=1)
     if weights.c4 > 0:
         total += weights.c4 * (-_prior_ll(stack, paths0) / horizon)
     return float(total[0]) if single else total
+
+
+def _risk_columns(stack: SummaryStack, paths0: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The eight RiskReport columns, in field order, of a C-ordered (N, T) block of 0-based paths on a stack, row n
+    scored against summary n.  The flat index of the path entries is built once, after the prior path terms, and
+    serves the likelihood, smoothed and prior tables; each table is gathered along the paths, the log taken of the
+    gathered entries in place where a log risk needs it, and reduced over rows before the next is gathered."""
+    horizon = stack.horizon
+
+    def pointwise(table):  # the linear and log pointwise risks; the gathered entries go when it returns
+        entries = _gather(table, index)
+        return 1.0 - entries.mean(axis=1), -_log(entries, entries).mean(axis=1)
+
+    prior_ll = _prior_ll(stack, paths0)
+    index = _index(stack, paths0)
+    joint_ll = prior_ll + _log_gather(stack.emission_likelihood, index).sum(axis=1)
+    post_lp = joint_ll - stack.log_evidence
+    return (
+        *pointwise(stack.smoothed),
+        -np.expm1(post_lp),
+        -post_lp / horizon,
+        -joint_ll / horizon,
+        *pointwise(stack.prior),
+        -prior_ll / horizon,
+    )
 
 
 def evaluate_risks(summary, path):
@@ -163,9 +204,8 @@ def evaluate_risks(summary, path):
     ``summary`` may instead be the SummaryStack of a group of N summaries and
     ``path`` an (N, T) block of paths: row n is scored against summary n, and
     the N reports come back as a list, from one call.  One path is the
-    one-row case, bit for bit: each table is gathered along the paths, the
-    log taken of the gathered entries in place where a log risk needs it,
-    and reduced over C-ordered rows before the next is gathered.
+    one-row case, bit for bit: the reports hold the floats of the columns
+    ``_risk_columns`` gives.
     """
     group = isinstance(summary, SummaryStack)
     stack = summary if group else stack_of([summary])
@@ -174,24 +214,7 @@ def evaluate_risks(summary, path):
         raise ValueError("evaluate_risks scores one 1-d path")
     if group and (single or len(paths0) != len(stack)):
         raise ValueError(f"a group of {len(stack)} summaries scores a ({len(stack)}, T) block of paths")
-    horizon = stack.horizon
-
-    def pointwise(table):  # the linear and log pointwise risks; the gathered entries go when it returns
-        entries = _gather(table, paths0)
-        return 1.0 - entries.mean(axis=1), -_log(entries, entries).mean(axis=1)
-
-    prior_ll = _prior_ll(stack, paths0)
-    joint_ll = prior_ll + _log_gather(stack.emission_likelihood, paths0).sum(axis=1)
-    post_lp = joint_ll - stack.log_evidence
-    columns = (
-        *pointwise(stack.smoothed),
-        -np.expm1(post_lp),
-        -post_lp / horizon,
-        -joint_ll / horizon,
-        *pointwise(stack.prior),
-        -prior_ll / horizon,
-    )
-    reports = [RiskReport(*values) for values in zip(*(column.tolist() for column in columns))]
+    reports = [RiskReport(*values) for values in zip(*(column.tolist() for column in _risk_columns(stack, paths0)))]
     return reports if group else reports[0]
 
 

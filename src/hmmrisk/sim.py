@@ -13,8 +13,12 @@ state) tables take; the results do not depend on the group size.  A study
 parses its tags once.  A group's summaries keep the likelihood and smoothed
 tables, and the forward and backward tables only for window posteriors.  A
 group's lattice decoders share one max-sum call, which reads each decoder's
-gains over the whole group window by window, and each decoder's paths are
-scored in one call, as uint8 labels at K <= 255.  ``_GROUP_CELLS`` is 80,000:
+gains over the whole group window by window.  Each decoder's (N, T) block of
+labels (uint8 at K <= 255) is scored as it stands, with no per-replicate
+path or report object: the empirical errors are one comparison with the true
+paths, and the risks are the eight columns of one ``risk._risk_columns``
+call, each written into its slice of the study's table; the gap sweep's gaps
+and bounds are arithmetic on those columns.  ``_GROUP_CELLS`` is 80,000:
 a group of 20 at T = 2000, K = 2 and five tags that read no windows peaks at
 about 2.6 MB (tracemalloc), 4.0 (T, K) float64 tables per replicate; with
 ``rabiner:2`` a group holds 10, and at T = 2000, K = 32 one replicate.
@@ -29,10 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoders import _VITERBI, _decode_group, _kblock, _parse_tag, _summaries
+from .decoders import _VITERBI, _kblock, _parse_tag, _solve_group, _summaries
 from .lattice import TIE_TOL
 from .model import HmmModel, check_horizon, check_integer, read_integer, sample_trajectories
-from .risk import RiskReport
+from .risk import RiskReport, _risk_columns
 
 METRICS = ("empirical_error",) + RiskReport.FIELDS
 _GROUP_CELLS = 80_000
@@ -72,22 +76,19 @@ def _groups(model: HmmModel, horizon: int, replicates: int, seed: int, decoders=
 
 
 def _sample_group(model: HmmModel, horizon: int, seeds, decoders):
-    """True paths of one group of replicates and ``_decode_group``'s DecodedPath lists over the summaries
-    ``decoders`` read; the observations are freed on return."""
+    """True paths of one group of replicates and ``_solve_group``'s label blocks over the summaries ``decoders``
+    read; the observations are freed on return."""
     truths, observations = sample_trajectories(model, horizon, seeds)
-    return truths, _decode_group(_summaries(model, observations, decoders), decoders)
+    return truths, _solve_group(_summaries(model, observations, decoders), decoders)
 
 
 def _record_group(values, model, decoders, horizon, seeds, lo) -> None:
-    truths, per_decoder = _sample_group(model, horizon, seeds, decoders)
+    truths, solved = _sample_group(model, horizon, seeds, decoders)
     rows = slice(lo, lo + len(truths))
-    for table in values:
-        decoded = next(per_decoder)  # the previous list is dropped first; zip would hold it until this call returns
-        paths = np.array([path.path for path in decoded], dtype=truths.dtype)
+    for table, (stack, paths, _) in zip(values, solved):
         table["empirical_error"][rows] = (paths != truths).mean(axis=1)
-        for name in RiskReport.FIELDS:
-            table[name][rows] = [getattr(path.risks, name) for path in decoded]
-        del decoded
+        for name, column in zip(RiskReport.FIELDS, _risk_columns(stack, paths - 1)):
+            table[name][rows] = column
 
 
 def _check_distinct(values: list, what: str) -> None:
@@ -145,17 +146,21 @@ def estimate_risk_trajectories(
 
 
 def _gap_rows(model, horizon, ks, decoders, seeds, lo) -> list[dict]:
-    _, decoded = _sample_group(model, horizon, seeds, decoders)
-    base = [d.risks for d in next(decoded)]
-    gaps = [[d.risks.rbarinf_posterior - b.rbarinf_posterior for d, b in zip(paths, base)] for paths in decoded]
-    rows = []
-    for r, (vit, row) in enumerate(zip(base, zip(*gaps)), start=lo):
-        for k, gap in zip(ks, row):
-            bound = vit.rbar1_posterior / (k - 1)
-            if not (-TIE_TOL <= gap <= bound + 1e-9):  # Viterbi's path is optimal within the tie rule's slack
-                raise AssertionError(f"gap {gap} outside [{-TIE_TOL}, {bound}] at horizon={horizon} k={k} replicate={r}")
-            rows.append({"horizon": horizon, "k": k, "replicate": r, "gap": gap, "bound": bound})
-    return rows
+    _, solved = _sample_group(model, horizon, seeds, decoders)
+    vit, *kblocks = (dict(zip(RiskReport.FIELDS, _risk_columns(stack, paths - 1))) for stack, paths, _ in solved)
+    # (replicate, k) tables of the gaps and their bounds; Viterbi's path is optimal within the tie rule's slack
+    gaps = np.stack([risks["rbarinf_posterior"] for risks in kblocks], axis=1) - vit["rbarinf_posterior"][:, None]
+    bounds = vit["rbar1_posterior"][:, None] / np.array([float(k - 1) for k in ks])
+    outside = np.argwhere(~((-TIE_TOL <= gaps) & (gaps <= bounds + 1e-9)))  # in replicate order, then k order
+    if len(outside):
+        r, j = outside[0]
+        gap, bound = float(gaps[r, j]), float(bounds[r, j])
+        raise AssertionError(f"gap {gap} outside [{-TIE_TOL}, {bound}] at horizon={horizon} k={ks[j]} replicate={lo + r}")
+    return [
+        {"horizon": horizon, "k": k, "replicate": r, "gap": gap, "bound": bound}
+        for r, (gap_row, bound_row) in enumerate(zip(gaps.tolist(), bounds.tolist()), start=lo)
+        for k, gap, bound in zip(ks, gap_row, bound_row)
+    ]
 
 
 def sandwich_constant_sweep(model: HmmModel, horizons, ks, replicates: int, seed: int) -> list[dict]:

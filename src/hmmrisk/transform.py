@@ -68,13 +68,15 @@ def _recursions(model: HmmModel, obs, qs: np.ndarray, rescaled: bool):
     ``qs`` is a 1-d float array of exponents >= 1 with the finite ones first.
     Returns alpha and beta, each of shape (len(qs), T, K), and per row the
     ZeroEvidenceError that row raises (None when its evidence is positive).
+    Raises ValueError for an empty observation sequence, as forward_backward does.
     """
+    emission = emission_likelihood(model, obs) if rescaled else model.emission.log_likelihood(obs)
+    if len(emission) == 0:
+        raise ValueError("observation sequence must be non-empty")
     if rescaled:
-        emission = emission_likelihood(model, obs)
         trans, first = model.transition, model.initial * emission[0]
         times, over, floor = np.multiply, np.divide, _SMALLEST
     else:
-        emission = model.emission.log_likelihood(obs)
         trans, first = _log(model.transition), _log(model.initial) + emission[0]
         times, over, floor = np.add, np.subtract, _LOWEST
     horizon, num_states = emission.shape
@@ -167,7 +169,8 @@ def transformed_forward_backward(
     the plain one does not.
 
     Raises ZeroEvidenceError when the observations are impossible under the
-    model (all entries of some forward column vanish).
+    model (all entries of some forward column vanish), and ValueError for an
+    empty observation sequence.
     """
     _check_q(q)
     alpha, beta, (error,) = _recursions(model, obs, np.array([q], dtype=float), rescaled)

@@ -595,7 +595,7 @@ class TestDecodeMany:
             summary = hr.forward_backward(model, obs)
             idx = rng.integers(0, 3, size=(20, 12))  # arbitrary paths, impossible ones included
             group = inference.stack_of([summary] * len(idx))
-            for decoded, row in zip(decoders._finish(group, "any", idx, [0.0] * len(idx)), idx):
+            for decoded, row in zip(decoders._finish(group, "any", idx + 1, [0.0] * len(idx)), idx):
                 assert decoded.path == tuple(int(s) + 1 for s in row)
                 assert decoded.risks == hr.evaluate_risks(summary, decoded.path)
                 assert decoded.admissible == bool(np.isfinite(decoded.risks.rbarinf_posterior))

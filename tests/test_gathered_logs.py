@@ -10,10 +10,12 @@ reach them.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hmmrisk as hr
+from hmmrisk import inference
 from hmmrisk.inference import _log, log_window_posterior
 
 from conftest import random_categorical_model
@@ -126,3 +128,58 @@ def test_gathered_logs_match_whole_table_logs(num_states, horizon, zero_frac, nu
                     assert same_bits(
                         log_window_posterior(chain, starts_mesh, states), ref_window(chain, starts_mesh, states)
                     )
+
+
+def ref_stack_risks(stack, paths):
+    """evaluate_risks on a stack by three-index fancy gathers, ``table[n, t, path[n, t]]``, each row of a table of one
+    row (the stack of one summary) serving every path."""
+    paths0 = np.asarray(paths) - 1
+    rows, steps = np.arange(len(stack))[:, None], np.arange(stack.horizon)
+
+    def gather(table):
+        return table[rows, steps, paths0]
+
+    prior_ll = stack.log_initial[rows[:, 0], paths0[:, 0]] + stack.log_transition[rows, paths0[:, :-1], paths0[:, 1:]].sum(axis=1)
+    joint_ll = prior_ll + _log(gather(stack.emission_likelihood)).sum(axis=1)
+    post_lp = joint_ll - stack.log_evidence
+    smoothed, prior = gather(stack.smoothed), gather(stack.prior)
+    columns = (
+        1.0 - smoothed.mean(axis=1),
+        -_log(smoothed).mean(axis=1),
+        -np.expm1(post_lp),
+        -post_lp / stack.horizon,
+        -joint_ll / stack.horizon,
+        1.0 - prior.mean(axis=1),
+        -_log(prior).mean(axis=1),
+        -prior_ll / stack.horizon,
+    )
+    return [hr.RiskReport(*values) for values in zip(*(column.tolist() for column in columns))]
+
+
+def report_bits(reports):
+    return np.array([list(report.as_dict().values()) for report in reports]).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_flat_gathers_match_fancy_gathers(seed):
+    """evaluate_risks gathers by flat index, with the prior and transition tables every row shares read from their
+    one row; it matches the fancy-index reference bit for bit on one summary, on a forward_backward_many stack
+    (shared prior), on one summary repeated, and on a stack of copies of summaries of separate calls, here of
+    separate models (no table shared)."""
+    rng = np.random.default_rng(seed)
+    num_states, horizon, num = int(rng.integers(1, 5)), int(rng.integers(1, 30)), int(rng.integers(2, 5))
+    zero_frac = [0.0, 0.3, 0.6][seed % 3]
+    models = [random_categorical_model(rng, num_states=num_states, num_symbols=3, zero_frac=zero_frac) for _ in range(num)]
+    _, observations = hr.sample_trajectories(models[0], horizon, range(seed, seed + num))
+    batch = hr.forward_backward_many(models[0], observations)
+    separate = []
+    for model in models:  # each model's own sequence, so that its evidence is positive
+        separate.append(hr.forward_backward(model, hr.sample_trajectories(model, horizon, [seed])[1][0]))
+    paths = rng.integers(1, num_states + 1, size=(num, horizon))  # arbitrary paths, impossible ones included
+    shared, copies, repeated = batch[0].stack, inference.stack_of(separate), inference.stack_of([batch[0]] * num)
+    assert shared.prior.strides[0] == 0 and copies.prior.strides[0] != 0 and repeated.smoothed.strides[0] == 0
+    for stack in (shared, copies, repeated):
+        assert report_bits(hr.evaluate_risks(stack, paths)) == report_bits(ref_stack_risks(stack, paths))
+    for summary, path in zip(batch + separate, np.concatenate([paths, paths])):
+        one = inference.stack_of([summary])
+        assert report_bits([hr.evaluate_risks(summary, path)]) == report_bits(ref_stack_risks(one, [path]))

@@ -168,6 +168,33 @@ class TestSymbolBySymbol:
             assert joint_lp[-1] == pytest.approx(joint_lp[-2], abs=1e-12)
 
 
+EMPTY_MODELS = {
+    "categorical": hr.HmmModel([0.6, 0.4], [[0.7, 0.3], [0.25, 0.75]], hr.Categorical([[0.8, 0.2], [0.3, 0.7]])),
+    "gaussian": hr.HmmModel([0.4, 0.6], [[0.8, 0.2], [0.3, 0.7]], hr.DiagonalGaussian([[0.0], [1.5]], [[1.0], [0.8]])),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(EMPTY_MODELS))
+@pytest.mark.parametrize("rescaled", [False, True])
+@pytest.mark.parametrize("q", [1.0, 2.0, math.inf])
+def test_an_empty_sequence_is_rejected_like_forward_backward(kind, rescaled, q):
+    """Both variants refuse an empty observation sequence with the ValueError forward_backward raises."""
+    with pytest.raises(ValueError) as expected:
+        hr.forward_backward(EMPTY_MODELS[kind], [])
+    with pytest.raises(ValueError) as info:
+        hr.transformed_forward_backward(EMPTY_MODELS[kind], [], q, rescaled=rescaled)
+    assert str(info.value) == str(expected.value) == "observation sequence must be non-empty"
+
+
+@pytest.mark.parametrize("kind", sorted(EMPTY_MODELS))
+@pytest.mark.parametrize("grid", [[], [1.0], [2.0, math.inf]])
+def test_the_probe_rejects_an_empty_sequence(kind, grid):
+    """The probe refuses an empty sequence as forward_backward does, whatever its grid."""
+    with pytest.raises(ValueError) as info:
+        hr.rescaling_distortion_probe(EMPTY_MODELS[kind], np.array([], dtype=int), grid)
+    assert str(info.value) == "observation sequence must be non-empty"
+
+
 class TestDistortionProbe:
     def test_q1_row_always_agrees(self):
         rng = np.random.default_rng(257)
